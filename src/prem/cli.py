@@ -11,8 +11,9 @@ Exit codes: 0 success; parse failures 64; precondition failures 65; internal
 contract violations 70.  ``obstruct`` and ``report-thm3`` exit 0 for a
 positive verdict, 1 for a negative one and 2 when inconclusive; ``verify``
 exits 1 when the certificate fails.  ``--json`` renders every report as a
-versioned JSON document; ``--jobs`` (or the PREM_JOBS environment variable)
-caps worker processes.
+versioned JSON document, written to ``-o FILE`` when given; ``--jobs`` (or the
+PREM_JOBS environment variable) sets the worker process count, at least 1
+and clamped to the CPU count.
 """
 
 from __future__ import annotations
@@ -68,20 +69,29 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _positive_jobs(value, source: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError as exc:
+        raise ParseError(f"{source} must be an integer, got {value!r}") from exc
+    if jobs < 1:
+        raise ParseError(f"{source} must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return args.jobs
+    """Worker process count: ``--jobs``, else PREM_JOBS, else 1; values below
+    1 are parse errors and values above the CPU count are clamped to it."""
+    if getattr(args, "jobs", None) is not None:
+        return _positive_jobs(args.jobs, "--jobs")
     env = os.environ.get("PREM_JOBS")
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ParseError(f"PREM_JOBS must be an integer, got {env!r}") from exc
+        return _positive_jobs(env, "PREM_JOBS")
     return 1
 
 
-def _print_json(payload: Dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _print_json(payload: Dict, out: Optional[str]) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def _frac(x) -> str:
@@ -156,7 +166,8 @@ def _cmd_delta(args) -> int:
                     for a, b in model.involution.items()
                     if model.complex.rank[a] <= model.complex.rank[b]
                 ),
-            }
+            },
+            args.out,
         )
         return 0
     head = [
@@ -187,7 +198,8 @@ def _cmd_yang(args) -> int:
                 "yang_index": y,
                 "quotient_cells_by_dimension": list(fvec),
                 "quotient_mod2_betti": list(betti),
-            }
+            },
+            args.out,
         )
         return 0
     _emit(
@@ -233,7 +245,8 @@ def _cmd_obstruct(args) -> int:
                     if verdict.quotient_f_vector is not None
                     else None
                 ),
-            }
+            },
+            args.out,
         )
     else:
         lines = [f"verdict: {verdict.answer}", f"reason: {verdict.reason}"]
@@ -277,7 +290,8 @@ def _cmd_report_thm3(args) -> int:
                 "conclusion_text": _conclusion_text(report),
                 "subdivision_rounds": report.subdivision_rounds,
                 "notes": report.notes,
-            }
+            },
+            args.out,
         )
         return _verdict_exit(report.verdict.answer)
     parities = (
@@ -350,7 +364,8 @@ def _cmd_lift(args) -> int:
                     result.homotopy_certified if args.alpha else None
                 ),
                 "notes": result.notes,
-            }
+            },
+            args.out,
         )
         return 0
     head = [f"# k: {result.k}"]
@@ -375,7 +390,8 @@ def _cmd_verify(args) -> int:
                 "schema": SCHEMA,
                 "command": "verify",
                 **_verification_payload(res),
-            }
+            },
+            args.out,
         )
     else:
         _emit("\n".join(_verification_lines(res)) + "\n", args.out)
@@ -439,7 +455,7 @@ def _cmd_plify(args) -> int:
         }
         if args.trace:
             payload["stages"] = [_stage_payload(t) for t in result.stages]
-        _print_json(payload)
+        _print_json(payload, args.out)
         return 0
     head = [
         f"# result: {'ok' if result.ok else 'FAILED'}",
@@ -488,7 +504,8 @@ def _cmd_stability(args) -> int:
             ],
             "critical_values_injective": report.critical_values_injective,
             "caveats": report.caveats,
-        }
+        },
+        None,
     )
     return 0
 

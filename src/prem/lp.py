@@ -1,7 +1,10 @@
 """Exact rational linear programming and convex-hull predicates.
 
-A dense two-phase simplex method over ``fractions.Fraction`` with Bland's
-anti-cycling rule.  Infeasibility is always returned together with a Farkas
+A two-phase simplex method over ``fractions.Fraction`` with Bland's
+anti-cycling rule.  The tableau is stored densely, but a pivot updates only
+the columns where the scaled pivot row is nonzero: the pair LPs of ``verify``
+are mostly zeros, and ``a - factor * 0`` would build a new ``Fraction`` for
+nothing.  Infeasibility is always returned together with a Farkas
 certificate ``y`` (``y . A_j <= 0`` for every column, ``y . b > 0``) which is
 re-verified exactly before being handed out.  On top of the solver sit the
 hull predicates used throughout the library: membership of the origin,
@@ -21,6 +24,13 @@ from .errors import InternalError
 
 Vec = List[Fraction]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _frac(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
 
 @dataclass
 class LPResult:
@@ -30,19 +40,25 @@ class LPResult:
     farkas: Optional[Vec] = None
 
 
+def _eliminate(row: list, factor: Fraction, prow: list, nz: list) -> None:
+    """``row -= factor * prow`` in place, touching only the columns ``nz``
+    where ``prow`` is nonzero."""
+    for j in nz:
+        row[j] -= factor * prow[j]
+
+
 def _pivot(rows: list, objrow: list, basis: list, r: int, col: int) -> None:
-    prow = rows[r]
-    inv = Fraction(1) / prow[col]
-    rows[r] = [x * inv for x in prow]
-    prow = rows[r]
-    for i in range(len(rows)):
+    inv = 1 / rows[r][col]
+    prow = rows[r] = [x * inv if x else x for x in rows[r]]
+    nz = [j for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
         if i != r:
-            factor = rows[i][col]
+            factor = row[col]
             if factor:
-                rows[i] = [a - factor * p for a, p in zip(rows[i], prow)]
+                _eliminate(row, factor, prow, nz)
     factor = objrow[col]
     if factor:
-        objrow[:] = [a - factor * p for a, p in zip(objrow, prow)]
+        _eliminate(objrow, factor, prow, nz)
     basis[r] = col
 
 
@@ -77,27 +93,26 @@ def lp_solve(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
     """Minimize ``c . x`` subject to ``A x = b``, ``x >= 0`` (exact)."""
     m = len(a)
     n = len(c)
-    a = [[Fraction(x) for x in row] for row in a]
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
+    a = [[_frac(x) for x in row] for row in a]
+    b = [_frac(x) for x in b]
+    c = [_frac(x) for x in c]
     if any(len(row) != n for row in a):
         raise InternalError("ragged constraint matrix")
 
     signs = [1 if bi >= 0 else -1 for bi in b]
     rows = []
     for i in range(m):
-        base = [signs[i] * x for x in a[i]]
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
+        base = a[i] if signs[i] > 0 else [-x for x in a[i]]
+        art = [_ZERO] * m
+        art[i] = _ONE
         rows.append(base + art + [signs[i] * b[i]])
 
     # Phase 1: minimize the sum of artificials (basis = artificials).
     width1 = n + m
     basis = [n + i for i in range(m)]
-    objrow = [Fraction(0)] * (width1 + 1)
-    for j in range(n):
-        objrow[j] = -sum(rows[i][j] for i in range(m))
-    objrow[-1] = -sum(rows[i][-1] for i in range(m))
+    objrow = [_ZERO] * (width1 + 1)
+    for j in [*range(n), width1]:
+        objrow[j] = -sum([v for row in rows if (v := row[j])], _ZERO)
     unb = _optimize(rows, objrow, basis, width1)
     if unb is not None:
         raise InternalError("phase-1 objective cannot be unbounded")
@@ -127,11 +142,11 @@ def lp_solve(a: Sequence[Sequence], b: Sequence, c: Sequence) -> LPResult:
 
     # Phase 2 on original columns only.
     rows = [row[:n] + [row[-1]] for row in rows]
-    objrow = list(c) + [Fraction(0)]
+    objrow = list(c) + [_ZERO]
     for r, jb in enumerate(basis):
         factor = objrow[jb]
         if factor:
-            objrow = [a_ - factor * p for a_, p in zip(objrow, rows[r])]
+            _eliminate(objrow, factor, rows[r], [j for j, p in enumerate(rows[r]) if p])
     unb = _optimize(rows, objrow, basis, n)
     if unb is not None:
         return LPResult(status="unbounded")

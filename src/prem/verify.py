@@ -3,19 +3,27 @@ is injective, i.e. that ``x -> (f(x), g(x))`` embeds the source complex.
 
 The target polyhedron is embedded by sending each of its vertices to a
 standard basis vector, so the combined map is affine on every source simplex
-with rational values, and injectivity reduces to finitely many exact linear
-programs: one affine-independence check per maximal simplex, and for every
-unordered pair of maximal simplices either a cheap prefilter (images touch no
-common target vertex, or the union is itself a simplex and was already
-checked) or a feasibility LP for ``f(x) = f(y), g(x) = g(y)`` whose solution
-set, when nonempty, must be confined to the diagonal of the shared face.
+with rational values, and injectivity reduces to finitely many exact checks.
+Each maximal simplex first gets an affine-independence check.  Then every
+unordered pair ``(s, t)`` of maximal simplices is settled by a cheap
+prefilter (the images touch no common target vertex, or ``s u t`` is itself
+a simplex and was already checked) or by exactly one LP over the pair
+polytope ``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``:
+
+* disjoint ``s`` and ``t``: a feasibility LP; any solution is a violation,
+  and infeasibility comes with a Farkas certificate;
+* shared face ``rho = s n t``: maximize the mass ``mu(x, y)`` of ``x`` on
+  ``s \\ rho`` plus that of ``y`` on ``t \\ rho``.  ``mu = 0`` puts both points
+  in ``rho``, a face of ``s``, and the per-simplex check has shown ``(f, g)``
+  injective on ``s``, so ``x = y``.  ``mu > 0`` puts one point outside
+  ``s n t``, so the maximizer is two distinct points with the same value.
+
 Every pair contributes one evidence record; any violation carries an exact
 witness pair of points.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, lp
 from .complexes import BarycentricPoint, Simplex
-from .errors import MapError
+from .errors import InternalError, MapError
 from .maps import SemiLinearMap, SimplicialMap
 
 DISJOINT_IMAGES = "disjoint-images"
@@ -128,47 +136,31 @@ def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> P
     a.append([Fraction(0)] * ns + [Fraction(1)] * nt)
     b = [Fraction(0)] * d + [Fraction(1), Fraction(1)]
 
-    res = lp.lp_feasible(a, b, n=ns + nt)
-    if res.status == "infeasible":
-        return PairEvidence(pair=(s, t), kind=FARKAS)
-
-    shared = set(s) & set(t)
-
     def witness_from(xvec: Sequence[Fraction]) -> ViolationWitness:
         x = _point_from_coeffs(s, xvec[:ns])
         y = _point_from_coeffs(t, xvec[ns:])
         return ViolationWitness(simplex_x=s, simplex_y=t, x=x, y=y, g_value=g(x))
 
+    shared = set(s) & set(t)
     if not shared:
+        # Any common value of two disjoint simplices is a violation.
+        res = lp.lp_feasible(a, b, n=ns + nt)
+        if res.status == "infeasible":
+            return PairEvidence(pair=(s, t), kind=FARKAS)
         return PairEvidence(pair=(s, t), kind=VIOLATION, witness=witness_from(res.x))
 
-    # Solutions exist; they are admissible only on the diagonal of the
-    # shared face.  Maximize each functional that must vanish there.
-    objectives: List[List[Fraction]] = []
-    for i, v in enumerate(s):
-        if v not in shared:
-            obj = [Fraction(0)] * (ns + nt)
-            obj[i] = Fraction(1)
-            objectives.append(obj)
-    for j, w in enumerate(t):
-        if w not in shared:
-            obj = [Fraction(0)] * (ns + nt)
-            obj[ns + j] = Fraction(1)
-            objectives.append(obj)
-    for v in shared:
-        i = s.index(v)
-        j = t.index(v)
-        for sign in (1, -1):
-            obj = [Fraction(0)] * (ns + nt)
-            obj[i] = Fraction(sign)
-            obj[ns + j] = Fraction(-sign)
-            objectives.append(obj)
-    for obj in objectives:
-        mx = lp.lp_max(a, b, obj)
-        if mx.status != "optimal":
-            raise MapError("bounded feasibility region reported unbounded")
-        if mx.value > 0:
-            return PairEvidence(pair=(s, t), kind=VIOLATION, witness=witness_from(mx.x))
+    # A shared face rho keeps the LP feasible (x = y = any vertex of rho), so
+    # one LP decides the pair: maximize the mass mu off rho.  mu = 0 puts x
+    # and y in rho, a face of s, on which (f, g) is affinely injective (every
+    # maximal simplex passed its self-check before any pair), so x = y.
+    # mu > 0 gives, say, x mass on a vertex of s outside t; then x is not in
+    # t while y is, so the maximizer is two distinct points with one value.
+    mu = [Fraction(0 if v in shared else 1) for v in s + t]
+    mx = lp.lp_max(a, b, mu)
+    if mx.status != "optimal":
+        raise InternalError(f"pair LP on a nonempty bounded polytope reported {mx.status}")
+    if mx.value > 0:
+        return PairEvidence(pair=(s, t), kind=VIOLATION, witness=witness_from(mx.x))
     return PairEvidence(pair=(s, t), kind=DIAGONAL_CONFINED)
 
 
@@ -186,16 +178,6 @@ def _worker_run(idx: int) -> Tuple[int, PairEvidence]:
     g = _WORKER_STATE["g"]
     s, t = _WORKER_STATE["pairs"][idx]
     return idx, _pair_check(f, g, s, t)
-
-
-def default_jobs() -> int:
-    env = os.environ.get("PREM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> VerificationResult:

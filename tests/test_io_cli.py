@@ -1,12 +1,14 @@
 """Tests for the text formats and the command-line interface."""
 
+import argparse
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
 
 from prem import formats
-from prem.cli import main
+from prem.cli import _jobs, main
 from prem.complexes import SimplicialComplex
 from prem.errors import ParseError
 
@@ -383,6 +385,41 @@ def test_verify_jobs_matches_serial(capsys, monkeypatch, fig8, fig8_lift):
     assert capsys.readouterr().out == serial
     monkeypatch.setenv("PREM_JOBS", "zebra")
     assert main(["verify", fig8, fig8_lift]) == 64
+    monkeypatch.delenv("PREM_JOBS")
+    assert main(["verify", fig8, fig8_lift, "--jobs", "0"]) == 64
+    assert main(["verify", fig8, fig8_lift, "--jobs", "-3"]) == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_jobs_parser_bounds(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("PREM_JOBS", raising=False)
+    assert _jobs(argparse.Namespace(jobs=None)) == 1
+    assert _jobs(argparse.Namespace()) == 1
+    assert _jobs(argparse.Namespace(jobs=1)) == 1
+    assert _jobs(argparse.Namespace(jobs=10**9)) == 2
+    for bad in (0, -1):
+        with pytest.raises(ParseError):
+            _jobs(argparse.Namespace(jobs=bad))
+    monkeypatch.setenv("PREM_JOBS", "64")
+    assert _jobs(argparse.Namespace(jobs=None)) == 2
+    assert _jobs(argparse.Namespace(jobs=1)) == 1
+    for bad in ("0", "-2", "zebra", "1.5"):
+        monkeypatch.setenv("PREM_JOBS", bad)
+        with pytest.raises(ParseError):
+            _jobs(argparse.Namespace(jobs=None))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _jobs(argparse.Namespace(jobs=8)) == 1
+
+
+def test_json_honours_out_file(capsys, tmp_path, fig8, fig8_lift):
+    assert main(["verify", fig8, fig8_lift, "--json"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "verify.json"
+    assert main(["verify", fig8, fig8_lift, "--json", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert json.loads(printed)["command"] == "verify"
 
 
 def test_plify_text_reparses(capsys, fig8, fig8_lift):

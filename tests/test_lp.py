@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prem import linalg
 from prem.lp import (
     hulls_intersect,
     lp_feasible,
@@ -145,3 +149,67 @@ def test_min_sq_norm_zero_inside():
     val, lam = min_sq_norm_in_hull([(1, 0), (-1, 1), (-1, -1)])
     assert val == F(0)
     assert all(l >= 0 for l in lam) and sum(lam) == F(1)
+
+
+# -- properties on random small LPs ------------------------------------------
+
+
+@st.composite
+def small_lps(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    c = [draw(entry) for _ in range(n)]
+    return a, b, c
+
+
+def basic_feasible_solutions(a, b):
+    """Every x >= 0 with A x = b whose support columns are linearly
+    independent, by brute force over column subsets."""
+    m, n = len(a), len(a[0])
+    found = []
+    for size in range(0, min(m, n) + 1):
+        for cols in combinations(range(n), size):
+            if size == 0:
+                sol = [] if all(bi == 0 for bi in b) else None
+            else:
+                if not linalg.linearly_independent([[row[j] for row in a] for j in cols]):
+                    continue
+                sol = linalg.solve([[row[j] for j in cols] for row in a], b)
+            if sol is None or any(v < 0 for v in sol):
+                continue
+            x = [F(0)] * n
+            for j, v in zip(cols, sol):
+                x[j] = v
+            found.append(x)
+    return found
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_lps())
+def test_lp_solve_agrees_with_vertex_enumeration(lp):
+    a, b, c = lp
+    res = lp_solve(a, b, c)
+    vertices = basic_feasible_solutions(a, b)
+    if res.status == "infeasible":
+        assert vertices == []
+        y = res.farkas
+        for j in range(len(c)):
+            assert sum(yi * row[j] for yi, row in zip(y, a)) <= 0
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+        return
+    assert vertices
+    if res.status == "unbounded":
+        # Some ray d >= 0 with A d = 0, normalised by sum(d) = 1, descends.
+        rays = basic_feasible_solutions(a + [[1] * len(c)], [0] * len(b) + [1])
+        assert min(sum(cj * dj for cj, dj in zip(c, d)) for d in rays) < 0
+        return
+    assert res.status == "optimal"
+    x = res.x
+    assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+    for row, bi in zip(a, b):
+        assert sum(aij * xj for aij, xj in zip(row, x)) == bi
+    assert res.value == sum(cj * xj for cj, xj in zip(c, x))
+    assert res.value == min(sum(cj * xj for cj, xj in zip(c, v)) for v in vertices)

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from typing import List
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from prem.errors import MapError
-from prem.generators import figure_eight_map, fold_path_map
-from prem.maps import SemiLinearMap
-from prem.verify import verify_embedding
+from prem import lp, verify
+from prem.complexes import SimplicialComplex
+from prem.errors import InternalError, MapError
+from prem.generators import cycle_cover, figure_eight_map, fold_path_map
+from prem.maps import SemiLinearMap, SimplicialMap
+from prem.verify import PairEvidence, verify_embedding
 
 F = Fraction
 
@@ -82,3 +87,158 @@ def test_lift_must_cover_source_vertices():
     wrong = SemiLinearMap(f.target, {v: (F(0),) for v in f.target.vertices})
     with pytest.raises(MapError):
         verify_embedding(f, wrong)
+
+
+def fold_disk_map() -> SimplicialMap:
+    """Two triangles on a common edge folded onto one triangle: the shared
+    face of the only LP pair is an edge, not a vertex."""
+    src = SimplicialComplex.from_maximal(["a", "b", "c", "d"], [("a", "b", "c"), ("b", "c", "d")])
+    tgt = SimplicialComplex.from_maximal(["x", "y", "z"], [("x", "y", "z")])
+    return SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "z", "d": "x"})
+
+
+def test_unbounded_pair_lp_is_internal_error(monkeypatch):
+    f = fold_path_map()
+    g = SemiLinearMap(f.source, {v: (F(0),) for v in f.source.vertices})
+    monkeypatch.setattr(lp, "lp_max", lambda a, b, c: lp.LPResult(status="unbounded"))
+    with pytest.raises(InternalError) as info:
+        verify_embedding(f, g)
+    assert info.value.exit_code == 70
+
+
+# -- the one-LP pair check against the per-objective check it replaced --------
+
+
+def oracle_pair_check(f, g, s, t) -> PairEvidence:
+    """The former shared-face test: a feasibility LP, then one ``lp_max`` per
+    off-face coordinate and per signed difference on the shared face."""
+    img_s = {f.vertex_map[v] for v in s}
+    img_t = {f.vertex_map[w] for w in t}
+    if not (img_s & img_t):
+        return PairEvidence(pair=(s, t), kind=verify.DISJOINT_IMAGES)
+    if f.source.has_simplex(set(s) | set(t)):
+        return PairEvidence(pair=(s, t), kind=verify.SAME_CARRIER)
+    frame = sorted(img_s | img_t, key=f.target.rank.__getitem__)
+    cols_s = verify._combined_columns(f, g, s, frame)
+    cols_t = verify._combined_columns(f, g, t, frame)
+    d = len(cols_s[0])
+    ns, nt = len(s), len(t)
+    a = [[c[i] for c in cols_s] + [-c[i] for c in cols_t] for i in range(d)]
+    a.append([F(1)] * ns + [F(0)] * nt)
+    a.append([F(0)] * ns + [F(1)] * nt)
+    b = [F(0)] * d + [F(1), F(1)]
+    res = lp.lp_feasible(a, b, n=ns + nt)
+    if res.status == "infeasible":
+        return PairEvidence(pair=(s, t), kind=verify.FARKAS)
+    shared = set(s) & set(t)
+    if not shared:
+        return PairEvidence(pair=(s, t), kind=verify.VIOLATION)
+    objectives: List[List[Fraction]] = []
+    for i, v in enumerate(s):
+        if v not in shared:
+            obj = [F(0)] * (ns + nt)
+            obj[i] = F(1)
+            objectives.append(obj)
+    for j, w in enumerate(t):
+        if w not in shared:
+            obj = [F(0)] * (ns + nt)
+            obj[ns + j] = F(1)
+            objectives.append(obj)
+    for v in shared:
+        i, j = s.index(v), t.index(v)
+        for sign in (1, -1):
+            obj = [F(0)] * (ns + nt)
+            obj[i] = F(sign)
+            obj[ns + j] = F(-sign)
+            objectives.append(obj)
+    for obj in objectives:
+        mx = lp.lp_max(a, b, obj)
+        assert mx.status == "optimal"
+        if mx.value > 0:
+            return PairEvidence(pair=(s, t), kind=verify.VIOLATION)
+    return PairEvidence(pair=(s, t), kind=verify.DIAGONAL_CONFINED)
+
+
+def _push(f, bp) -> dict:
+    """f(x) as target-vertex weights."""
+    acc: dict = {}
+    for v, c in zip(bp.support, bp.coords):
+        acc[f.vertex_map[v]] = acc.get(f.vertex_map[v], F(0)) + c
+    return acc
+
+
+MAPS = st.one_of(
+    st.just(fold_path_map()),
+    st.just(figure_eight_map()),
+    st.just(fold_disk_map()),
+    st.integers(3, 6).map(lambda b: cycle_cover(2, b)),
+)
+
+
+@st.composite
+def lifted_maps(draw):
+    f = draw(MAPS)
+    k = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-2, 2).map(F)
+    values = {v: tuple(draw(st.lists(coord, min_size=k, max_size=k))) for v in f.source.vertices}
+    return f, SemiLinearMap(f.source, values)
+
+
+PROPERTY = settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(lifted_maps())
+def test_one_lp_pair_check_matches_oracle(fg):
+    f, g = fg
+    res = verify_embedding(f, g)
+    # Edges and triangles with distinct vertex images always pass the
+    # per-simplex check, so every pair is decided.
+    assert res.pairs_checked == len(res.evidence) - res.simplices_checked > 0
+    for ev in res.evidence[res.simplices_checked :]:
+        s, t = ev.pair
+        assert ev.kind == oracle_pair_check(f, g, s, t).kind, ev.pair
+    for w in res.violations:
+        x = dict(zip(w.x.support, w.x.coords))
+        y = dict(zip(w.y.support, w.y.coords))
+        assert x != y
+        assert set(w.x.support) <= set(w.simplex_x)
+        assert set(w.y.support) <= set(w.simplex_y)
+        assert sum(w.x.coords) == 1 and sum(w.y.coords) == 1
+        assert _push(f, w.x) == _push(f, w.y)
+        assert g(w.x) == g(w.y) == w.g_value
+
+
+@settings(deadline=None, max_examples=8)
+@given(lifted_maps())
+def test_parallel_matches_serial_on_random_lifts(fg):
+    f, g = fg
+    serial = verify_embedding(f, g, jobs=1)
+    parallel = verify_embedding(f, g, jobs=2)
+    assert parallel.ok == serial.ok
+    assert [(ev.pair, ev.kind) for ev in parallel.evidence] == [
+        (ev.pair, ev.kind) for ev in serial.evidence
+    ]
+    assert parallel.violations == serial.violations
+
+
+def test_one_solve_per_undecided_pair(monkeypatch):
+    calls = []
+    solve = lp.lp_solve
+
+    def counting_solve(a, b, c):
+        calls.append(1)
+        return solve(a, b, c)
+
+    monkeypatch.setattr(lp, "lp_solve", counting_solve)
+    f = fold_path_map()
+    a, b, c = f.source.vertices
+    g = SemiLinearMap(f.source, {a: (F(0),), b: (F(0),), c: (F(1),)})
+    fig8 = figure_eight_lift()
+    for f, g in [(f, g), fig8]:
+        calls.clear()
+        res = verify_embedding(f, g)
+        assert res.ok
+        kinds = res.kind_counts()
+        prefiltered = kinds.get(verify.DISJOINT_IMAGES, 0) + kinds.get(verify.SAME_CARRIER, 0)
+        assert len(calls) == res.pairs_checked - prefiltered > 0
