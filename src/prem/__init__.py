@@ -30,6 +30,7 @@ from .errors import (
     InternalError,
     MapError,
     ModelInvalid,
+    NotKPrem,
     NotSimpleFold,
     ParseError,
     PreconditionError,
@@ -98,6 +99,7 @@ __all__ = [
     "LiftResult",
     "MapError",
     "ModelInvalid",
+    "NotKPrem",
     "NotSimpleFold",
     "ParseError",
     "PlifyResult",

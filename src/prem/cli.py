@@ -7,7 +7,8 @@ report at k = source dimension), ``lift`` (certified lift construction),
 cascade converting a lift to a PL one), ``stability`` (stable-to-line report),
 and ``gen`` (example files).
 
-Exit codes: 0 success; parse failures 64; precondition failures 65; internal
+Exit codes: 0 success; parse failures 64; precondition failures 65, among
+them ``lift`` on a map that the equivariant obstruction rules out; internal
 contract violations 70.  ``obstruct`` and ``report-thm3`` exit 0 for a
 positive verdict, 1 for a negative one and 2 when inconclusive; ``verify``
 exits 1 when the certificate fails.  ``--json`` renders every report as a
@@ -505,7 +506,7 @@ def _cmd_stability(args) -> int:
             "critical_values_injective": report.critical_values_injective,
             "caveats": report.caveats,
         },
-        None,
+        args.out,
     )
     return 0
 
@@ -633,6 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="stable-to-line JSON report")
     p.add_argument("complex_file")
     p.add_argument("values_file")
+    p.add_argument("-o", "--out", help="write the report to a file")
     p.set_defaults(fn=_cmd_stability)
 
     p = sub.add_parser("gen", help="generate example files")

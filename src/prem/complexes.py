@@ -5,14 +5,20 @@ A simplex is canonically represented as a tuple of vertex ids sorted by the
 vertex order of its complex.  The vertex order is fixed at construction time
 (declaration order) and is preserved verbatim by every operation in the
 library; downstream cochain-level products depend on it.
+
+Complexes are never mutated after construction.  Derived indexes rely on
+that: each complex groups its simplices by dimension once (sorting a group
+the first time it is asked for in order), and each involution complex maps
+its simplices under the involution once, reusing the simplex tuples it
+already holds as the images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ComplexError
 from . import linalg
@@ -34,51 +40,68 @@ class SimplicialComplex:
     to build a closed complex from generators.
     """
 
-    __slots__ = ("vertices", "rank", "simplices", "_neighbors", "_dim", "_star_index")
+    __slots__ = ("vertices", "rank", "simplices", "_neighbors", "_dim", "_star_index",
+                 "_by_dim", "_sorted_dims")
 
     def __init__(self, vertices: Sequence, simplices: Iterable[Iterable]):
+        self._declare(vertices)
+        self.simplices: FrozenSet[Simplex] = frozenset(map(self.canon, simplices))
+
+    def _declare(self, vertices: Sequence) -> None:
         self.vertices: tuple = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ComplexError("duplicate vertex declaration")
         self.rank: Dict = {v: i for i, v in enumerate(self.vertices)}
-        canon = set()
-        for s in simplices:
-            canon.add(self.canon(s))
-        self.simplices: FrozenSet[Simplex] = frozenset(canon)
         self._neighbors: Optional[Dict] = None
         self._dim: Optional[int] = None
         self._star_index: Optional[Dict] = None
+        self._by_dim: Optional[List[list]] = None
+        self._sorted_dims: set = set()
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def from_canonical(cls, vertices: Sequence, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        """Complex on simplices that are already canonical tuples: nonempty,
+        without repeats and sorted by declaration order.  Faces of canonical
+        simplices, and pair cells listed in the order of a canonical source
+        simplex, are canonical by construction.  Only vertex membership is
+        checked, in bulk."""
+        c = cls.__new__(cls)
+        c._declare(vertices)
+        c.simplices = frozenset(simplices)
+        unknown = set().union(*c.simplices).difference(c.rank)
+        if unknown:
+            raise ComplexError(f"unknown vertex {min(unknown, key=repr)!r}")
+        return c
 
     @classmethod
     def from_maximal(cls, vertices: Sequence, maximal: Iterable[Iterable]) -> "SimplicialComplex":
         """Closure of the given simplices, with every vertex as a 0-simplex."""
         tmp = cls(vertices, [])
-        closed = {(v,) for v in vertices}
+        closed = {(v,) for v in tmp.vertices}
         for s in maximal:
-            cs = tmp.canon(s)
-            closed.update(_subsets(cs))
-        return cls(vertices, closed)
+            closed.update(_subsets(tmp.canon(s)))
+        return cls.from_canonical(tmp.vertices, closed)
 
     def canon(self, s: Iterable) -> Simplex:
-        vs = set(s)
-        if not vs:
+        try:
+            simplex = tuple(sorted(set(s), key=self.rank.__getitem__))
+        except KeyError as exc:
+            raise ComplexError(f"unknown vertex {exc.args[0]!r}") from None
+        if not simplex:
             raise ComplexError("empty simplex")
-        for v in vs:
-            if v not in self.rank:
-                raise ComplexError(f"unknown vertex {v!r}")
-        return tuple(sorted(vs, key=self.rank.__getitem__))
+        return simplex
 
     def sort_key(self, s: Simplex) -> tuple:
-        return (len(s), tuple(self.rank[v] for v in s))
+        return (len(s), tuple(map(self.rank.__getitem__, s)))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = max((len(s) for s in self.simplices), default=0) - 1
+            self._dim = max(map(len, self.simplices), default=0) - 1
         return self._dim
 
     def has_simplex(self, s: Iterable) -> bool:
@@ -87,11 +110,31 @@ class SimplicialComplex:
         except ComplexError:
             return False
 
+    def dimension_groups(self) -> List[list]:
+        """Simplices grouped by dimension, in no particular order within a
+        group (indexed once, then cached; treat the lists as read-only)."""
+        if self._by_dim is None:
+            groups: List[list] = [[] for _ in range(self.dim + 1)]
+            for s in self.simplices:
+                groups[len(s) - 1].append(s)
+            self._by_dim = groups
+        return self._by_dim
+
+    def _sorted_group(self, d: int) -> list:
+        group = self.dimension_groups()[d]
+        if d not in self._sorted_dims:
+            group.sort(key=self.sort_key)
+            self._sorted_dims.add(d)
+        return group
+
     def sorted_simplices(self) -> list:
-        return sorted(self.simplices, key=self.sort_key)
+        return list(chain.from_iterable(
+            self._sorted_group(d) for d in range(len(self.dimension_groups()))))
 
     def simplices_of_dim(self, d: int) -> list:
-        return sorted((s for s in self.simplices if len(s) == d + 1), key=self.sort_key)
+        if not 0 <= d < len(self.dimension_groups()):
+            return []
+        return list(self._sorted_group(d))
 
     def maximal_simplices(self) -> list:
         # Closure under faces means a simplex is maximal exactly when it is
@@ -106,10 +149,7 @@ class SimplicialComplex:
         )
 
     def f_vector(self) -> tuple:
-        counts = [0] * (self.dim + 1 if self.simplices else 0)
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
+        return tuple(map(len, self.dimension_groups()))
 
     def euler_characteristic(self) -> int:
         chi = 0
@@ -150,13 +190,19 @@ class SimplicialComplex:
         star = set()
         for s in self.star_simplices(v):
             star.update(_subsets(s))
-        return self.subcomplex(star)
+        return self._canonical_subcomplex(star)
 
     def link_subcomplex(self, v) -> "SimplicialComplex":
         """All faces of star simplices that avoid ``v`` (closed complexes)."""
         link = {s[:i] + s[i + 1:] for s in self.star_simplices(v) if len(s) > 1
                 for i in (s.index(v),)}
-        return self.subcomplex(link)
+        return self._canonical_subcomplex(link)
+
+    def _canonical_subcomplex(self, simps: set) -> "SimplicialComplex":
+        """Subcomplex on canonical simplices of this complex (faces of its
+        simplices), keeping the parent vertex order."""
+        verts = sorted({v for s in simps for v in s}, key=self.rank.__getitem__)
+        return SimplicialComplex.from_canonical(verts, simps)
 
     def subcomplex(self, simplices: Iterable[Simplex]) -> "SimplicialComplex":
         """Subcomplex on the given simplices (assumed face-closed), keeping
@@ -167,42 +213,39 @@ class SimplicialComplex:
 
     def full_subcomplex(self, vertex_set: Iterable) -> "SimplicialComplex":
         vs = set(vertex_set)
-        simps = {s for s in self.simplices if set(s) <= vs}
-        verts = sorted(vs & set(self.vertices), key=self.rank.__getitem__)
-        return SimplicialComplex(verts, simps)
+        simps = {s for s in self.simplices if vs.issuperset(s)}
+        verts = sorted(vs.intersection(self.vertices), key=self.rank.__getitem__)
+        return SimplicialComplex.from_canonical(verts, simps)
 
     def connected_components(self) -> list:
         """Vertex sets of connected components (via edges), deterministically
         ordered by their smallest vertex rank."""
-        parent: Dict = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        label = dict(self.rank)  # vertex -> id of its component so far
+        members = {i: [v] for v, i in label.items()}
         for s in self.simplices:
-            if len(s) >= 2:
-                base = find(s[0])
-                for u in s[1:]:
-                    parent[find(u)] = base
-        groups: Dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        comps = [sorted(g, key=self.rank.__getitem__) for g in groups.values()]
-        comps.sort(key=lambda g: self.rank[g[0]])
+            ids = set(map(label.__getitem__, s))
+            if len(ids) > 1:
+                # relabel the smaller components into the largest
+                keep = max(ids, key=lambda i: len(members[i]))
+                ids.discard(keep)
+                for i in ids:
+                    moved = members.pop(i)
+                    members[keep].extend(moved)
+                    for v in moved:
+                        label[v] = keep
+        comps = sorted(members.values(), key=lambda g: min(map(self.rank.__getitem__, g)))
         return [set(g) for g in comps]
 
     def is_pure(self) -> bool:
-        if not self.simplices:
-            return True
-        top = self.dim + 1
-        facets = {s for s in self.simplices if len(s) == top}
-        covered = set()
-        for s in facets:
-            covered.update(_subsets(s))
-        return covered == self.simplices
+        """Whether the simplices are exactly the faces of the top-dimensional
+        ones, compared one dimension at a time."""
+        groups = self.dimension_groups()
+        faces = set(groups[-1]) if groups else set()
+        for d in range(len(groups) - 1, 0, -1):
+            faces = {f for s in faces for f in combinations(s, d)}
+            if len(faces) != len(groups[d - 1]) or not faces.issuperset(groups[d - 1]):
+                return False
+        return True
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two facets, and each connected
@@ -277,7 +320,7 @@ def validate_complex(c: SimplicialComplex, declared: Optional[Sequence] = None) 
     """Total validation: closure violations, orphan vertices, and (when the
     raw declaration list is supplied, e.g. by the parser) duplicates."""
     report = ValidationReport()
-    for s in sorted(c.simplices, key=c.sort_key):
+    for s in c.sorted_simplices():
         if len(s) == 1:
             continue
         for f in combinations(s, len(s) - 1):
@@ -295,14 +338,40 @@ def validate_complex(c: SimplicialComplex, declared: Optional[Sequence] = None) 
     return report
 
 
+def _simplex_involution(cx: SimplicialComplex, t: Dict) -> Tuple[Dict, list]:
+    """Image of every simplex under the vertex involution ``t``, and the
+    simplices whose image is not a simplex.  An image that is a simplex is
+    the very tuple stored in ``cx.simplices``: each orbit pair is matched
+    when its second member comes up, so only first members are canonicalised
+    and no image tuple outlives the loop."""
+    image: Dict = {}
+    pending: Dict = {}  # canonical image not yet met -> its preimage
+    for s in cx.simplices:
+        partner = pending.pop(s, None)
+        if partner is not None:
+            image[s] = partner
+            image[partner] = s
+            continue
+        img = cx.canon(map(t.__getitem__, s))
+        if img == s:
+            image[s] = s
+        else:
+            pending[img] = s
+    strays = list(pending.values())
+    for img, s in pending.items():
+        image[s] = img
+    return image, strays
+
+
 class InvolutionComplex:
     """A simplicial complex with a simplicial involution given on vertices."""
 
-    __slots__ = ("complex", "involution")
+    __slots__ = ("complex", "involution", "_image")
 
     def __init__(self, complex: SimplicialComplex, involution: Dict, check: bool = True):
         self.complex = complex
         self.involution = dict(involution)
+        self._image: Optional[Dict] = None
         if check:
             self._validate()
 
@@ -316,19 +385,27 @@ class InvolutionComplex:
                 raise ComplexError(f"involution image {t[v]!r} is not a vertex")
             if t[t[v]] != v:
                 raise ComplexError(f"involution is not of order 2 at {v!r}")
-        for s in cx.simplices:
-            if cx.canon(tuple(t[v] for v in s)) not in cx.simplices:
-                raise ComplexError(f"involution does not map simplex {s} to a simplex")
+        self._image, strays = _simplex_involution(cx, t)
+        if strays:
+            raise ComplexError(f"involution does not map simplex {strays[0]} to a simplex")
+
+    def simplex_images(self) -> Dict:
+        """Every simplex mapped to its image under the involution (computed
+        once, then cached; treat the dict as read-only)."""
+        if self._image is None:
+            self._image = _simplex_involution(self.complex, self.involution)[0]
+        return self._image
 
     def map_simplex(self, s: Simplex) -> Simplex:
-        return self.complex.canon(tuple(self.involution[v] for v in s))
+        """Image of a simplex of the complex under the involution."""
+        return self.simplex_images()[s]
 
     def fixed_vertices(self) -> list:
         return [v for v in self.complex.vertices if self.involution[v] == v]
 
     def fixed_simplices(self) -> list:
         return sorted(
-            (s for s in self.complex.simplices if self.map_simplex(s) == s),
+            (s for s, img in self.simplex_images().items() if img == s),
             key=self.complex.sort_key,
         )
 
@@ -425,11 +502,6 @@ class GeometricComplex:
 
     def mesh_sq(self) -> Fraction:
         return max((self.simplex_diameter_sq(s) for s in self.complex.simplices), default=Fraction(0))
-
-
-def simplex_diameter_sq(g: GeometricComplex, s: Iterable) -> Fraction:
-    """Squared Euclidean diameter of a realized simplex (attained at vertices)."""
-    return g.simplex_diameter_sq(s)
 
 
 def standard_basis_realization(c: SimplicialComplex) -> GeometricComplex:

@@ -19,7 +19,7 @@ depth, and are reported as unmodellable rather than silently mis-modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .errors import DegenerateMap, ModelInvalid
@@ -54,6 +54,40 @@ def check_star_condition(f: SimplicialMap) -> List[Tuple]:
     return violations
 
 
+def matched_pair_cells(
+    f: SimplicialMap, vertices: List[Tuple], overlapping: bool = False
+) -> Iterator[Simplex]:
+    """Pair cells of a non-degenerate map: for every ordered pair ``(s, t)``
+    of distinct source simplices with the same image, the vertex pairs
+    ``(u, m(u))`` of the image-compatible bijection ``m: s -> t``, listed in
+    the order of ``s``.  Only disjoint pairs are included unless
+    ``overlapping`` is set, in which case shared vertices give diagonal
+    pairs ``(u, u)``.  Every pair must be one of ``vertices``, whose tuple
+    objects the cells reuse.
+
+    Since ``s`` is rank-sorted without repeats, each cell is canonical in any
+    complex whose pair vertices are ordered by the ranks of their first, then
+    second, coordinates."""
+    pair = {p: p for p in vertices}
+    vm = f.vertex_map
+    target_rank = f.target.rank
+    fibres: Dict = {}
+    for s in f.source.simplices:
+        images = tuple(map(vm.__getitem__, s))
+        key = tuple(sorted(map(target_rank.__getitem__, images)))
+        fibres.setdefault(key, []).append((s, images))
+    for fibre in fibres.values():
+        if len(fibre) < 2:
+            continue
+        partners = [(t, dict(zip(images, t))) for t, images in fibre]
+        for s, images in fibre:
+            shared = None if overlapping else set(s)
+            for t, by_image in partners:
+                if t is s or (shared is not None and not shared.isdisjoint(t)):
+                    continue
+                yield tuple(map(pair.__getitem__, zip(s, map(by_image.__getitem__, images))))
+
+
 def build_double_point_complex(f: SimplicialMap) -> InvolutionComplex:
     """Pair model for a non-degenerate map satisfying the star condition."""
     if not f.is_non_degenerate():
@@ -63,19 +97,16 @@ def build_double_point_complex(f: SimplicialMap) -> InvolutionComplex:
         raise ModelInvalid(
             f"closed stars of identified vertices meet: {violations[:3]}"
         )
-    src = f.source
-    rank = src.rank
+    return _pair_complex(f)
+
+
+def _pair_complex(f: SimplicialMap) -> InvolutionComplex:
+    """The pair model itself, for a map already checked to be non-degenerate
+    and to satisfy the star condition."""
     vertices = identified_vertex_pairs(f)
-    cells = set(map(lambda p: (p,), vertices))
-    for fiber in f.fibers().values():
-        for s in fiber:
-            for t in fiber:
-                if s == t or set(s) & set(t):
-                    continue
-                match = f.matched_bijection(s, t)
-                cells.add(tuple(sorted(((u, match[u]) for u in s),
-                                       key=lambda p: (rank[p[0]], rank[p[1]]))))
-    complex_ = SimplicialComplex(vertices, cells)
+    cells = {(p,) for p in vertices}
+    cells.update(matched_pair_cells(f, vertices))
+    complex_ = SimplicialComplex.from_canonical(vertices, cells)
     involution = {(u, v): (v, u) for (u, v) in vertices}
     return InvolutionComplex(complex_, involution)
 
@@ -109,7 +140,7 @@ def double_point_model(f: SimplicialMap, max_rounds: int = 2) -> DoublePointMode
     while True:
         violations = check_star_condition(current)
         if not violations:
-            ic = build_double_point_complex(current)
+            ic = _pair_complex(current)
             return DoublePointModel(
                 pair_complex=ic,
                 map=current,

@@ -62,6 +62,11 @@ class InputNotInjective(PreconditionError):
     """Two distinct identified points carry equal lift values."""
 
 
+class NotKPrem(PreconditionError):
+    """The equivariant obstruction is nonzero, so no k extra coordinates
+    make the map an embedding."""
+
+
 class ModelInvalid(PreconditionError):
     """The combinatorial double-point model stayed invalid after the allowed
     number of subdivision retries."""

@@ -23,6 +23,7 @@ flattened with ``+``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import GeometricComplex, InvolutionComplex, SimplicialComplex
 from .errors import ParseError
 from .maps import SemiLinearMap, SimplicialMap
+
+
+_NOT_IN_TOKEN = re.compile(r"[\s,]")  # \s matches exactly the str.isspace characters
 
 
 def id_token(v) -> str:
@@ -40,7 +44,7 @@ def id_token(v) -> str:
         tok = "+".join(id_token(x) for x in v)
     else:
         tok = str(v)
-    if not tok or any(ch.isspace() for ch in tok) or "," in tok:
+    if not tok or _NOT_IN_TOKEN.search(tok):
         raise ParseError(f"vertex id {v!r} does not form a valid token")
     return tok
 
@@ -364,15 +368,3 @@ def write_witness(values: Dict, vertex_order: Optional[Sequence] = None) -> str:
         nums = " ".join(format_fraction(x) for x in values[(u, v)])
         lines.append(f"w {pair_token(u, v)} {nums}")
     return "\n".join(lines) + "\n"
-
-
-def write_involution_table(pairs: Dict, vertex_order: Sequence) -> str:
-    done = set()
-    lines = []
-    for v in vertex_order:
-        w = pairs[v]
-        if v in done or w in done:
-            continue
-        done.update((v, w))
-        lines.append(f"t {id_token(v)} {id_token(w)}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -66,12 +66,15 @@ def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[i
 
 
 def boundary_rank(c: SimplicialComplex, q: int) -> int:
-    """Rank over GF(2) of the boundary map from q-chains to (q-1)-chains."""
+    """Rank over GF(2) of the boundary map from q-chains to (q-1)-chains.
+    The rank does not depend on the order of rows or columns, so simplices
+    are indexed in the order of the complex's dimension groups."""
     if q <= 0 or q > c.dim:
         return 0
-    faces = {s: i for i, s in enumerate(c.simplices_of_dim(q - 1))}
+    groups = c.dimension_groups()
+    faces = {s: i for i, s in enumerate(groups[q - 1])}
     rows = []
-    for s in c.simplices_of_dim(q):
+    for s in groups[q]:
         bits = 0
         for f in combinations(s, q):
             bits |= 1 << faces[f]

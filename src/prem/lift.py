@@ -38,17 +38,18 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
 )
-from .double_points import identified_vertex_pairs
+from .double_points import double_point_model, identified_vertex_pairs, matched_pair_cells
 from .errors import (
     CertificationError,
     DegenerateMap,
     InternalError,
+    NotKPrem,
     NotSimpleFold,
     PreconditionError,
     TriplePointsPresent,
 )
 from .maps import SemiLinearMap, SimplicialMap
-from .obstruction import moment_vector
+from .obstruction import NOT_EXISTS, equivariant_map_exists, moment_vector
 from .subdivision import SubdivisionRecord, stellar_bisect_edge
 from .verify import VerificationResult, verify_embedding
 
@@ -113,27 +114,16 @@ class DoublePointClosure:
 def build_closure_model(f: SimplicialMap) -> DoublePointClosure:
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
-    src = f.source
-    rank = src.rank
+    rank = f.source.rank
     fold = fold_locus(f)
     off_diag = identified_vertex_pairs(f)
     diag = [(s[0], s[0]) for s in fold.simplices if len(s) == 1]
-
-    def pair_key(p):
-        return (rank[p[0]], rank[p[1]])
-
-    vertices = sorted(off_diag + diag, key=pair_key)
-    cells = set((p,) for p in vertices)
-    for fiber in f.fibers().values():
-        for s in fiber:
-            for t in fiber:
-                if s == t:
-                    continue
-                match = f.matched_bijection(s, t)
-                cells.add(tuple(sorted(((u, match[u]) for u in s), key=pair_key)))
-    for rho in fold.simplices:
-        cells.add(tuple(sorted(((u, u) for u in rho), key=pair_key)))
-    complex_ = SimplicialComplex(vertices, cells)
+    vertices = sorted(off_diag + diag, key=lambda p: (rank[p[0]], rank[p[1]]))
+    cells = {(p,) for p in vertices}
+    cells.update(matched_pair_cells(f, vertices, overlapping=True))
+    diagonal = {p[0]: p for p in diag}
+    cells.update(tuple(map(diagonal.__getitem__, rho)) for rho in fold.simplices)
+    complex_ = SimplicialComplex.from_canonical(vertices, cells)
     involution = {(u, v): (v, u) for (u, v) in vertices}
     ic = InvolutionComplex(complex_, involution)
     return DoublePointClosure(
@@ -371,6 +361,21 @@ def _homotopy_certificate(closure: DoublePointClosure, alpha: Dict, g_values: Di
     return ok, evidence
 
 
+def _raise_if_obstructed(f: SimplicialMap, k: int) -> None:
+    """Raise :class:`NotKPrem` when the equivariant verdict on the pair model
+    is a definite no; consulted only after the witness search has failed."""
+    try:
+        verdict = equivariant_map_exists(double_point_model(f).pair_complex, k)
+    except PreconditionError:
+        return
+    if verdict.answer == NOT_EXISTS:
+        raise NotKPrem(
+            f"not-k-prem: no equivariant map from the pair model to S^{k - 1} "
+            f"exists ({verdict.reason}, Yang index {verdict.yang} >= k = {k}): "
+            f"the map is not a {k}-prem"
+        )
+
+
 def construct_lift_3ptfree(
     f: SimplicialMap,
     k: int,
@@ -382,7 +387,9 @@ def construct_lift_3ptfree(
 
     Gates, in order: the map must be non-degenerate; must have no triple
     points (witness reported); every fold must be simple (offenders
-    reported); and the witness must certify every closure cell.  The
+    reported); and the witness must certify every closure cell.  When no
+    moment-curve witness certifies and the equivariant obstruction is
+    nonzero, :class:`NotKPrem` reports that no lift exists.  The
     resulting lift is exact, verified, and accompanied by a homotopy
     certificate tying the realized separations back to the witness.
     """
@@ -404,7 +411,11 @@ def construct_lift_3ptfree(
     notes: List[str] = []
 
     if alpha is None:
-        alpha = closure_witness(closure, k)
+        try:
+            alpha = closure_witness(closure, k)
+        except CertificationError:
+            _raise_if_obstructed(f, k)
+            raise
         notes.append("witness: moment-curve construction")
     else:
         alpha = {p: tuple(Fraction(x) for x in val) for p, val in alpha.items()}

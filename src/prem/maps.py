@@ -9,8 +9,7 @@ on vertices and extended affinely over each simplex.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional
 
 from . import linalg
 from .complexes import BarycentricPoint, SimplicialComplex, Simplex
@@ -82,24 +81,12 @@ class SimplicialMap:
         verts = sorted({v for s in simps for v in s}, key=self.target.rank.__getitem__)
         return SimplicialComplex(verts, simps)
 
-    def is_surjective_on_simplices(self) -> bool:
-        return self.image_complex().simplices == self.target.simplices
-
     def fibers(self) -> Dict:
         """Map each target simplex to the sorted list of its preimage simplices."""
         out: Dict = {}
         for s in sorted(self.source.simplices, key=self.source.sort_key):
             out.setdefault(self.image_simplex(s), []).append(s)
         return out
-
-    def push_point(self, bp: BarycentricPoint) -> BarycentricPoint:
-        """Image of a point: coordinates of identified vertices accumulate."""
-        acc: Dict = {}
-        for v, c in zip(bp.support, bp.coords):
-            w = self.vertex_map[v]
-            acc[w] = acc.get(w, Fraction(0)) + c
-        support = sorted(acc, key=self.target.rank.__getitem__)
-        return BarycentricPoint(tuple(support), tuple(acc[w] for w in support))
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
         """self after other."""
@@ -175,21 +162,3 @@ def carrier_simplex(c: SimplicialComplex, points: Iterable[BarycentricPoint]) ->
     if cand not in c.simplices:
         raise CarrierError(f"support union {cand} is not a simplex")
     return cand
-
-
-def vertex_points(s: Simplex) -> list:
-    return [BarycentricPoint.at_vertex(v) for v in s]
-
-
-def segment_points(a: BarycentricPoint, b: BarycentricPoint, samples: Sequence[Fraction]):
-    """Points (1-q)a + qb for q in samples, when a, b share a carrier simplex."""
-    verts = sorted(set(a.support) | set(b.support), key=hash)
-    am, bm = a.coord_map(), b.coord_map()
-    out = []
-    for q in samples:
-        coords = {}
-        for v in verts:
-            coords[v] = (1 - q) * am.get(v, Fraction(0)) + q * bm.get(v, Fraction(0))
-        support = [v for v in verts if coords[v] > 0]
-        out.append(BarycentricPoint(tuple(support), tuple(coords[v] for v in support)))
-    return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List
 
 from . import gf2
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
@@ -43,25 +43,42 @@ class QuotientResult:
     record: SubdivisionRecord  # original upstairs complex -> final upstairs
 
 
-def quotient_regularity_failures(ic: InvolutionComplex) -> List[str]:
-    """Empty when the orbit map of simplices yields a simplicial complex."""
+def _orbit_fibres(ic: InvolutionComplex) -> Dict[FrozenSet[int], list]:
+    """Simplices grouped by the set of vertex orbits they meet, each orbit
+    named by the smaller rank of its two vertices."""
+    cx = ic.complex
+    rank = cx.rank
+    t = ic.involution
+    orbit = {v: min(rank[v], rank[t[v]]) for v in cx.vertices}
+    fibres: Dict[FrozenSet[int], list] = {}
+    for s in cx.simplices:
+        fibres.setdefault(frozenset(map(orbit.__getitem__, s)), []).append(s)
+    return fibres
+
+
+def _regularity_failures(ic: InvolutionComplex, fibres: Dict[FrozenSet[int], list]) -> List[str]:
     cx = ic.complex
     t = ic.involution
-    failures: List[str] = []
-    for s in cx.sorted_simplices():
-        if any(t[v] in s for v in s):
-            failures.append(f"simplex {s} meets its own involution orbit")
-    # fibers of the vertex-orbit image must be exactly {s, t(s)}
-    images: Dict = {}
-    for s in cx.simplices:
-        key = frozenset(frozenset((v, t[v])) for v in s)
-        images.setdefault(key, []).append(s)
-    for key, fiber in images.items():
-        if len(fiber) > 2:
-            failures.append(f"fiber {sorted(map(tuple, fiber))} has more than one orbit pair")
-        elif len(fiber) == 2 and ic.map_simplex(fiber[0]) != fiber[1]:
-            failures.append(f"simplices {fiber[0]} and {fiber[1]} are identified but not swapped")
+    image = ic.simplex_images()
+    # (R1) a simplex contains a vertex and its image when it meets an orbit
+    # twice or contains a fixed vertex
+    fixed = {v for v in cx.vertices if t[v] == v}
+    own_orbit = [s for key, fibre in fibres.items() for s in fibre
+                 if len(s) > len(key) or not fixed.isdisjoint(s)]
+    failures = [f"simplex {s} meets its own involution orbit"
+                for s in sorted(own_orbit, key=cx.sort_key)]
+    # (R2) fibers of the vertex-orbit image must be exactly {s, t(s)}
+    for fibre in fibres.values():
+        if len(fibre) > 2:
+            failures.append(f"fiber {sorted(map(tuple, fibre))} has more than one orbit pair")
+        elif len(fibre) == 2 and image[fibre[0]] != fibre[1]:
+            failures.append(f"simplices {fibre[0]} and {fibre[1]} are identified but not swapped")
     return failures
+
+
+def quotient_regularity_failures(ic: InvolutionComplex) -> List[str]:
+    """Empty when the orbit map of simplices yields a simplicial complex."""
+    return _regularity_failures(ic, _orbit_fibres(ic))
 
 
 def quotient_by_free_involution(ic: InvolutionComplex, max_rounds: int = 2) -> QuotientResult:
@@ -74,7 +91,8 @@ def quotient_by_free_involution(ic: InvolutionComplex, max_rounds: int = 2) -> Q
     current = ic
     rounds = 0
     while True:
-        if not quotient_regularity_failures(current):
+        fibres = _orbit_fibres(current)
+        if not _regularity_failures(current, fibres):
             break
         if rounds >= max_rounds:
             raise InternalError("quotient did not become regular within the subdivision budget")
@@ -82,21 +100,18 @@ def quotient_by_free_involution(ic: InvolutionComplex, max_rounds: int = 2) -> Q
         record = record.compose(rec)
         rounds += 1
 
+    # Each orbit is represented by its earlier vertex, so a quotient simplex
+    # is the rank-sorted set of orbit ranks its fibre meets.
     cx = current.complex
     t = current.involution
-    rep: Dict = {}
     proj: Dict = {}
     for v in cx.vertices:
-        if v in proj:
-            continue
         w = t[v]
-        r = v if cx.rank[v] <= cx.rank[w] else w
-        proj[v] = r
-        proj[w] = r
-        rep[r] = r
+        proj[v] = v if cx.rank[v] <= cx.rank[w] else w
+    rep = {r: r for r in proj.values()}
     q_vertices = sorted(rep, key=cx.rank.__getitem__)
-    q_simplices = {tuple(sorted({proj[v] for v in s}, key=cx.rank.__getitem__)) for s in cx.simplices}
-    quotient = SimplicialComplex(q_vertices, q_simplices)
+    q_simplices = {tuple(map(cx.vertices.__getitem__, sorted(key))) for key in fibres}
+    quotient = SimplicialComplex.from_canonical(q_vertices, q_simplices)
     return QuotientResult(
         upstairs=current,
         quotient=quotient,
@@ -111,28 +126,23 @@ def w1_cocycle(qr: QuotientResult) -> Dict[Simplex, int]:
     """The 1-cocycle on the quotient classifying the double cover.  The
     cocycle condition is verified on every quotient triangle."""
     up = qr.upstairs.complex
+    rank = up.rank
     t = qr.upstairs.involution
     w: Dict[Simplex, int] = {}
     for e in qr.quotient.simplices_of_dim(1):
-        a, b = e  # both are preferred representatives upstairs
-        if up.canon((a, b)) in up.simplices:
-            straight = True
-        elif up.canon((a, t[b])) in up.simplices:
-            straight = False
-        else:
+        a, b = e  # both are preferred representatives upstairs, a before b
+        tb = t[b]
+        straight = e in up.simplices
+        swapped = ((a, tb) if rank[a] < rank[tb] else (tb, a)) in up.simplices
+        if not (straight or swapped):
             raise InternalError(f"no upstairs edge over quotient edge {e}")
         # exactly one lift at the representative of the lower-ranked end
-        if up.canon((a, b)) in up.simplices and up.canon((a, t[b])) in up.simplices:
+        if straight and swapped:
             raise InternalError(f"two upstairs edges at one representative over {e}")
         w[e] = 0 if straight else 1
     for tri in qr.quotient.simplices_of_dim(2):
         u, v, x = tri
-        total = (
-            w[qr.quotient.canon((u, v))]
-            + w[qr.quotient.canon((v, x))]
-            + w[qr.quotient.canon((u, x))]
-        )
-        if total % 2 != 0:
+        if (w[(u, v)] + w[(v, x)] + w[(u, x)]) % 2 != 0:
             raise InternalError(f"classifying cochain is not a cocycle on {tri}")
     return w
 
@@ -160,11 +170,12 @@ class CochainSpace:
         return self._index[q]
 
     def pack(self, q: int, support: Dict) -> int:
+        """Bits of a q-cochain given on canonical q-simplices."""
         idx = self.index(q)
         bits = 0
         for s, val in support.items():
             if val & 1:
-                bits |= 1 << idx[self.complex.canon(s)]
+                bits |= 1 << idx[s]
         return bits
 
     def ones(self, q: int) -> int:
@@ -205,6 +216,7 @@ class CochainSpace:
     def _one_cochain_has_potential(self, bits: int) -> bool:
         """Spanning-forest potentials: f = d(phi) for a 0-cochain phi."""
         c = self.complex
+        rank = c.rank
         idx = self.index(1)
         phi: Dict = {}
         for root in c.vertices:
@@ -215,7 +227,7 @@ class CochainSpace:
             while stack:
                 u = stack.pop()
                 for v in c.neighbors(u):
-                    val = (bits >> idx[c.canon((u, v))]) & 1
+                    val = (bits >> idx[(u, v) if rank[u] < rank[v] else (v, u)]) & 1
                     if v in phi:
                         if phi[v] != phi[u] ^ val:
                             return False

@@ -22,7 +22,7 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
 )
-from .errors import CarrierError, InternalError, PreconditionError
+from .errors import InternalError, PreconditionError
 from .maps import SimplicialMap
 
 
@@ -47,15 +47,6 @@ class SubdivisionRecord:
                 acc[u] = acc.get(u, Fraction(0)) + c * w
         support = sorted((u for u, w in acc.items() if w > 0), key=self.base.rank.__getitem__)
         return BarycentricPoint(tuple(support), tuple(acc[u] for u in support))
-
-    def carrier_in_base(self, s: Simplex) -> Simplex:
-        verts: set = set()
-        for v in s:
-            verts.update(self.positions[v].support)
-        cand = self.base.canon(verts)
-        if cand not in self.base.simplices:
-            raise CarrierError(f"carrier {cand} of {s} is not a base simplex")
-        return cand
 
     def interpolate(self, base_values: Dict) -> Dict:
         """Extend values given on base vertices affinely to refined vertices."""

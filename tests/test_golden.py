@@ -1,0 +1,115 @@
+"""Byte-for-byte CLI outputs of the analysis subcommands on small generated
+inputs, compared with files in ``tests/golden/``.
+
+The golden files were written before the combinatorial core was rewritten
+and pin its outputs: pair complexes, quotients, Yang indices, verdicts and
+reports must not change by a byte.  Regenerate them only for a deliberate,
+documented output change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from prem.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+INPUTS = {
+    "lens2": ["join-lens", "2", "1"],
+    "lens3": ["join-lens", "3", "1"],
+    "cover25": ["cycle-cover", "2", "5"],
+    "eight": ["figure-eight"],
+    "fold": ["fold-path"],
+}
+
+COMMANDS = {
+    "delta": ["delta"],
+    "yang": ["yang"],
+    "obstruct1": ["obstruct", "-k", "1"],
+    "obstruct2": ["obstruct", "-k", "2"],
+    "obstruct3": ["obstruct", "-k", "3"],
+    "thm3": ["report-thm3"],
+}
+
+
+def _cases():
+    for inp in INPUTS:
+        for cmd in COMMANDS:
+            if inp == "lens3" and cmd == "delta":
+                continue  # the pair complex listing alone is ~4 MB
+            for mode in ("text", "json"):
+                yield f"{inp}-{cmd}-{mode}"
+
+
+CASES = list(_cases())
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _argv(case: str, inputs: Path) -> list:
+    inp, cmd, mode = case.split("-")
+    argv = COMMANDS[cmd] + [str(inputs / f"{inp}.map")]
+    return argv + ["--json"] if mode == "json" else argv
+
+
+def _generate(directory: Path) -> None:
+    for name, params in INPUTS.items():
+        assert main(["gen", *params, "-o", str(directory / f"{name}.map")]) == 0
+
+
+def _record(case: str, rc: int, out: str, err: str) -> dict:
+    return {"exit": rc, "stderr": err, "stdout": f"{case}.out"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden-inputs")
+    _generate(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def test_golden_covers_every_case(manifest):
+    assert sorted(manifest) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden(case, inputs, manifest):
+    rc, out, err = _run(_argv(case, inputs))
+    assert _record(case, rc, out, err) == manifest[case]
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp)
+        _generate(inputs)
+        for case in CASES:
+            rc, out, err = _run(_argv(case, inputs))
+            manifest[case] = _record(case, rc, out, err)
+            (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
+    sys.exit(0)

@@ -359,6 +359,20 @@ def test_lift_subcommand(capsys, fig8, cover9):
     assert err.startswith("error (TriplePointsPresent)")
 
 
+def test_lift_on_obstructed_map_exits_65(capsys, tmp_path):
+    """The double cover of a 5-cycle has Yang index 1, so no single extra
+    coordinate separates its sheets: an input verdict, not a bug."""
+    path = str(tmp_path / "cover10to5.map")
+    assert main(["gen", "cycle-cover", "2", "5", "-o", path]) == 0
+    assert main(["obstruct", "-k", "1", path]) == 1
+    capsys.readouterr()
+    assert main(["lift", "-k", "1", path]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error (NotKPrem): not-k-prem")
+    assert "Yang index 1" in err
+    assert main(["lift", "-k", "2", path, "-o", str(tmp_path / "ok.lift")]) == 0
+
+
 def test_verify_subcommand(capsys, tmp_path, fig8, fig8_lift):
     assert main(["verify", fig8, fig8_lift]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -420,6 +434,20 @@ def test_json_honours_out_file(capsys, tmp_path, fig8, fig8_lift):
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == printed
     assert json.loads(printed)["command"] == "verify"
+
+
+def test_stability_honours_out_file(capsys, tmp_path):
+    cx = tmp_path / "w.complex"
+    cx.write_text("v p\nv q\nv r\ns p q\ns q r\n", encoding="utf-8")
+    vals = tmp_path / "w.values"
+    vals.write_text("g p 0\ng q 2\ng r 1\n", encoding="utf-8")
+    assert main(["stability", str(cx), str(vals)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "stability.json"
+    assert main(["stability", str(cx), str(vals), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    assert json.loads(printed)["command"] == "stability"
 
 
 def test_plify_text_reparses(capsys, fig8, fig8_lift):
