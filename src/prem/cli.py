@@ -484,8 +484,7 @@ def _cmd_plify(args) -> int:
 def _cmd_stability(args) -> int:
     doc = formats.parse_complex(_read(args.complex_file))
     g = formats.parse_lift(_read(args.values_file), doc.complex)
-    values = {v: vec[0] for v, vec in g.values.items()}
-    report = stable_to_line_report(doc.complex, values)
+    report = stable_to_line_report(doc.complex, g.values)
     _print_json(
         {
             "schema": SCHEMA,

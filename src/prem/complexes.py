@@ -403,6 +403,11 @@ class InvolutionComplex:
     def fixed_vertices(self) -> list:
         return [v for v in self.complex.vertices if self.involution[v] == v]
 
+    def free_part(self, s: Simplex) -> tuple:
+        """The vertices of ``s`` that the involution moves, in order."""
+        t = self.involution
+        return tuple(v for v in s if t[v] != v)
+
     def fixed_simplices(self) -> list:
         return sorted(
             (s for s, img in self.simplex_images().items() if img == s),

@@ -65,6 +65,15 @@ def parse_fraction(tok: str, where: str) -> Fraction:
         raise ParseError(f"{where}: bad rational {tok!r}") from exc
 
 
+def _parse_vector(tokens: Sequence[str], dim: Optional[int], where: str) -> Tuple[tuple, int]:
+    """The rationals of one vector line, checked against the dimension ``dim``
+    of the lines before it (``None`` for the first), and its dimension."""
+    vec = tuple(parse_fraction(t, where) for t in tokens)
+    if dim is not None and len(vec) != dim:
+        raise ParseError(f"{where}: expected {dim} coordinates, got {len(vec)}")
+    return vec, len(vec)
+
+
 @dataclass
 class ComplexDocument:
     """A parsed complex with optional coordinates and involution table."""
@@ -222,11 +231,7 @@ def parse_lift(text: str, source: SimplicialComplex) -> SemiLinearMap:
             raise ParseError(f"{where}: unknown source vertex {v!r}")
         if v in values:
             raise ParseError(f"{where}: vertex {v!r} assigned twice")
-        vec = tuple(parse_fraction(t, where) for t in parts[2:])
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(f"{where}: expected {dim} coordinates, got {len(vec)}")
+        vec, dim = _parse_vector(parts[2:], dim, where)
         values[v] = vec
     missing = [v for v in source.vertices if v not in values]
     if missing:
@@ -249,11 +254,7 @@ def parse_witness(text: str) -> Dict[Tuple[str, str], tuple]:
             raise ParseError(f"{where}: pair id must be `<u>,<v>`")
         if (u, v) in values:
             raise ParseError(f"{where}: pair {parts[1]!r} assigned twice")
-        vec = tuple(parse_fraction(t, where) for t in parts[2:])
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(f"{where}: expected {dim} coordinates, got {len(vec)}")
+        vec, dim = _parse_vector(parts[2:], dim, where)
         values[(u, v)] = vec
     return values
 
@@ -286,11 +287,7 @@ def parse_star_boundary(text: str, source: SimplicialComplex) -> StarBoundaryDoc
                 raise ParseError(f"{where}: unknown source vertex {v!r}")
             if v in values:
                 raise ParseError(f"{where}: vertex {v!r} assigned twice")
-            vec = tuple(parse_fraction(t, where) for t in parts[2:])
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ParseError(f"{where}: expected {dim} coordinates, got {len(vec)}")
+            vec, dim = _parse_vector(parts[2:], dim, where)
             values[v] = vec
         else:
             raise ParseError(f"{where}: unknown line kind {parts[0]!r}")

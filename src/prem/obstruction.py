@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, linalg, lp, mod2
 from .complexes import InvolutionComplex
@@ -146,48 +146,58 @@ def moment_vector(j: int, k: int, shift: int = 0) -> tuple:
     return tuple(Fraction(base) ** i for i in range(1, k + 1))
 
 
+def separation(points: Sequence) -> Tuple[str, object]:
+    """How the origin stays out of the convex hull of the points:
+    ``("independent", None)`` for linearly independent points, else the exact
+    hull test, ``("separated", cert)`` or ``("origin-in-hull", cert)``."""
+    if linalg.linearly_independent(points):
+        return "independent", None
+    inside, cert = lp.zero_in_hull(points)
+    return ("origin-in-hull" if inside else "separated"), cert
+
+
 def certify_witness(model: InvolutionComplex, k: int, values: Dict) -> Tuple[bool, list]:
-    """Check that the vertex values form an antipodal witness: equivariant
-    under the involution with a sign flip, nonzero, and with the origin
-    outside the convex hull of the values on every simplex.  Returns
-    (ok, evidence) where evidence lists one record per simplex."""
-    cx = model.complex
+    """Check that the values on the non-fixed vertices form an antipodal
+    witness: k-dimensional, nonzero, negated by the involution, and with the
+    origin outside the convex hull of the values on the non-fixed part of
+    every simplex.  Fixed vertices carry no value.  Returns (ok, evidence)
+    where evidence lists one record per simplex with a non-fixed part."""
     t = model.involution
-    for v in cx.vertices:
+    free = [v for v in model.complex.vertices if t[v] != v]
+    for v in free:
+        val = values.get(v)
+        if val is None or len(val) != k:
+            return False, [("missing-or-bad-dimension", v)]
+    for v in free:
         val = values[v]
-        if len(val) != k:
-            return False, [("bad-dimension", v)]
         if all(x == 0 for x in val):
             return False, [("zero-value", v)]
         if tuple(values[t[v]]) != tuple(-x for x in val):
             return False, [("not-antipodal", v)]
     evidence = []
-    for s in cx.sorted_simplices():
-        pts = [values[v] for v in s]
-        if linalg.linearly_independent(pts):
-            evidence.append((s, "independent", None))
+    for s in model.complex.sorted_simplices():
+        part = model.free_part(s)
+        if not part:
             continue
-        inside, cert = lp.zero_in_hull(pts)
-        if inside:
-            evidence.append((s, "origin-in-hull", cert))
+        kind, cert = separation([values[v] for v in part])
+        evidence.append((s, kind, cert))
+        if kind == "origin-in-hull":
             return False, evidence
-        evidence.append((s, "separated", cert))
     return True, evidence
 
 
 def equivariant_witness(model: InvolutionComplex, k: int, max_shifts: int = 8) -> Dict:
-    """Explicit antipodal map to nonzero vectors: orbit representatives get
-    moment-curve vectors, their partners the negatives.  Certified on every
-    simplex; raises when no shift of the curve certifies."""
-    cx = model.complex
+    """Explicit antipodal map to nonzero vectors on the non-fixed vertices:
+    orbit representatives, in vertex order, get moment-curve vectors, their
+    partners the negatives.  Certified on every simplex; raises when no shift
+    of the curve certifies."""
     t = model.involution
     reps = []
     seen = set()
-    for v in cx.vertices:
-        if v in seen:
+    for v in model.complex.vertices:
+        if v in seen or t[v] == v:
             continue
         reps.append(v)
-        seen.add(v)
         seen.add(t[v])
     last_evidence: list = []
     for shift in range(max_shifts):

@@ -44,17 +44,16 @@ def _as_points(points: Sequence) -> List[Point]:
     return out
 
 
-def is_general_position_config(points: Sequence) -> bool:
-    """True iff every subset of at most m+1 of the points is affinely
-    independent, where m is the ambient dimension."""
+def is_general_position_config(points: Sequence, dim: Optional[int] = None) -> bool:
+    """True iff every subset of at most ``dim + 1`` of the points is affinely
+    independent, where ``dim`` defaults to the ambient dimension m."""
     pts = _as_points(points)
     if len(pts) <= 1:
         return True
-    m = len(pts[0])
-    k = min(len(pts), m + 1)
+    k = min(len(pts), (len(pts[0]) if dim is None else dim) + 1)
     if k < 2:
-        # Zero-dimensional ambient space: general position forces injectivity,
-        # which is impossible for two or more points.
+        # Dimension zero: general position means pairwise distinct points
+        # (impossible for two or more in a zero-dimensional ambient space).
         return len(set(pts)) == len(pts)
     # A subset of an affinely independent set is affinely independent, so
     # checking the subsets of size exactly k covers all smaller subsets.
@@ -127,24 +126,13 @@ def fiber_configurations(
     return configs
 
 
-def _general_position_in_affine_dim(points: List[Point], d: int) -> bool:
-    if len(set(points)) != len(points):
-        return False
-    if len(points) <= 1 or d < 1:
-        return True
-    k = min(len(points), d + 1)
-    if k < 2:
-        return True
-    return all(linalg.affinely_independent(sub) for sub in combinations(points, k))
-
-
 def is_fiberwise_general_position(
     source: SimplicialComplex, values: Dict, target: GeometricComplex
 ) -> bool:
     """True iff for every target simplex the configuration of carried source
     vertices is in general position within the simplex's affine hull."""
     for s, pts in fiber_configurations(source, values, target).items():
-        if not _general_position_in_affine_dim(pts, len(s) - 1):
+        if not is_general_position_config(pts, len(s) - 1):
             return False
     return True
 

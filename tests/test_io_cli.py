@@ -154,9 +154,24 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         formats.parse_lift("g a 1\n", square)  # value for b missing
     with pytest.raises(ParseError):
-        formats.parse_lift("g a 1\ng b 1 2\n", square)  # mixed dimensions
-    with pytest.raises(ParseError):
         formats.parse_witness("w noseparator 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (formats.parse_lift, "g a 1\ng b 1 2\n", "lift"),
+        (lambda text, _: formats.parse_witness(text), "w a,b 1\nw b,a 1 2\n", "witness"),
+        (formats.parse_star_boundary, "s a b\ng a 1\ng b 1 2\n", "star boundary"),
+    ],
+    ids=["lift", "witness", "star-boundary"],
+)
+def test_vector_lines_of_mixed_dimension_rejected(parse, text, where):
+    square = SimplicialComplex.from_maximal(("a", "b"), [("a", "b")])
+    lineno = text.count("\n")
+    with pytest.raises(ParseError) as exc:
+        parse(text, square)
+    assert str(exc.value) == f"line {lineno} ({where}): expected 1 coordinates, got 2"
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +388,25 @@ def test_lift_on_obstructed_map_exits_65(capsys, tmp_path):
     assert main(["lift", "-k", "2", path, "-o", str(tmp_path / "ok.lift")]) == 0
 
 
+@pytest.mark.parametrize(
+    "witness",
+    [
+        "w n0,n4 -1\nw n4,n0 -1\n",
+        "w n0,n4 1 0\nw n4,n0 -1 0\n",
+        "w n0,n4 1\n",
+    ],
+    ids=["negated", "wrong-dimension", "incomplete"],
+)
+def test_lift_rejects_failing_witness_with_65(capsys, tmp_path, fig8, witness):
+    """A supplied witness that fails certification is an input fault: the
+    certified one is ``n0,n4 -> 1``, ``n4,n0 -> -1``."""
+    path = tmp_path / "fig8.witness"
+    path.write_text(witness, encoding="utf-8")
+    assert main(["lift", "-k", "1", fig8, "--alpha", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error (PreconditionError): supplied witness fails certification")
+
+
 def test_verify_subcommand(capsys, tmp_path, fig8, fig8_lift):
     assert main(["verify", fig8, fig8_lift]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -511,6 +545,19 @@ def test_stability_subcommand(capsys, tmp_path):
     assert payload["embeds_all_edges"] is True
     assert payload["degenerate_edges"] == []
     assert "stability undecided" in payload["verdict"]
+
+
+def test_stability_rejects_vector_values(capsys, tmp_path):
+    """Values with a second coordinate are not a map to the line, so no
+    coordinate may be dropped to make one."""
+    cx = tmp_path / "path.complex"
+    cx.write_text("v a\nv b\nv c\ns a b\ns b c\n", encoding="utf-8")
+    vals = tmp_path / "path.values"
+    vals.write_text("g a 0 5\ng b 1 5\ng c 2 5\n", encoding="utf-8")
+    assert main(["stability", str(cx), str(vals)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (PreconditionError): line report requires")
 
 
 def test_cli_failure_modes(capsys, tmp_path, cover9):

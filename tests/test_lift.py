@@ -14,7 +14,6 @@ from prem.generators import cycle_complex, cycle_cover, figure_eight_map, fold_p
 from prem.lift import (
     StarBoundary,
     build_closure_model,
-    certify_witness_on_closure,
     closure_witness,
     construct_lift_3ptfree,
     fold_locus,
@@ -23,6 +22,7 @@ from prem.lift import (
     isovariant_pl_approximation,
 )
 from prem.maps import SimplicialMap
+from prem.obstruction import certify_witness
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_closure_model_fold_path():
 def test_closure_witness_certifies():
     closure = build_closure_model(fold_path_map())
     alpha = closure_witness(closure, 1)
-    ok, evidence = certify_witness_on_closure(closure, 1, alpha)
+    ok, evidence = certify_witness(closure.pair_complex, 1, alpha)
     assert ok
     assert alpha[("a", "c")] == tuple(-x for x in alpha[("c", "a")])
 
@@ -129,8 +129,9 @@ def test_lift_with_supplied_witness():
 
 
 def test_lift_rejects_bad_witness():
+    # A supplied witness that fails certification is an input fault.
     alpha = {("n0", "n4"): (F(0),), ("n4", "n0"): (F(0),)}
-    with pytest.raises(CertificationError):
+    with pytest.raises(PreconditionError, match="zero-value"):
         construct_lift_3ptfree(figure_eight_map(), 1, alpha=alpha)
 
 

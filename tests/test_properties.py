@@ -1,24 +1,31 @@
-"""Property tests of the rank-keyed combinatorial core on random small
-complexes, involutions and maps.
+"""Property tests of the rank-keyed combinatorial core, the antipodal witness
+certifier and the general-position test, on random small complexes,
+involutions, maps, witnesses and point configurations.
 
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex, sorting
-every matched pair cell, rebuilding each link through ``subcomplex``, and
-union-find over every simplex.
+every matched pair cell, rebuilding each link through ``subcomplex``,
+union-find over every simplex, the separate witness certifiers of the pair
+model and of the closure model, and the separate general-position tests in
+the ambient dimension and in a given affine dimension.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from prem import gf2, mod2
+from prem import gf2, linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex
-from prem.double_points import build_double_point_complex, double_point_model
-from prem.errors import PreconditionError
-from prem.generators import antipodal_sphere_covering, cycle_cover
+from prem.double_points import _pair_complex, build_double_point_complex, double_point_model
+from prem.errors import CertificationError, PreconditionError
+from prem.generators import antipodal_sphere_covering, cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
+from prem.obstruction import certify_witness, equivariant_witness, moment_vector
+from prem.stability import is_general_position_config
 from prem.subdivision import barycentric_subdivide_map
 
 PROPERTY = settings(deadline=None, max_examples=60,
@@ -278,3 +285,173 @@ def test_full_covers_keep_their_yang_index_under_subdivision():
     assert _yang(cycle_cover(2, 5)) == 1
     assert _yang(_SPHERE) == 2
     assert _yang(barycentric_subdivide_map(_SPHERE)[0]) == 2
+
+
+# -- antipodal witnesses ----------------------------------------------------------------
+
+
+def old_certify_pair(model, k, values):
+    """The pair-model certifier before the merge: every vertex carries a value."""
+    cx = model.complex
+    t = model.involution
+    for v in cx.vertices:
+        val = values[v]
+        if len(val) != k:
+            return False, [("bad-dimension", v)]
+        if all(x == 0 for x in val):
+            return False, [("zero-value", v)]
+        if tuple(values[t[v]]) != tuple(-x for x in val):
+            return False, [("not-antipodal", v)]
+    evidence = []
+    for s in cx.sorted_simplices():
+        pts = [values[v] for v in s]
+        if linalg.linearly_independent(pts):
+            evidence.append((s, "independent", None))
+            continue
+        inside, cert = lp.zero_in_hull(pts)
+        if inside:
+            evidence.append((s, "origin-in-hull", cert))
+            return False, evidence
+        evidence.append((s, "separated", cert))
+    return True, evidence
+
+
+def old_certify_closure(closure, k, alpha):
+    """The closure-model certifier before the merge: diagonal vertices carry
+    no value and drop out of every cell."""
+    for (u, v) in closure.off_diagonal_vertices:
+        val = alpha.get((u, v))
+        if val is None or len(val) != k:
+            return False, [("missing-or-bad-dimension", (u, v))]
+        if all(x == 0 for x in val):
+            return False, [("zero-value", (u, v))]
+        if tuple(alpha[(v, u)]) != tuple(-x for x in val):
+            return False, [("not-antipodal", (u, v))]
+    evidence = []
+    for s in closure.complex.sorted_simplices():
+        free = tuple(p for p in s if p[0] != p[1])
+        if not free:
+            continue
+        pts = [alpha[p] for p in free]
+        if linalg.linearly_independent(pts):
+            evidence.append((s, "independent", None))
+            continue
+        inside, cert = lp.zero_in_hull(pts)
+        if inside:
+            evidence.append((s, "origin-in-hull", cert))
+            return False, evidence
+        evidence.append((s, "separated", cert))
+    return True, evidence
+
+
+def _witness_cases():
+    """(involution complex, old certifier, the model that certifier takes)
+    for the pair and closure models.  The fold path has no checked pair model
+    (its identified stars meet), so every pair model is built unchecked."""
+    maps = [fold_path_map(), figure_eight_map()] + [cycle_cover(2, n) for n in range(3, 7)]
+    for f in maps:
+        ic = _pair_complex(f)
+        yield ic, old_certify_pair, ic
+        closure = build_closure_model(f)
+        yield closure.pair_complex, old_certify_closure, closure
+
+
+_WITNESS_CASES = list(_witness_cases())
+
+
+def moment_values(ic: InvolutionComplex, k: int, shift: int) -> dict:
+    """Moment-curve values on the first member of each non-fixed orbit, in
+    vertex order, and their negatives on the partners."""
+    t = ic.involution
+    values = {}
+    for v in ic.complex.vertices:
+        if t[v] != v and v not in values:
+            values[v] = moment_vector(len(values) // 2, k, shift)
+            values[t[v]] = tuple(-x for x in values[v])
+    return values
+
+
+@PROPERTY
+@given(
+    st.sampled_from(range(len(_WITNESS_CASES))),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.sampled_from(["none", "zero", "negate", "delete"]),
+    st.integers(0, 99),
+)
+def test_merged_certifier_matches_old_certifiers(case, k, shift, damage, pick):
+    ic, oracle, model = _WITNESS_CASES[case]
+    values = moment_values(ic, k, shift)
+    keys = [v for v in ic.complex.vertices if v in values]
+    if damage != "none":
+        v = keys[pick % len(keys)]
+        if damage == "zero":
+            values[v] = (Fraction(0),) * k
+        elif damage == "negate":
+            values[v] = tuple(-x for x in values[v])
+        else:
+            del values[v]
+    try:
+        expected = oracle(model, k, values)
+    except KeyError as exc:
+        # The old certifiers indexed a deleted entry; it is now reported.
+        expected = (False, [("missing-or-bad-dimension", exc.args[0])])
+    assert certify_witness(ic, k, values) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_merged_generator_matches_old_generators(k):
+    sphere = build_closure_model(_SPHERE)
+    cases = _WITNESS_CASES + ([(sphere.pair_complex, old_certify_closure, sphere)] if k == 3 else [])
+    for ic, oracle, model in cases:
+        draws = (moment_values(ic, k, shift) for shift in range(8))
+        expected = next((values for values in draws if oracle(model, k, values)[0]), None)
+        try:
+            assert equivariant_witness(ic, k) == expected
+        except CertificationError:
+            assert expected is None
+
+
+# -- general position -------------------------------------------------------------------
+
+
+def old_general_position_config(points) -> bool:
+    """General position in the ambient dimension, before the merge."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if len(pts) <= 1:
+        return True
+    k = min(len(pts), len(pts[0]) + 1)
+    if k < 2:
+        return len(set(pts)) == len(pts)
+    return all(linalg.affinely_independent(sub) for sub in combinations(pts, k))
+
+
+def old_general_position_in_affine_dim(points, d: int) -> bool:
+    """General position in a given affine dimension, before the merge."""
+    points = [tuple(Fraction(x) for x in p) for p in points]
+    if len(set(points)) != len(points):
+        return False
+    if len(points) <= 1 or d < 1:
+        return True
+    k = min(len(points), d + 1)
+    if k < 2:
+        return True
+    return all(linalg.affinely_independent(sub) for sub in combinations(points, k))
+
+
+@st.composite
+def integer_configurations(draw):
+    m = draw(st.integers(0, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m), max_size=6))
+    return points, draw(st.one_of(st.none(), st.integers(0, m)))
+
+
+@PROPERTY
+@given(integer_configurations())
+def test_general_position_matches_old_tests(config):
+    points, dim = config
+    if dim is None:
+        assert is_general_position_config(points) == old_general_position_config(points)
+    else:
+        assert is_general_position_config(points, dim) == (
+            old_general_position_in_affine_dim(points, dim))
