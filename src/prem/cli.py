@@ -12,7 +12,9 @@ them ``lift`` on a map that the equivariant obstruction rules out; internal
 contract violations 70.  ``obstruct`` and ``report-thm3`` exit 0 for a
 positive verdict, 1 for a negative one and 2 when inconclusive; ``verify``
 exits 1 when the certificate fails.  ``--json`` renders every report as a
-versioned JSON document, written to ``-o FILE`` when given; ``--jobs`` (or the
+versioned JSON document, written to ``-o FILE`` when given, and turns an
+error into one JSON object on stderr, ``{"schema": 1, "error": {"type",
+"message", "exit_code"}}``, with the same exit code; ``--jobs`` (or the
 PREM_JOBS environment variable) sets the worker process count, at least 1
 and clamped to the CPU count.
 """
@@ -646,12 +648,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
     except PremError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        # A parse error leaves no ``args``: then ``--json`` anywhere asks for JSON.
+        as_json = "--json" in argv if args is None else getattr(args, "json", False)
+        if as_json:
+            error = {
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "exit_code": exc.exit_code,
+            }
+            doc = {"schema": SCHEMA, "error": error}
+            print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+        else:
+            print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return exc.exit_code
 
 

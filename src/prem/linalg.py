@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of :class:`fractions.Fraction`; everything is
-done with plain Gaussian elimination, which is fast enough at the scale of
-this library (systems of at most a few dozen unknowns).
+Inputs are sequences of ``int`` and :class:`fractions.Fraction` entries
+(anything else is read through ``Fraction``).  ``rank`` eliminates
+fraction-free: each row is scaled to integers once, and elimination replaces
+a row by ``p * row - f * pivot_row`` divided by the gcd of its entries, so no
+``Fraction`` is built.  ``rref`` and ``solve`` do plain Gaussian elimination
+over ``Fraction`` and return ``Fraction`` entries; the systems of this
+library have at most a few dozen unknowns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Optional, Sequence, Tuple
 
 Vec = tuple
 Q0 = Fraction(0)
@@ -44,8 +49,19 @@ def dist_sq(a: Sequence, b: Sequence) -> Fraction:
     return norm_sq(vec_sub(a, b))
 
 
-def mat_copy(m: Sequence[Sequence]) -> list:
-    return [[Fraction(x) for x in row] for row in m]
+def _int_row(xs: Sequence) -> Tuple[list, int]:
+    """``(ints, scale)``: the integer row ``scale * xs`` for the least
+    ``scale > 0`` that clears every denominator."""
+    qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    scale = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+def _primitive(row: list) -> list:
+    """``row`` divided by the gcd of its entries (unchanged when that is 0
+    or 1)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(m: Sequence[Sequence]) -> tuple[list, list[int], int]:
@@ -54,7 +70,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list, list[int], int]:
     Returns ``(matrix, pivot_columns, rank)``.  Pivots are chosen left to
     right, so the result is deterministic.
     """
-    a = mat_copy(m)
+    a = [[Fraction(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -82,9 +98,26 @@ def rref(m: Sequence[Sequence]) -> tuple[list, list[int], int]:
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    if not m:
-        return 0
-    return rref(m)[2]
+    """Rank of the matrix with rows ``m``, by fraction-free elimination on
+    integer rows."""
+    rows = [_int_row(row)[0] for row in m]
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
@@ -107,19 +140,6 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
     return x
 
 
-def solve_unique(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
-    """Solution of ``a x = b`` when it is unique; ``None`` otherwise."""
-    if not a:
-        return None
-    cols = len(a[0])
-    x = solve(a, b)
-    if x is None:
-        return None
-    if rank(a) != cols:
-        return None
-    return x
-
-
 def affinely_independent(points: Sequence[Sequence]) -> bool:
     """True iff the points span an affine subspace of dimension ``len-1``."""
     pts = [vec(p) for p in points]
@@ -130,19 +150,7 @@ def affinely_independent(points: Sequence[Sequence]) -> bool:
 
 
 def linearly_independent(vectors: Sequence[Sequence]) -> bool:
-    vs = [list(map(Fraction, v)) for v in vectors]
-    if not vs:
-        return True
-    return rank(vs) == len(vs)
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of the points (-1 for the empty set)."""
-    pts = [vec(p) for p in points]
-    if not pts:
-        return -1
-    diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    return rank(diffs) if diffs else 0
+    return rank(vectors) == len(vectors)
 
 
 def point_to_affine_hull_dist_sq(p: Sequence, hull_points: Sequence[Sequence]) -> Fraction:

@@ -79,8 +79,8 @@ def _combined_columns(f: SimplicialMap, g: SemiLinearMap, s: Simplex, frame: lis
     idx = {w: i for i, w in enumerate(frame)}
     cols = []
     for v in s:
-        col = [Fraction(0)] * len(frame)
-        col[idx[f.vertex_map[v]]] = Fraction(1)
+        col = [0] * len(frame)
+        col[idx[f.vertex_map[v]]] = 1
         cols.append(tuple(col) + tuple(g.values[v]))
     return cols
 
@@ -132,9 +132,9 @@ def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> P
     a = []
     for i in range(d):
         a.append([c[i] for c in cols_s] + [-c[i] for c in cols_t])
-    a.append([Fraction(1)] * ns + [Fraction(0)] * nt)
-    a.append([Fraction(0)] * ns + [Fraction(1)] * nt)
-    b = [Fraction(0)] * d + [Fraction(1), Fraction(1)]
+    a.append([1] * ns + [0] * nt)
+    a.append([0] * ns + [1] * nt)
+    b = [0] * d + [1, 1]
 
     def witness_from(xvec: Sequence[Fraction]) -> ViolationWitness:
         x = _point_from_coeffs(s, xvec[:ns])
@@ -155,7 +155,7 @@ def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> P
     # maximal simplex passed its self-check before any pair), so x = y.
     # mu > 0 gives, say, x mass on a vertex of s outside t; then x is not in
     # t while y is, so the maximizer is two distinct points with one value.
-    mu = [Fraction(0 if v in shared else 1) for v in s + t]
+    mu = [0 if v in shared else 1 for v in s + t]
     mx = lp.lp_max(a, b, mu)
     if mx.status != "optimal":
         raise InternalError(f"pair LP on a nonempty bounded polytope reported {mx.status}")

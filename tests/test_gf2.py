@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from prem.gf2 import betti_mod2, boundary_rank, pack, rank_gf2, solve_gf2, unpack
 
 from conftest import complex_from_facets, octahedron, projective_plane_6, torus_7
@@ -31,6 +34,29 @@ def test_solve_consistent():
 def test_solve_inconsistent():
     # x0 = 0 and x0 = 1 cannot both hold.
     assert solve_gf2([1, 1], [0, 1], 1) is None
+
+
+@st.composite
+def gf2_systems(draw):
+    ncols = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return rows, rhs, ncols
+
+
+@settings(deadline=None, max_examples=300)
+@given(gf2_systems())
+def test_solve_gf2_solves_or_is_inconsistent(system):
+    rows, rhs, ncols = system
+    sol = solve_gf2(rows, rhs, ncols)
+    augmented = [mask | (bit << ncols) for mask, bit in zip(rows, rhs)]
+    inconsistent = rank_gf2(augmented) > rank_gf2(rows)
+    assert (sol is None) == inconsistent
+    if sol is not None:
+        assert 0 <= sol < 1 << ncols
+        for mask, bit in zip(rows, rhs):
+            assert (mask & sol).bit_count() % 2 == bit
 
 
 def test_boundary_ranks_triangle():

@@ -575,6 +575,33 @@ def test_cli_failure_modes(capsys, tmp_path, cover9):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, kind",
+    [
+        (["obstruct", "-k", "0", "{cover9}", "--json"], 65, "PreconditionError"),
+        (["delta", "{missing}", "--json"], 64, "ParseError"),
+        (["obstruct", "{cover9}", "--json"], 64, "ParseError"),  # -k is required
+        (["stability", "{cover9}", "{cover9}", "--json"], 64, "ParseError"),  # no --json
+    ],
+    ids=["precondition", "unreadable", "parse", "unknown-flag"],
+)
+def test_json_errors_are_json(capsys, tmp_path, cover9, argv, exit_code, kind):
+    argv = [a.format(cover9=cover9, missing=tmp_path / "missing.map") for a in argv]
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["schema"] == 1
+    assert doc["error"]["type"] == kind
+    assert doc["error"]["exit_code"] == exit_code
+    assert doc["error"]["message"]
+    # The same failure without --json keeps the one-line text form.
+    assert main([a for a in argv if a != "--json"]) == exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({kind}): ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 def test_output_file_option(capsys, tmp_path, cover9):
     out_path = tmp_path / "delta.txt"
     assert main(["delta", cover9, "-o", str(out_path)]) == 0

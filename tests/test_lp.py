@@ -11,8 +11,8 @@ from prem.lp import (
     lp_feasible,
     lp_max,
     lp_solve,
+    LPResult,
     min_sq_norm_in_hull,
-    point_in_hull,
     separate_hulls,
     zero_in_hull,
 )
@@ -77,14 +77,6 @@ def test_zero_in_hull_outside_certificate():
     assert threshold < 0
     for p in pts:
         assert sum(n * F(x) for n, x in zip(normal, p)) <= threshold
-
-
-def test_point_in_hull():
-    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    hit, _ = point_in_hull((1, 1), square)
-    assert hit
-    hit, _ = point_in_hull((3, 3), square)
-    assert not hit
 
 
 def test_hulls_intersect_with_witness():
@@ -154,11 +146,19 @@ def test_min_sq_norm_zero_inside():
 # -- properties on random small LPs ------------------------------------------
 
 
+# Integers, and rationals with denominators up to 6, which lp_solve must
+# scale to integer rows by the lcm of each row's denominators.
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
 @st.composite
 def small_lps(draw):
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
-    entry = st.integers(-3, 3)
+    entry = ENTRIES
     a = [[draw(entry) for _ in range(n)] for _ in range(m)]
     b = [draw(entry) for _ in range(m)]
     c = [draw(entry) for _ in range(n)]
@@ -213,3 +213,95 @@ def test_lp_solve_agrees_with_vertex_enumeration(lp):
         assert sum(aij * xj for aij, xj in zip(row, x)) == bi
     assert res.value == sum(cj * xj for cj, xj in zip(c, x))
     assert res.value == min(sum(cj * xj for cj, xj in zip(c, v)) for v in vertices)
+
+
+# -- the Fraction simplex as the oracle of the integer one -----------------------
+#
+# The two-phase Bland simplex over ``Fraction`` that ``lp_solve`` replaced.
+# It takes the same pivots, so every result, Farkas certificates included,
+# must be identical.
+
+
+def _ref_pivot(rows, objrow, basis, r, col):
+    inv = 1 / rows[r][col]
+    prow = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            f = row[col]
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+    f = objrow[col]
+    objrow[:] = [x - f * y for x, y in zip(objrow, prow)]
+    basis[r] = col
+
+
+def _ref_optimize(rows, objrow, basis, width):
+    while True:
+        col = next((j for j in range(width) if objrow[j] < 0), None)
+        if col is None:
+            return None
+        best_r = best_ratio = None
+        for r, row in enumerate(rows):
+            if row[col] > 0:
+                ratio = row[-1] / row[col]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_r])
+                ):
+                    best_r, best_ratio = r, ratio
+        if best_r is None:
+            return col
+        _ref_pivot(rows, objrow, basis, best_r, col)
+
+
+def reference_lp_solve(a, b, c) -> LPResult:
+    m, n = len(a), len(c)
+    a = [[F(x) for x in row] for row in a]
+    b = [F(x) for x in b]
+    c = [F(x) for x in c]
+    signs = [1 if bi >= 0 else -1 for bi in b]
+    rows = []
+    for i in range(m):
+        art = [F(0)] * m
+        art[i] = F(1)
+        rows.append([signs[i] * x for x in a[i]] + art + [signs[i] * b[i]])
+    width1 = n + m
+    basis = [n + i for i in range(m)]
+    objrow = [F(0)] * (width1 + 1)
+    for j in [*range(n), width1]:
+        objrow[j] = -sum((row[j] for row in rows), F(0))
+    assert _ref_optimize(rows, objrow, basis, width1) is None
+    if -objrow[-1] > 0:
+        y = [signs[i] * (1 - objrow[n + i]) for i in range(m)]
+        return LPResult(status="infeasible", farkas=y)
+    r = 0
+    while r < len(rows):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if rows[r][j] != 0), None)
+            if col is None:
+                rows.pop(r)
+                basis.pop(r)
+                continue
+            _ref_pivot(rows, objrow, basis, r, col)
+        r += 1
+    rows = [row[:n] + [row[-1]] for row in rows]
+    objrow = c + [F(0)]
+    for r, jb in enumerate(basis):
+        f = objrow[jb]
+        objrow = [x - f * y for x, y in zip(objrow, rows[r])]
+    if _ref_optimize(rows, objrow, basis, n) is not None:
+        return LPResult(status="unbounded")
+    x = [F(0)] * n
+    for r, jb in enumerate(basis):
+        x[jb] = rows[r][-1]
+    return LPResult(status="optimal", x=x, value=-objrow[-1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_lps())
+def test_lp_solve_matches_fraction_simplex(lp):
+    a, b, c = lp
+    got = lp_solve(a, b, c)
+    assert got == reference_lp_solve(a, b, c)
+    for v in [*(got.x or ()), *(got.farkas or ()), *([got.value] if got.value is not None else ())]:
+        assert type(v) is Fraction
