@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from prem import linalg
 from prem.lp import (
+    LPResult,
     hulls_intersect,
     lp_feasible,
     lp_max,
     lp_solve,
-    LPResult,
     min_sq_norm_in_hull,
     separate_hulls,
     zero_in_hull,
@@ -158,10 +158,9 @@ ENTRIES = st.one_of(
 def small_lps(draw):
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
-    entry = ENTRIES
-    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    b = [draw(entry) for _ in range(m)]
-    c = [draw(entry) for _ in range(n)]
+    a = [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+    b = [draw(ENTRIES) for _ in range(m)]
+    c = [draw(ENTRIES) for _ in range(n)]
     return a, b, c
 
 
@@ -303,5 +302,5 @@ def test_lp_solve_matches_fraction_simplex(lp):
     a, b, c = lp
     got = lp_solve(a, b, c)
     assert got == reference_lp_solve(a, b, c)
-    for v in [*(got.x or ()), *(got.farkas or ()), *([got.value] if got.value is not None else ())]:
-        assert type(v) is Fraction
+    values = [*(got.x or ()), *(got.farkas or ()), got.value]
+    assert all(type(v) is Fraction for v in values if v is not None)
