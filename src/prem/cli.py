@@ -9,9 +9,10 @@ and ``gen`` (example files).
 
 Exit codes: 0 success; parse failures 64; precondition failures 65, among
 them ``lift`` on a map that the equivariant obstruction rules out; internal
-contract violations 70.  ``obstruct`` and ``report-thm3`` exit 0 for a
-positive verdict, 1 for a negative one and 2 when inconclusive; ``verify``
-exits 1 when the certificate fails.  ``--json`` renders every report as a
+contract violations 70; an ``-o FILE`` that cannot be written 73.
+``obstruct`` and ``report-thm3`` exit 0 for a positive verdict, 1 for a
+negative one and 2 when inconclusive; ``verify`` exits 1 when the
+certificate fails.  ``--json`` renders every report as a
 versioned JSON document, written to ``-o FILE`` when given, and turns an
 error into one JSON object on stderr, ``{"schema": 1, "error": {"type",
 "message", "exit_code"}}``, with the same exit code; ``--jobs`` (or the
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional
 from . import formats, gf2, mod2
 from .complexes import SimplicialComplex
 from .double_points import double_point_model
-from .errors import ParseError, PreconditionError, PremError
+from .errors import OutputError, ParseError, PreconditionError, PremError
 from .generators import (
     antipodal_sphere_covering,
     cross_polytope_boundary,
@@ -68,8 +69,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc}") from exc
 
 
 def _positive_jobs(value, source: str) -> int:

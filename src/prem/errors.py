@@ -3,7 +3,8 @@
 Exit-code conventions used by the CLI:
   64  input files fail to parse,
   65  a documented precondition on the inputs fails,
-  70  an internal contract is violated (a bug, never an input problem).
+  70  an internal contract is violated (a bug, never an input problem),
+  73  an output file cannot be written (sysexits EX_CANTCREAT).
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ class ModelInvalid(PreconditionError):
 class BlockedRefinement(PreconditionError):
     """The linearization cascade needs a refinement step that this
     implementation does not support for the given input dimension."""
+
+
+class OutputError(PremError):
+    """An output file cannot be created or written."""
+
+    exit_code = 73
 
 
 class CertificationError(PremError):

@@ -5,10 +5,13 @@ The target polyhedron is embedded by sending each of its vertices to a
 standard basis vector, so the combined map is affine on every source simplex
 with rational values, and injectivity reduces to finitely many exact checks.
 Each maximal simplex first gets an affine-independence check.  Then every
-unordered pair ``(s, t)`` of maximal simplices is settled by a cheap
-prefilter (the images touch no common target vertex, or ``s u t`` is itself
-a simplex and was already checked) or by exactly one LP over the pair
-polytope ``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``:
+unordered pair ``(s, t)`` of maximal simplices is settled.  A pair whose
+images touch no common target vertex cannot meet in a double point, so an
+inverted index from target vertex to the maximal simplices over it yields
+the candidate pairs, those sharing a target vertex, and the others are only
+counted.  A candidate is settled by a cheap prefilter (``s u t`` is itself a
+simplex and was already checked) or by exactly one LP over the pair polytope
+``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``:
 
 * disjoint ``s`` and ``t``: a feasibility LP; any solution is a violation,
   and infeasibility comes with a Farkas certificate;
@@ -18,15 +21,16 @@ polytope ``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``:
   injective on ``s``, so ``x = y``.  ``mu > 0`` puts one point outside
   ``s n t``, so the maximizer is two distinct points with the same value.
 
-Every pair contributes one evidence record; any violation carries an exact
-witness pair of points.
+Every maximal simplex and every candidate pair contributes one evidence
+record; the pairs with disjoint images are a count.  Any violation carries an
+exact witness pair of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, lp
@@ -60,16 +64,28 @@ class PairEvidence:
 
 @dataclass
 class VerificationResult:
+    """Outcome of :func:`verify_embedding`.
+
+    ``pairs_checked`` counts every unordered pair of maximal simplices.
+    ``evidence`` holds one record per maximal simplex, then one per candidate
+    pair (images sharing a target vertex) in ``combinations`` order; the
+    remaining ``disjoint_images`` pairs are counted, not recorded, and
+    :meth:`kind_counts` reports them under ``disjoint-images``.
+    """
+
     ok: bool
     simplices_checked: int
     pairs_checked: int
     evidence: List[PairEvidence] = field(default_factory=list)
     violations: List[ViolationWitness] = field(default_factory=list)
+    disjoint_images: int = 0
 
     def kind_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for e in self.evidence:
             counts[e.kind] = counts.get(e.kind, 0) + 1
+        if self.disjoint_images:
+            counts[DISJOINT_IMAGES] = self.disjoint_images
         return counts
 
 
@@ -114,12 +130,12 @@ def _self_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex) -> Optional[Viol
     return ViolationWitness(simplex_x=s, simplex_y=s, x=x, y=y, g_value=g(x))
 
 
-def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> PairEvidence:
+def _pair_check(
+    f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex, img_s: frozenset, img_t: frozenset
+) -> PairEvidence:
+    """Settle a candidate pair: ``img_s`` and ``img_t``, the target vertices
+    under ``s`` and ``t``, meet."""
     src = f.source
-    img_s = {f.vertex_map[v] for v in s}
-    img_t = {f.vertex_map[w] for w in t}
-    if not (img_s & img_t):
-        return PairEvidence(pair=(s, t), kind=DISJOINT_IMAGES)
     union = set(s) | set(t)
     if src.has_simplex(union):
         return PairEvidence(pair=(s, t), kind=SAME_CARRIER)
@@ -164,20 +180,31 @@ def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> P
     return PairEvidence(pair=(s, t), kind=DIAGONAL_CONFINED)
 
 
+def _candidate_pairs(images: List[frozenset]) -> List[Tuple[int, int]]:
+    """Positions ``(i, j)``, ``i < j``, of the simplices whose images share a
+    target vertex, in the order ``combinations`` visits them: only these pairs
+    can meet in a double point."""
+    over: Dict = {}
+    for i, img in enumerate(images):
+        for w in img:
+            over.setdefault(w, []).append(i)
+    candidates = []
+    for i, img in enumerate(images):
+        partners = {j for w in img for j in over[w] if j > i}
+        candidates.extend((i, j) for j in sorted(partners))
+    return candidates
+
+
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(f: SimplicialMap, g: SemiLinearMap, pairs: list) -> None:
+def _worker_init(f: SimplicialMap, g: SemiLinearMap) -> None:
     _WORKER_STATE["f"] = f
     _WORKER_STATE["g"] = g
-    _WORKER_STATE["pairs"] = pairs
 
 
-def _worker_run(idx: int) -> Tuple[int, PairEvidence]:
-    f = _WORKER_STATE["f"]
-    g = _WORKER_STATE["g"]
-    s, t = _WORKER_STATE["pairs"][idx]
-    return idx, _pair_check(f, g, s, t)
+def _worker_run(candidate: tuple) -> PairEvidence:
+    return _pair_check(_WORKER_STATE["f"], _WORKER_STATE["g"], *candidate)
 
 
 def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> VerificationResult:
@@ -197,7 +224,6 @@ def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> Verif
             evidence.append(PairEvidence(pair=(s, s), kind=VIOLATION, witness=w))
             violations.append(w)
 
-    pairs = list(combinations(maximal, 2))
     if violations:
         return VerificationResult(
             ok=False,
@@ -207,25 +233,29 @@ def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> Verif
             violations=violations,
         )
 
-    if jobs > 1 and len(pairs) > 8:
+    images = [frozenset(f.vertex_map[v] for v in s) for s in maximal]
+    candidates = [
+        (maximal[i], maximal[j], images[i], images[j]) for i, j in _candidate_pairs(images)
+    ]
+    if jobs > 1 and len(candidates) > 8:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(f, g, pairs)) as pool:
-            results = pool.map(_worker_run, range(len(pairs)), chunksize=16)
-        results.sort(key=lambda r: r[0])
-        pair_evidence = [ev for _, ev in results]
+        with ctx.Pool(jobs, initializer=_worker_init, initargs=(f, g)) as pool:
+            pair_evidence = pool.map(_worker_run, candidates, chunksize=16)
     else:
-        pair_evidence = [_pair_check(f, g, s, t) for s, t in pairs]
+        pair_evidence = [_pair_check(f, g, *c) for c in candidates]
 
     for ev in pair_evidence:
         evidence.append(ev)
         if ev.kind == VIOLATION:
             violations.append(ev.witness)
+    pairs = comb(len(maximal), 2)
     return VerificationResult(
         ok=not violations,
         simplices_checked=len(maximal),
-        pairs_checked=len(pairs),
+        pairs_checked=pairs,
         evidence=evidence,
         violations=violations,
+        disjoint_images=pairs - len(candidates),
     )

@@ -484,6 +484,40 @@ def test_stability_honours_out_file(capsys, tmp_path):
     assert json.loads(printed)["command"] == "stability"
 
 
+def test_output_into_missing_directory_exits_73(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.map"
+    assert main(["gen", "cycle-cover", "2", "3", "-o", str(missing)]) == 73
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error (OutputError): cannot write {missing}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_json_output_into_missing_directory_is_a_json_error(capsys, tmp_path, fig8, fig8_lift):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["verify", fig8, fig8_lift, "--json", "-o", str(missing)]) == 73
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["schema"] == 1
+    assert doc["error"]["type"] == "OutputError"
+    assert doc["error"]["exit_code"] == 73
+    assert doc["error"]["message"].startswith(f"cannot write {missing}: ")
+
+
+def test_lift_and_verify_on_the_double_cover_of_a_1000_cycle(capsys, tmp_path):
+    """2 000 source edges make C(2000, 2) = 1 999 000 pairs; 5 per target
+    vertex, 5 000 in all, share a target vertex."""
+    cover, lift = str(tmp_path / "cover.map"), str(tmp_path / "cover.lift")
+    assert main(["gen", "cycle-cover", "2", "1000", "-o", cover]) == 0
+    assert main(["lift", "-k", "2", cover, "-o", lift]) == 0
+    assert main(["verify", cover, lift, "--json"]) == 0
+    ver = json.loads(capsys.readouterr().out)
+    assert ver["ok"] is True
+    assert ver["pairs_checked"] == 1_999_000
+    assert ver["evidence_kinds"]["disjoint-images"] == 1_994_000
+
+
 def test_plify_text_reparses(capsys, fig8, fig8_lift):
     assert main(["plify", fig8, fig8_lift, "--trace"]) == 0
     out = capsys.readouterr().out

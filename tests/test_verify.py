@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import List
 
 import pytest
@@ -9,6 +12,7 @@ from prem import lp, verify
 from prem.complexes import SimplicialComplex
 from prem.errors import InternalError, MapError
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
+from prem.lift import construct_lift_3ptfree
 from prem.maps import SemiLinearMap, SimplicialMap
 from prem.verify import PairEvidence, verify_embedding
 
@@ -192,12 +196,24 @@ PROPERTY = settings(deadline=None, max_examples=60, suppress_health_check=[Healt
 def test_one_lp_pair_check_matches_oracle(fg):
     f, g = fg
     res = verify_embedding(f, g)
+    maximal = f.source.maximal_simplices()
     # Edges and triangles with distinct vertex images always pass the
     # per-simplex check, so every pair is decided.
-    assert res.pairs_checked == len(res.evidence) - res.simplices_checked > 0
-    for ev in res.evidence[res.simplices_checked :]:
-        s, t = ev.pair
-        assert ev.kind == oracle_pair_check(f, g, s, t).kind, ev.pair
+    assert res.simplices_checked == len(maximal)
+    assert res.pairs_checked == comb(len(maximal), 2) > 0
+    own = res.evidence[: res.simplices_checked]
+    assert [ev.kind for ev in own] == [verify.EMBEDDED_SIMPLEX] * len(maximal)
+    recorded = {ev.pair: ev.kind for ev in res.evidence[res.simplices_checked :]}
+    assert [ev.pair for ev in res.evidence[res.simplices_checked :]] == [
+        p for p in combinations(maximal, 2) if p in recorded
+    ]
+    # Every pair without a record has disjoint images under the oracle.
+    expected = Counter(ev.kind for ev in own)
+    for s, t in combinations(maximal, 2):
+        kind = oracle_pair_check(f, g, s, t).kind
+        assert recorded.get((s, t), verify.DISJOINT_IMAGES) == kind, (s, t)
+        expected[kind] += 1
+    assert res.kind_counts() == dict(expected)
     for w in res.violations:
         x = dict(zip(w.x.support, w.x.coords))
         y = dict(zip(w.y.support, w.y.coords))
@@ -242,3 +258,35 @@ def test_one_solve_per_undecided_pair(monkeypatch):
         kinds = res.kind_counts()
         prefiltered = kinds.get(verify.DISJOINT_IMAGES, 0) + kinds.get(verify.SAME_CARRIER, 0)
         assert len(calls) == res.pairs_checked - prefiltered > 0
+
+
+@pytest.mark.parametrize("b", [3, 5, 100])
+def test_pair_checks_run_on_candidate_pairs_only(monkeypatch, b):
+    """On the ``lift -k 2`` lift of the double cover of a b-cycle, each target
+    vertex has 4 incident source edges (6 pairs), and the b pairs over one
+    target edge are counted at both of its ends: 5b candidate pairs, each one
+    LP, out of C(2b, 2)."""
+    f = cycle_cover(2, b)
+    g = construct_lift_3ptfree(f, 2).lift
+    checks, solves = [], []
+    pair_check, solve = verify._pair_check, lp.lp_solve
+
+    def counting_pair_check(*args):
+        checks.append(1)
+        return pair_check(*args)
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(verify, "_pair_check", counting_pair_check)
+    monkeypatch.setattr(lp, "lp_solve", counting_solve)
+    res = verify_embedding(f, g)
+    assert res.ok
+    assert len(checks) == 5 * b
+    assert res.pairs_checked == comb(2 * b, 2)
+    kinds = res.kind_counts()
+    assert kinds.get(verify.DISJOINT_IMAGES, 0) == comb(2 * b, 2) - 5 * b
+    # At b = 3 every pair is a candidate: no zero-valued key.
+    assert (verify.DISJOINT_IMAGES in kinds) == (b > 3)
+    assert len(solves) == 5 * b
