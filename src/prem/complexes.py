@@ -1,5 +1,5 @@
 """Finite abstract simplicial complexes with a stable total vertex order,
-free involutions, and exact rational geometric realizations.
+simplicial involutions, and points in exact barycentric coordinates.
 
 A simplex is canonically represented as a tuple of vertex ids sorted by the
 vertex order of its complex.  The vertex order is fixed at construction time
@@ -15,13 +15,12 @@ already holds as the images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ComplexError
-from . import linalg
 
 Simplex = Tuple  # tuple of vertex ids, sorted by vertex rank
 
@@ -35,9 +34,9 @@ class SimplicialComplex:
     """Finite abstract simplicial complex.
 
     ``simplices`` stores every simplex (not only maximal ones) as canonical
-    tuples.  The constructor does *not* force closure under faces, so that
-    :func:`validate_complex` can report violations; use :meth:`from_maximal`
-    to build a closed complex from generators.
+    tuples.  The constructor does *not* close the given simplices under
+    faces; callers pass face-closed sets, or use :meth:`from_maximal` to build
+    a closed complex from generators.
     """
 
     __slots__ = ("vertices", "rank", "simplices", "_neighbors", "_dim", "_star_index",
@@ -295,49 +294,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices, dim {self.dim})"
 
 
-@dataclass
-class ValidationReport:
-    closure_violations: list = field(default_factory=list)  # (simplex, missing face)
-    orphan_vertices: list = field(default_factory=list)
-    duplicate_declarations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.closure_violations or self.orphan_vertices or self.duplicate_declarations)
-
-    def lines(self) -> list:
-        out = []
-        for s, f in self.closure_violations:
-            out.append(f"closure violation: {s} missing face {f}")
-        for v in self.orphan_vertices:
-            out.append(f"orphan vertex: {v}")
-        for s in self.duplicate_declarations:
-            out.append(f"duplicate simplex declaration: {s}")
-        return out
-
-
-def validate_complex(c: SimplicialComplex, declared: Optional[Sequence] = None) -> ValidationReport:
-    """Total validation: closure violations, orphan vertices, and (when the
-    raw declaration list is supplied, e.g. by the parser) duplicates."""
-    report = ValidationReport()
-    for s in c.sorted_simplices():
-        if len(s) == 1:
-            continue
-        for f in combinations(s, len(s) - 1):
-            if f not in c.simplices:
-                report.closure_violations.append((s, f))
-    zero = {s[0] for s in c.simplices if len(s) == 1}
-    report.orphan_vertices = [v for v in c.vertices if v not in zero]
-    if declared is not None:
-        seen = set()
-        for s in declared:
-            cs = c.canon(s)
-            if cs in seen:
-                report.duplicate_declarations.append(cs)
-            seen.add(cs)
-    return report
-
-
 def _simplex_involution(cx: SimplicialComplex, t: Dict) -> Tuple[Dict, list]:
     """Image of every simplex under the vertex involution ``t``, and the
     simplices whose image is not a simplex.  An image that is a simplex is
@@ -400,9 +356,6 @@ class InvolutionComplex:
         """Image of a simplex of the complex under the involution."""
         return self.simplex_images()[s]
 
-    def fixed_vertices(self) -> list:
-        return [v for v in self.complex.vertices if self.involution[v] == v]
-
     def free_part(self, s: Simplex) -> tuple:
         """The vertices of ``s`` that the involution moves, in order."""
         t = self.involution
@@ -429,92 +382,9 @@ class BarycentricPoint:
     support: Simplex
     coords: tuple
 
-    @staticmethod
-    def make(simplex: Sequence, coords: Sequence) -> "BarycentricPoint":
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != len(tuple(simplex)):
-            raise ComplexError("coordinate count does not match simplex size")
-        if any(c < 0 for c in cs):
-            raise ComplexError("negative barycentric coordinate")
-        if sum(cs) != 1:
-            raise ComplexError("barycentric coordinates must sum to 1")
-        pairs = [(v, c) for v, c in zip(simplex, cs) if c > 0]
-        return BarycentricPoint(tuple(v for v, _ in pairs), tuple(c for _, c in pairs))
-
     def coord_map(self) -> Dict:
         return dict(zip(self.support, self.coords))
 
     @staticmethod
     def at_vertex(v) -> "BarycentricPoint":
         return BarycentricPoint((v,), (Fraction(1),))
-
-
-class GeometricComplex:
-    """A simplicial complex realized in Q^d with every simplex embedded."""
-
-    __slots__ = ("complex", "coords", "ambient_dim")
-
-    def __init__(self, complex: SimplicialComplex, coords: Dict, check: bool = True):
-        self.complex = complex
-        self.coords = {v: tuple(Fraction(x) for x in coords[v]) for v in complex.vertices}
-        dims = {len(c) for c in self.coords.values()}
-        if len(dims) > 1:
-            raise ComplexError("inconsistent ambient dimension")
-        self.ambient_dim = dims.pop() if dims else 0
-        if check:
-            for s in complex.maximal_simplices():
-                if not linalg.affinely_independent([self.coords[v] for v in s]):
-                    raise ComplexError(f"simplex {s} is not embedded")
-
-    def point(self, bp: BarycentricPoint) -> tuple:
-        acc = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for v, c in zip(bp.support, bp.coords):
-            acc = linalg.vec_add(acc, linalg.vec_scale(c, self.coords[v]))
-        return acc
-
-    def locate(self, point: Sequence) -> Optional[BarycentricPoint]:
-        """Minimal simplex containing the point, with its coordinates, or
-        ``None`` when the point lies outside the realization."""
-        p = linalg.vec(point)
-        for s in self.complex.sorted_simplices():
-            pts = [self.coords[v] for v in s]
-            rows = [[pts[j][i] for j in range(len(s))] for i in range(self.ambient_dim)]
-            rows.append([Fraction(1)] * len(s))
-            rhs = list(p) + [Fraction(1)]
-            sol = linalg.solve(rows, rhs)
-            if sol is None:
-                continue
-            # The simplex is embedded, so the system has at most one solution.
-            if all(c >= 0 for c in sol):
-                # verify exactly (solve() ignores redundant rows consistently)
-                chk = tuple(Fraction(0) for _ in range(self.ambient_dim))
-                for c, v in zip(sol, s):
-                    chk = linalg.vec_add(chk, linalg.vec_scale(c, self.coords[v]))
-                if chk == tuple(p):
-                    return BarycentricPoint.make(s, sol)
-        return None
-
-    def simplex_diameter_sq(self, s: Iterable) -> Fraction:
-        cs = self.complex.canon(s)
-        if cs not in self.complex.simplices:
-            raise ComplexError(f"unknown simplex {cs}")
-        best = Fraction(0)
-        for a, b in combinations(cs, 2):
-            d = linalg.dist_sq(self.coords[a], self.coords[b])
-            if d > best:
-                best = d
-        return best
-
-    def mesh_sq(self) -> Fraction:
-        return max((self.simplex_diameter_sq(s) for s in self.complex.simplices), default=Fraction(0))
-
-
-def standard_basis_realization(c: SimplicialComplex) -> GeometricComplex:
-    """Realize a complex by sending its vertices to standard basis vectors."""
-    n = len(c.vertices)
-    coords = {}
-    for i, v in enumerate(c.vertices):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        coords[v] = tuple(e)
-    return GeometricComplex(c, coords, check=False)

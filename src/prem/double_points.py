@@ -88,18 +88,6 @@ def matched_pair_cells(
                 yield tuple(map(pair.__getitem__, zip(s, map(by_image.__getitem__, images))))
 
 
-def build_double_point_complex(f: SimplicialMap) -> InvolutionComplex:
-    """Pair model for a non-degenerate map satisfying the star condition."""
-    if not f.is_non_degenerate():
-        raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
-    violations = check_star_condition(f)
-    if violations:
-        raise ModelInvalid(
-            f"closed stars of identified vertices meet: {violations[:3]}"
-        )
-    return _pair_complex(f)
-
-
 def _pair_complex(f: SimplicialMap) -> InvolutionComplex:
     """The pair model itself, for a map already checked to be non-degenerate
     and to satisfy the star condition."""

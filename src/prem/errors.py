@@ -34,12 +34,6 @@ class MapError(PremError):
     exit_code = 65
 
 
-class CarrierError(PremError):
-    """A semi-linear image is not contained in any single target simplex."""
-
-    exit_code = 65
-
-
 class PreconditionError(PremError):
     """A documented precondition of an operation fails on the given input."""
 

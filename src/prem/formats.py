@@ -24,11 +24,11 @@ flattened with ``+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import GeometricComplex, InvolutionComplex, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import ParseError
 from .maps import SemiLinearMap, SimplicialMap
 
@@ -81,16 +81,6 @@ class ComplexDocument:
     complex: SimplicialComplex
     coordinates: Optional[Dict] = None
     involution: Optional[Dict] = None
-
-    def geometric(self) -> GeometricComplex:
-        if self.coordinates is None:
-            raise ParseError("complex has no coordinate lines")
-        return GeometricComplex(self.complex, self.coordinates)
-
-    def with_involution(self) -> InvolutionComplex:
-        if self.involution is None:
-            raise ParseError("complex has no involution lines")
-        return InvolutionComplex(self.complex, self.involution)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import InvolutionComplex, SimplicialComplex
 from .double_points import check_star_condition
@@ -196,6 +196,14 @@ def cyclic_quotient(
     failures = cyclic_orbit_regularity_failures(c, gamma, order)
     if failures:
         raise PreconditionError("; ".join(failures[:3]))
+    return _project_orbits(c, gamma, order)
+
+
+def _project_orbits(
+    c: SimplicialComplex, gamma: Dict, order: int
+) -> Tuple[SimplicialComplex, SimplicialMap]:
+    """The quotient and orbit projection of :func:`cyclic_quotient`, for an
+    action already checked to be regular."""
     rep: Dict = {}
     for v in c.vertices:
         orbit = [_iterate(gamma, v, j) for j in range(order)]
@@ -248,7 +256,7 @@ def _quotient_after_subdividing(
     rounds = 0
     while True:
         if not cyclic_orbit_regularity_failures(c, gamma, order):
-            _, projection = cyclic_quotient(c, gamma, order)
+            _, projection = _project_orbits(c, gamma, order)
             if not check_star_condition(projection):
                 return projection, rounds
         if rounds >= max_rounds:

@@ -29,15 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg, lp
-from .complexes import (
-    BarycentricPoint,
-    InvolutionComplex,
-    SimplicialComplex,
-    Simplex,
-)
+from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .double_points import double_point_model, identified_vertex_pairs, matched_pair_cells
 from .errors import (
     CertificationError,
@@ -54,9 +49,7 @@ from .obstruction import (
     certify_witness,
     equivariant_map_exists,
     equivariant_witness,
-    separation,
 )
-from .subdivision import SubdivisionRecord, stellar_bisect_edge
 from .verify import VerificationResult, verify_embedding
 
 
@@ -135,117 +128,6 @@ def build_closure_model(f: SimplicialMap) -> DoublePointClosure:
         diagonal_vertices=[p for p in vertices if p[0] == p[1]],
         off_diagonal_vertices=[p for p in vertices if p[0] != p[1]],
     )
-
-
-# -- isovariant PL approximation ----------------------------------------------
-
-
-@dataclass
-class IsovariantResult:
-    pair_complex: InvolutionComplex
-    values: Dict
-    record: SubdivisionRecord
-    bisections: int
-
-    @property
-    def refined(self) -> bool:
-        return self.bisections > 0
-
-
-def isovariant_pl_approximation(
-    ic: InvolutionComplex,
-    values: Dict,
-    evaluator: Optional[Callable[[BarycentricPoint], tuple]] = None,
-    max_bisections: int = 64,
-) -> IsovariantResult:
-    """Refine an equivariant vertex assignment until the linear extension
-    vanishes exactly on the fixed subcomplex: on every simplex the origin
-    must avoid the convex hull of the values on the non-fixed vertices.
-    Fixed simplices are never subdivided and never change their values.
-
-    Preconditions (checked): values are antipodal under the involution, zero
-    exactly on fixed vertices, and every involution-invariant simplex
-    consists of fixed vertices.
-    """
-    cx = ic.complex
-    t = ic.involution
-    base_values = {v: tuple(Fraction(x) for x in values[v]) for v in cx.vertices}
-    for v in cx.vertices:
-        val = base_values[v]
-        if tuple(-x for x in base_values[t[v]]) != val:
-            raise PreconditionError(f"values are not antipodal at {v}")
-        if (t[v] == v) != all(x == 0 for x in val):
-            raise PreconditionError(
-                f"value must vanish exactly on fixed vertices; fails at {v}"
-            )
-    for s in cx.simplices:
-        if ic.map_simplex(s) == s and ic.free_part(s):
-            raise PreconditionError(f"invariant simplex {s} has non-fixed vertices")
-
-    record = SubdivisionRecord.identity(cx)
-    cur_ic = ic
-    cur_values = dict(base_values)
-    counter = 0
-    bisections = 0
-    while True:
-        cur = cur_ic.complex
-        failing = None
-        for s in cur.sorted_simplices():
-            free = cur_ic.free_part(s)
-            if free and separation([cur_values[v] for v in free])[0] == "origin-in-hull":
-                failing = (s, free)
-                break
-        if failing is None:
-            return IsovariantResult(
-                pair_complex=cur_ic, values=cur_values, record=record, bisections=bisections
-            )
-        if bisections >= max_bisections:
-            raise CertificationError(
-                f"zero-set separation unreachable within {max_bisections} bisections; "
-                f"offending simplex {failing[0]}"
-            )
-        s, free = failing
-        if len(free) < 2:
-            raise CertificationError(
-                f"linear extension vanishes at the non-fixed vertex {free[0]}; "
-                "no bisection can separate an exact zero crossing"
-            )
-        edge = min(
-            combinations(free, 2),
-            key=lambda e: (
-                -linalg.dist_sq(cur_values[e[0]], cur_values[e[1]]),
-                cur.sort_key(cur.canon(e)),
-            ),
-        )
-        a, b = edge
-        mid = ("iso", counter)
-        tmid = ("iso", counter + 1)
-        counter += 2
-        half = Fraction(1, 2)
-        t_map = dict(cur_ic.involution)
-        new_cx = stellar_bisect_edge(cur, cur.canon((a, b)), mid)
-        mirror = new_cx.canon((t_map[a], t_map[b]))
-        new_cx = stellar_bisect_edge(new_cx, mirror, tmid)
-        pos_mid = record.point_in_base(BarycentricPoint(cur.canon((a, b)), (half, half)))
-        pos_tmid = record.point_in_base(BarycentricPoint(mirror, (half, half)))
-        positions = dict(record.positions)
-        positions[mid] = pos_mid
-        positions[tmid] = pos_tmid
-        record = SubdivisionRecord(record.base, new_cx, positions)
-        if evaluator is not None:
-            val_mid = tuple(Fraction(x) for x in evaluator(pos_mid))
-            val_tmid = tuple(Fraction(x) for x in evaluator(pos_tmid))
-            if val_tmid != tuple(-x for x in val_mid):
-                raise PreconditionError("evaluator breaks antipodality at a bisection point")
-        else:
-            val_mid = linalg.vec_scale(half, linalg.vec_add(cur_values[a], cur_values[b]))
-            val_tmid = tuple(-x for x in val_mid)
-        cur_values[mid] = val_mid
-        cur_values[tmid] = val_tmid
-        t_map[mid] = tmid
-        t_map[tmid] = mid
-        cur_ic = InvolutionComplex(new_cx, t_map, check=False)
-        bisections += 1
 
 
 # -- witnesses on the closure model -------------------------------------------
@@ -369,17 +251,6 @@ def construct_lift_3ptfree(
             )
         notes.append("witness: supplied, certified")
 
-    # Isovariant separation values on the closure model.  With a certified
-    # witness this is a pure re-check (no refinement can occur because every
-    # free part is itself a certified cell).
-    a_values = {p: (alpha[p] if p[0] != p[1] else tuple(Fraction(0) for _ in range(k)))
-                for p in closure.complex.vertices}
-    iso = isovariant_pl_approximation(closure.pair_complex, a_values)
-    if iso.refined:
-        raise InternalError(
-            "certified witness unexpectedly required refinement of the closure model"
-        )
-
     # Second-coordinate projection must be injective (guaranteed by the gates).
     partner: Dict = {}
     for (u, v) in closure.off_diagonal_vertices:
@@ -402,6 +273,8 @@ def construct_lift_3ptfree(
             if v not in f.source.rank:
                 raise PreconditionError(f"boundary vertex {v!r} is not a source vertex")
         for v in sorted(star_verts, key=f.source.rank.__getitem__):
+            if v not in star.values:
+                raise PreconditionError(f"boundary vertex {v!r} has no value")
             val = tuple(Fraction(x) for x in star.values[v])
             if len(val) != k:
                 raise PreconditionError(f"boundary value at {v!r} has wrong dimension")

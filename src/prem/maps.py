@@ -9,11 +9,11 @@ on vertices and extended affinely over each simplex.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from . import linalg
 from .complexes import BarycentricPoint, SimplicialComplex, Simplex
-from .errors import CarrierError, MapError
+from .errors import MapError
 
 
 class SimplicialMap:
@@ -76,11 +76,6 @@ class SimplicialMap:
         by_image = {self.vertex_map[w]: w for w in t}
         return {v: by_image[self.vertex_map[v]] for v in s}
 
-    def image_complex(self) -> SimplicialComplex:
-        simps = {self.image_simplex(s) for s in self.source.simplices}
-        verts = sorted({v for s in simps for v in s}, key=self.target.rank.__getitem__)
-        return SimplicialComplex(verts, simps)
-
     def fibers(self) -> Dict:
         """Map each target simplex to the sorted list of its preimage simplices."""
         out: Dict = {}
@@ -97,15 +92,6 @@ class SimplicialMap:
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
-
-
-def combinatorially_equivalent(f: SimplicialMap, g: SimplicialMap) -> bool:
-    """Same source/target complexes and the same vertex assignment."""
-    return (
-        f.source == g.source
-        and f.target == g.target
-        and all(f.vertex_map[v] == g.vertex_map[v] for v in f.source.vertices)
-    )
 
 
 class SemiLinearMap:
@@ -134,31 +120,5 @@ class SemiLinearMap:
     def at_vertex(self, v) -> tuple:
         return self.values[v]
 
-    def is_injective_on_vertices(self) -> bool:
-        return len({self.values[v] for v in self.source.vertices}) == len(self.source.vertices)
-
     def __repr__(self) -> str:
         return f"SemiLinearMap({self.source!r} -> Q^{self.out_dim})"
-
-
-def as_semi_linear(f: SimplicialMap, realization) -> SemiLinearMap:
-    """Compose a simplicial map with a geometric realization of its target."""
-    return SemiLinearMap(
-        f.source,
-        {v: realization.coords[f.vertex_map[v]] for v in f.source.vertices},
-        out_dim=realization.ambient_dim,
-    )
-
-
-def carrier_simplex(c: SimplicialComplex, points: Iterable[BarycentricPoint]) -> Simplex:
-    """Smallest simplex of ``c`` whose geometric interior collection covers
-    all the given points: the union of their supports, when it is a simplex."""
-    verts: set = set()
-    for bp in points:
-        verts.update(bp.support)
-    if not verts:
-        raise CarrierError("no points given")
-    cand = tuple(sorted(verts, key=c.rank.__getitem__))
-    if cand not in c.simplices:
-        raise CarrierError(f"support union {cand} is not a simplex")
-    return cand

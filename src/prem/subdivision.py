@@ -1,10 +1,9 @@
 """Subdivisions of simplicial complexes that remember where every new vertex
 sits inside the base complex.
 
-Two constructions are provided: full barycentric subdivision (new vertices =
-barycenters of base simplices, new simplices = flags of faces), and a relative
-derived subdivision that repeatedly bisects longest edges of oversized
-simplices while leaving a protected subcomplex untouched.
+The construction is full barycentric subdivision: new vertices are the
+barycenters of base simplices, new simplices are flags of faces.  It applies
+to complexes, to simplicial maps and to involutions.
 """
 
 from __future__ import annotations
@@ -12,17 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import linalg
-from .complexes import (
-    BarycentricPoint,
-    GeometricComplex,
-    InvolutionComplex,
-    SimplicialComplex,
-    Simplex,
-)
-from .errors import InternalError, PreconditionError
+from .complexes import BarycentricPoint, InvolutionComplex, SimplicialComplex, Simplex
 from .maps import SimplicialMap
 
 
@@ -126,98 +118,3 @@ def barycentric_subdivide_involution(
     rec = barycentric_subdivide(ic.complex)
     t = {s: ic.map_simplex(s) for s in rec.refined.vertices}
     return InvolutionComplex(rec.refined, t, check=False), rec
-
-
-def stellar_bisect_edge(c: SimplicialComplex, e: Simplex, new_id) -> SimplicialComplex:
-    """Bisect the edge ``e`` by starring every simplex containing it from a
-    new vertex placed on that edge.  The new vertex is appended last in the
-    vertex order."""
-    a, b = e
-    if new_id in c.rank:
-        raise InternalError(f"vertex id {new_id!r} already in use")
-    new_simplices = set()
-    for s in c.simplices:
-        if a in s and b in s:
-            for size in range(0, len(s) + 1):
-                for tau in combinations(s, size):
-                    if a in tau and b in tau:
-                        continue
-                    new_simplices.add(tuple(tau) + (new_id,))
-        else:
-            new_simplices.add(s)
-    return SimplicialComplex(c.vertices + (new_id,), new_simplices)
-
-
-def _face_closure(c: SimplicialComplex, simplices: Iterable) -> set:
-    closed: set = set()
-    for s in simplices:
-        cs = c.canon(s)
-        for size in range(1, len(cs) + 1):
-            closed.update(combinations(cs, size))
-    return closed
-
-
-def relative_derived_subdivide(
-    g: GeometricComplex,
-    keep: Iterable,
-    r_sq: Fraction,
-    max_iterations: int = 10000,
-) -> Tuple[GeometricComplex, SubdivisionRecord]:
-    """Refine ``g`` by longest-edge bisection until every simplex disjoint
-    from the protected subcomplex has squared diameter at most ``r_sq``.
-
-    The protected subcomplex is left bit-identical: its simplices are never
-    subdivided and its vertex coordinates never move.  Simplices that touch
-    the protected set (share a vertex with it) are exempt from the diameter
-    bound — they form a transition collar, since a simplex spanning an intact
-    protected edge can never be shorter than that edge.
-    """
-    r_sq = Fraction(r_sq)
-    if r_sq <= 0:
-        raise PreconditionError("refinement radius must be positive")
-    base = g.complex
-    keep_closed = _face_closure(base, keep)
-    for s in keep_closed:
-        if s not in base.simplices:
-            raise PreconditionError(f"protected simplex {s} is not in the complex")
-    keep_vertices = {v for s in keep_closed for v in s}
-
-    cur = base
-    coords = dict(g.coords)
-    record = SubdivisionRecord.identity(base)
-    cut_counter = 0
-
-    def exempt(s: Simplex) -> bool:
-        return any(v in keep_vertices for v in s)
-
-    for _ in range(max_iterations):
-        worst: Optional[Simplex] = None
-        worst_d = r_sq
-        for s in cur.simplices:
-            if len(s) < 2 or exempt(s):
-                continue
-            d = max(linalg.dist_sq(coords[u], coords[v]) for u, v in combinations(s, 2))
-            if d > worst_d or (
-                d == worst_d and d > r_sq and (worst is None or cur.sort_key(s) < cur.sort_key(worst))
-            ):
-                worst, worst_d = s, d
-        if worst is None:
-            out = GeometricComplex(cur, coords, check=False)
-            return out, record
-        edge = min(
-            (e for e in combinations(worst, 2)),
-            key=lambda e: (-linalg.dist_sq(coords[e[0]], coords[e[1]]), cur.sort_key(e)),
-        )
-        a, b = edge
-        mid_id = ("cut", cut_counter)
-        cut_counter += 1
-        half = Fraction(1, 2)
-        mid_pos = record.point_in_base(
-            BarycentricPoint(cur.canon((a, b)), (half, half))
-        )
-        cur = stellar_bisect_edge(cur, cur.canon((a, b)), mid_id)
-        coords[mid_id] = linalg.vec_scale(half, linalg.vec_add(coords[a], coords[b]))
-        positions = dict(record.positions)
-        positions[mid_id] = mid_pos
-        record = SubdivisionRecord(base, cur, positions)
-    raise InternalError("relative subdivision did not terminate within the iteration cap")

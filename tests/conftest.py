@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prem.complexes import GeometricComplex, SimplicialComplex
+from prem.complexes import SimplicialComplex
 from prem.maps import SemiLinearMap, SimplicialMap
 
 
@@ -66,12 +66,6 @@ def segment_complex():
 
 def triangle_complex():
     return SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b", "c")])
-
-
-def geometric_triangle() -> GeometricComplex:
-    c = triangle_complex()
-    coords = {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(1))}
-    return GeometricComplex(c, coords)
 
 
 @pytest.fixture

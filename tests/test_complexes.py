@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from prem.complexes import (
-    BarycentricPoint,
-    GeometricComplex,
-    SimplicialComplex,
-    standard_basis_realization,
-    validate_complex,
-)
+from prem import linalg
+from prem.complexes import SimplicialComplex
 from prem.errors import ComplexError
 from prem.subdivision import barycentric_subdivide
 
@@ -92,36 +87,13 @@ def test_full_subcomplex(oct_complex):
     assert sub.f_vector() == (3, 3, 1)
 
 
-def test_validate_complex_reports_ok(oct_complex):
-    report = validate_complex(oct_complex)
-    assert report.ok
-
-
-def test_geometric_locate_inside_and_outside():
-    c = triangle_complex()
-    g = GeometricComplex(
-        c, {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(1))}
-    )
-    inside = g.locate((F(1, 4), F(1, 4)))
-    assert inside is not None
-    assert inside.coord_map()["a"] == F(1, 2)
-    assert g.locate((F(2), F(2))) is None
-    on_edge = g.locate((F(1, 2), F(0)))
-    assert on_edge is not None
-    assert set(on_edge.support) == {"a", "b"}
-
-
-def test_standard_basis_realization_is_injective_per_simplex(oct_complex):
-    g = standard_basis_realization(oct_complex)
-    pts = [g.point(BarycentricPoint.at_vertex(v)) for v in oct_complex.vertices]
-    assert len(set(pts)) == len(pts)
-
-
 def test_mesh_shrinks_under_barycentric_subdivision():
     c = triangle_complex()
     coords = {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(1))}
-    g = GeometricComplex(c, coords)
     rec = barycentric_subdivide(c)
-    refined_coords = {v: g.point(rec.position(v)) for v in rec.refined.vertices}
-    g2 = GeometricComplex(rec.refined, refined_coords)
-    assert g2.mesh_sq() < g.mesh_sq()
+    refined_coords = rec.interpolate(coords)
+
+    def mesh_sq(cx, xs):
+        return max(linalg.dist_sq(xs[u], xs[v]) for u, v in cx.edges())
+
+    assert mesh_sq(rec.refined, refined_coords) < mesh_sq(c, coords)

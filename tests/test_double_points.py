@@ -2,7 +2,6 @@ import pytest
 
 from prem.complexes import SimplicialComplex
 from prem.double_points import (
-    build_double_point_complex,
     check_star_condition,
     double_point_model,
     identified_vertex_pairs,
@@ -80,8 +79,6 @@ def test_degenerate_map_rejected():
     f = SimplicialMap(src, tgt, {"a": "x", "b": "x"})
     with pytest.raises(DegenerateMap):
         double_point_model(f)
-    with pytest.raises(DegenerateMap):
-        build_double_point_complex(f)
 
 
 def test_fold_stays_unmodellable():
@@ -100,11 +97,3 @@ def test_figure_eight_single_double_point():
     rep = component_report(model.pair_complex)
     assert len(rep.components) == 2
     assert rep.invariant_count == 0
-
-
-def test_build_rejects_star_violation_directly():
-    src = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    tgt = SimplicialComplex.from_maximal(["x", "y"], [("x", "y")])
-    f = SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "x"})
-    with pytest.raises(ModelInvalid):
-        build_double_point_complex(f)

@@ -1,5 +1,6 @@
 import pytest
 
+from prem import generators
 from prem.errors import PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
@@ -129,3 +130,16 @@ def test_lens_covering_3_1():
     assert proj.is_non_degenerate()
     with pytest.raises(PreconditionError):
         lens_covering(2, 1)
+
+
+def test_lens_covering_checks_regularity_once_per_round(monkeypatch):
+    calls = []
+    check = generators.cyclic_orbit_regularity_failures
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(generators, "cyclic_orbit_regularity_failures", counted)
+    _, rounds = lens_covering(3, 1)
+    assert len(calls) == rounds + 1

@@ -1,0 +1,40 @@
+"""Every name a library module imports is used in that module.
+
+The package ``__init__`` re-exports names it never uses itself, and
+``from __future__`` imports are directives, so both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import prem
+
+MODULES = sorted(p for p in Path(prem.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Dict, List\nx: Dict = {}\n") == [
+        (1, "os"),
+        (2, "List"),
+    ]

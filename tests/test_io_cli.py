@@ -81,9 +81,8 @@ def test_complex_document_round_trip():
     assert again.complex.simplices == doc.complex.simplices
     assert again.coordinates == doc.coordinates
     assert again.involution == doc.involution
-    # the typed views are available once the optional sections are present
-    assert doc.geometric().coords["p3"] == (F(-2), F(0))
-    assert doc.with_involution().involution["p2"] == "p5"
+    assert doc.coordinates["p3"] == (F(-2), F(0))
+    assert doc.involution["p2"] == "p5"
 
 
 def test_map_document_round_trip(tmp_path):
@@ -405,6 +404,22 @@ def test_lift_rejects_failing_witness_with_65(capsys, tmp_path, fig8, witness):
     assert main(["lift", "-k", "1", fig8, "--alpha", str(path)]) == 65
     err = capsys.readouterr().err
     assert err.startswith("error (PreconditionError): supplied witness fails certification")
+
+
+def test_lift_rejects_star_vertex_without_value(capsys, tmp_path, fig8):
+    star = tmp_path / "star"
+    star.write_text("s n0 n4\ng n0 3/1\n", encoding="utf-8")
+    argv = ["lift", "-k", "1", fig8, "--star", str(star)]
+    assert main(argv) == 65
+    err = capsys.readouterr().err
+    assert err == "error (PreconditionError): boundary vertex 'n4' has no value\n"
+    assert main(argv + ["--json"]) == 65
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "type": "PreconditionError",
+        "message": "boundary vertex 'n4' has no value",
+        "exit_code": 65,
+    }
 
 
 def test_verify_subcommand(capsys, tmp_path, fig8, fig8_lift):

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from prem.complexes import InvolutionComplex, SimplicialComplex
+from prem.complexes import SimplicialComplex
 from prem.errors import (
-    CertificationError,
     DegenerateMap,
     NotSimpleFold,
     PreconditionError,
     TriplePointsPresent,
 )
-from prem.generators import cycle_complex, cycle_cover, figure_eight_map, fold_path_map
+from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import (
     StarBoundary,
     build_closure_model,
@@ -19,7 +18,6 @@ from prem.lift import (
     fold_locus,
     has_triple_points,
     is_simple_fold,
-    isovariant_pl_approximation,
 )
 from prem.maps import SimplicialMap
 from prem.obstruction import certify_witness
@@ -34,12 +32,6 @@ def zigzag_map() -> SimplicialMap:
     )
     tgt = SimplicialComplex.from_maximal(["x", "y"], [("x", "y")])
     return SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "x", "d": "y"})
-
-
-def octagon_involution():
-    c = cycle_complex(8)
-    t = {f"n{i}": f"n{(i + 4) % 8}" for i in range(8)}
-    return InvolutionComplex(c, t)
 
 
 def test_fold_locus():
@@ -162,56 +154,3 @@ def test_star_boundary_must_follow_witness_direction():
     )
     with pytest.raises(PreconditionError):
         construct_lift_3ptfree(figure_eight_map(), 1, star=star)
-
-
-def test_isovariant_certified_without_refinement():
-    ic = octagon_involution()
-    octagon = {
-        "n0": (F(1), F(0)),
-        "n1": (F(1), F(1)),
-        "n2": (F(0), F(1)),
-        "n3": (F(-1), F(1)),
-    }
-    values = dict(octagon)
-    for i in range(4):
-        values[f"n{i + 4}"] = tuple(-x for x in octagon[f"n{i}"])
-    res = isovariant_pl_approximation(ic, values)
-    assert res.bisections == 0
-    assert not res.refined
-    assert res.values == {v: tuple(values[v]) for v in values}
-
-
-def test_isovariant_impossible_assignment_hits_budget():
-    # One-dimensional antipodal values on the nontrivial double cover of the
-    # circle must cross zero somewhere; no refinement can separate that.
-    ic = octagon_involution()
-    values = {f"n{i}": (F(1),) if i < 4 else (F(-1),) for i in range(8)}
-    with pytest.raises(CertificationError):
-        isovariant_pl_approximation(ic, values, max_bisections=8)
-
-
-def test_isovariant_preconditions():
-    ic = octagon_involution()
-    good = {f"n{i}": (F(1),) if i < 4 else (F(-1),) for i in range(8)}
-    broken = dict(good)
-    broken["n0"] = (F(2),)  # no longer the negative of its partner
-    with pytest.raises(PreconditionError):
-        isovariant_pl_approximation(ic, broken)
-    zeroed = dict(good)
-    zeroed["n0"] = (F(0),)
-    zeroed["n4"] = (F(0),)
-    with pytest.raises(PreconditionError):
-        isovariant_pl_approximation(ic, zeroed)
-    seg = SimplicialComplex.from_maximal(["a", "b"], [("a", "b")])
-    invariant_edge = InvolutionComplex(seg, {"a": "b", "b": "a"})
-    with pytest.raises(PreconditionError):
-        isovariant_pl_approximation(invariant_edge, {"a": (F(1),), "b": (F(-1),)})
-
-
-def test_isovariant_evaluator_antipodality_guard():
-    ic = octagon_involution()
-    values = {f"n{i}": (F(1),) if i < 4 else (F(-1),) for i in range(8)}
-    with pytest.raises(PreconditionError):
-        isovariant_pl_approximation(
-            ic, values, evaluator=lambda bp: (F(1),), max_bisections=8
-        )

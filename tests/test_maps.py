@@ -2,16 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from prem.complexes import BarycentricPoint, standard_basis_realization
 from prem.errors import MapError
 from prem.generators import cycle_cover, fold_path_map
-from prem.maps import (
-    SemiLinearMap,
-    SimplicialMap,
-    as_semi_linear,
-    carrier_simplex,
-    combinatorially_equivalent,
-)
+from prem.maps import SemiLinearMap, SimplicialMap
 
 from conftest import complex_from_facets
 
@@ -69,11 +62,6 @@ def test_fibers_partition_source():
     assert all(len(v) == 3 for v in fib.values())
 
 
-def test_image_complex_covers_target():
-    f = cycle_cover(3, 3)
-    assert f.image_complex().simplices == f.target.simplices
-
-
 def test_compose():
     f = cycle_cover(3, 3)
     ident = SimplicialMap(f.target, f.target, {v: v for v in f.target.vertices})
@@ -89,30 +77,8 @@ def test_compose_rejects_mismatched_complexes():
         f.compose(f)
 
 
-def test_combinatorial_equivalence():
-    f = cycle_cover(3, 3)
-    g = cycle_cover(3, 3)
-    assert combinatorially_equivalent(f, g)
-
-
 def test_semi_linear_carrier_and_values():
     f = fold_path_map()
     g = SemiLinearMap(f.source, {"a": (F(0),), "b": (F(1),), "c": (F(2),)})
     assert g.out_dim == 1
     assert g.values["c"] == (F(2),)
-
-
-def test_as_semi_linear_standard_basis():
-    f = cycle_cover(2, 4)
-    realization = standard_basis_realization(f.target)
-    sl = as_semi_linear(f, realization)
-    assert sl.values["n0"] == realization.coords["b0"]
-    assert sl.values["n5"] == realization.coords["b1"]
-
-
-def test_carrier_simplex():
-    f = fold_path_map()
-    a = BarycentricPoint.at_vertex("a")
-    mid = BarycentricPoint.make(("a", "b"), (F(1, 2), F(1, 2)))
-    assert carrier_simplex(f.source, [a]) == ("a",)
-    assert carrier_simplex(f.source, [a, mid]) == ("a", "b")

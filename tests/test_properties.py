@@ -1,13 +1,12 @@
 """Property tests of the rank-keyed combinatorial core, the antipodal witness
-certifier, the general-position test and the constructed lifts, on random
-small complexes, involutions, maps, witnesses and point configurations.
+certifier, the verdicts and the constructed lifts, on random small
+complexes, involutions, maps and witnesses.
 
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex, sorting
 every matched pair cell, rebuilding each link through ``subcomplex``,
-union-find over every simplex, the separate witness certifiers of the pair
-model and of the closure model, and the separate general-position tests in
-the ambient dimension and in a given affine dimension.
+union-find over every simplex, and the separate witness certifiers of the
+pair model and of the closure model.
 """
 
 from fractions import Fraction
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from prem import gf2, linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex
-from prem.double_points import _pair_complex, build_double_point_complex, double_point_model
+from prem.double_points import _pair_complex, double_point_model
 from prem.errors import CertificationError, NotKPrem, PreconditionError
 from prem.generators import antipodal_sphere_covering, cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model, construct_lift_3ptfree
@@ -31,7 +30,6 @@ from prem.obstruction import (
     equivariant_witness,
     moment_vector,
 )
-from prem.stability import is_general_position_config
 from prem.subdivision import barycentric_subdivide_map
 from prem.verify import verify_embedding
 
@@ -109,6 +107,24 @@ def covering_pieces(draw, covers=tuple(_COVERS) + (_SPHERE,)):
     facets = f.source.maximal_simplices()
     chosen = draw(st.lists(st.sampled_from(facets), min_size=1, unique=True))
     return _restricted(f, chosen)
+
+
+@st.composite
+def coloured_maps(draw):
+    """Random complexes of dimension at most two, properly coloured onto the
+    boundary of a triangle or of a tetrahedron: the vertices of each simplex
+    get distinct colours, so the map is simplicial and non-degenerate."""
+    m = draw(st.integers(2, 3))
+    colours = [f"c{i}" for i in range(m + 1)]
+    target = SimplicialComplex.from_maximal(colours, combinations(colours, m))
+    n = draw(st.integers(1, 7))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    colour = dict(zip(vertices, draw(st.lists(st.sampled_from(colours), min_size=n, max_size=n))))
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(vertices), min_size=1, max_size=m, unique_by=colour.__getitem__),
+        max_size=8,
+    ))
+    return SimplicialMap(SimplicialComplex.from_maximal(vertices, facets), target, colour)
 
 
 # -- oracles ----------------------------------------------------------------------------
@@ -259,7 +275,7 @@ def test_regularity_failures_and_quotient_match_oracle(ic):
 @PROPERTY
 @given(covering_pieces())
 def test_pair_cells_match_matched_bijection_route(f):
-    model = build_double_point_complex(f)
+    model = _pair_complex(f)
     cells = {s for s in model.complex.simplices if len(s) > 1}
     assert cells == {s for s in old_pair_cells(f, False) if len(s) > 1}
     assert model.complex == SimplicialComplex(model.complex.vertices, model.complex.simplices)
@@ -277,15 +293,21 @@ def _yang(f: SimplicialMap) -> int:
     return mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
 
 
-@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
-@given(covering_pieces())
+@PROPERTY
+@given(st.one_of(covering_pieces(), coloured_maps()))
 def test_yang_index_invariant_under_subdivision(f):
+    """The Yang index, and the verdict at k = 1, 2, 3, do not change under
+    barycentric subdivision of the map."""
     try:
         before = _yang(f)
     except PreconditionError:
         assume(False)
-    after = _yang(barycentric_subdivide_map(f)[0])
-    assert before == after
+    finer = barycentric_subdivide_map(f)[0]
+    assert before == _yang(finer)
+    models = [double_point_model(g).pair_complex for g in (f, finer)]
+    for k in (1, 2, 3):
+        old, new = (equivariant_map_exists(ic, k) for ic in models)
+        assert (old.answer, old.reason, old.yang) == (new.answer, new.reason, new.yang)
 
 
 def test_full_covers_keep_their_yang_index_under_subdivision():
@@ -448,48 +470,3 @@ def test_constructed_lifts_verify(f, k):
     assert [(ev.pair, ev.kind) for ev in parallel.evidence] == [
         (ev.pair, ev.kind) for ev in serial.evidence
     ]
-
-
-# -- general position -------------------------------------------------------------------
-
-
-def old_general_position_config(points) -> bool:
-    """General position in the ambient dimension, before the merge."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) <= 1:
-        return True
-    k = min(len(pts), len(pts[0]) + 1)
-    if k < 2:
-        return len(set(pts)) == len(pts)
-    return all(linalg.affinely_independent(sub) for sub in combinations(pts, k))
-
-
-def old_general_position_in_affine_dim(points, d: int) -> bool:
-    """General position in a given affine dimension, before the merge."""
-    points = [tuple(Fraction(x) for x in p) for p in points]
-    if len(set(points)) != len(points):
-        return False
-    if len(points) <= 1 or d < 1:
-        return True
-    k = min(len(points), d + 1)
-    if k < 2:
-        return True
-    return all(linalg.affinely_independent(sub) for sub in combinations(points, k))
-
-
-@st.composite
-def integer_configurations(draw):
-    m = draw(st.integers(0, 3))
-    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m), max_size=6))
-    return points, draw(st.one_of(st.none(), st.integers(0, m)))
-
-
-@PROPERTY
-@given(integer_configurations())
-def test_general_position_matches_old_tests(config):
-    points, dim = config
-    if dim is None:
-        assert is_general_position_config(points) == old_general_position_config(points)
-    else:
-        assert is_general_position_config(points, dim) == (
-            old_general_position_in_affine_dim(points, dim))

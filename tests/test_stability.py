@@ -1,99 +1,11 @@
 from fractions import Fraction
 
-import pytest
-
-from prem.complexes import GeometricComplex
-from prem.errors import CarrierError
 from prem.generators import path_complex
-from prem.stability import (
-    fiber_configurations,
-    general_position_violation,
-    is_fiberwise_general_position,
-    is_general_position_config,
-    perturb_to_general_position,
-    stable_to_line_report,
-)
+from prem.stability import stable_to_line_report
 
-from conftest import octahedron, segment_complex
+from conftest import octahedron
 
 F = Fraction
-
-
-def test_general_position_plane():
-    assert is_general_position_config([(0, 0), (1, 0), (0, 1)])
-    assert is_general_position_config([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert not is_general_position_config([(0, 0), (1, 1), (2, 2)])
-
-
-def test_general_position_line_and_trivial():
-    assert is_general_position_config([(0,), (1,), (2,)])
-    assert not is_general_position_config([(0,), (1,), (0,)])
-    assert is_general_position_config([(5, 7)])
-    assert is_general_position_config([])
-
-
-def test_violation_witness():
-    assert general_position_violation([(0, 0), (1, 1), (2, 2)]) == (0, 1, 2)
-    # The smallest dependent subset is reported: a duplicate pair.
-    assert general_position_violation([(0,), (0,), (1,)]) == (0, 1)
-    assert general_position_violation([(0, 0), (1, 0), (0, 1)]) is None
-
-
-def test_perturbation_identity_when_good():
-    pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    fixed, t = perturb_to_general_position(pts)
-    assert t == 0
-    assert fixed == pts
-
-
-def test_perturbation_repairs_collinear():
-    pts = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
-    fixed, t = perturb_to_general_position(pts)
-    assert t >= 1
-    assert is_general_position_config(fixed)
-    # Deterministic: same inputs give bit-identical repairs.
-    again, t2 = perturb_to_general_position(pts)
-    assert (fixed, t) == (again, t2)
-    # Exact rational arithmetic with denominator 2^t.
-    assert all(x.denominator <= 2**t for p in fixed for x in p)
-
-
-def unit_segment():
-    c = segment_complex()
-    return GeometricComplex(c, {"a": (F(0),), "b": (F(1),)})
-
-
-def test_fiber_configurations_grouping():
-    target = unit_segment()
-    source = path_complex(["u", "v", "w"])
-    values = {"u": (F(1, 4),), "v": (F(1, 2),), "w": (F(3, 4),)}
-    configs = fiber_configurations(source, values, target)
-    assert configs[target.complex.canon(("a", "b"))] == [
-        (F(1, 4),),
-        (F(1, 2),),
-        (F(3, 4),),
-    ]
-    assert configs[("a",)] == []
-
-
-def test_fiberwise_general_position():
-    target = unit_segment()
-    source = path_complex(["u", "v", "w"])
-    good = {"u": (F(1, 4),), "v": (F(1, 2),), "w": (F(3, 4),)}
-    assert is_fiberwise_general_position(source, good, target)
-    clash = {"u": (F(1, 2),), "v": (F(1, 2),), "w": (F(3, 4),)}
-    assert not is_fiberwise_general_position(source, clash, target)
-    # Two source vertices over the same target vertex also clash.
-    at_vertex = {"u": (F(0),), "v": (F(0),), "w": (F(1, 2),)}
-    assert not is_fiberwise_general_position(source, at_vertex, target)
-
-
-def test_fiber_values_must_lie_in_target():
-    target = unit_segment()
-    source = path_complex(["u", "v"])
-    values = {"u": (F(1, 4),), "v": (F(2),)}
-    with pytest.raises(CarrierError):
-        fiber_configurations(source, values, target)
 
 
 def test_monotone_path_is_stable():

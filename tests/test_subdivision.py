@@ -1,16 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
-from prem.complexes import GeometricComplex, SimplicialComplex
-from prem.errors import PreconditionError
 from prem.generators import cycle_cover
-from prem.subdivision import (
-    barycentric_subdivide,
-    barycentric_subdivide_map,
-    relative_derived_subdivide,
-    stellar_bisect_edge,
-)
+from prem.subdivision import barycentric_subdivide, barycentric_subdivide_map
 
 from conftest import octahedron, segment_complex, triangle_complex
 
@@ -66,74 +57,3 @@ def test_barycentric_subdivide_map_stays_simplicial():
                 key=lambda w: f.target.rank[w],
             )
         )
-
-
-def test_stellar_bisect_edge():
-    c = triangle_complex()
-    out = stellar_bisect_edge(c, c.canon(("a", "b")), "m")
-    assert out.f_vector() == (4, 5, 2)
-    assert out.canon(("m", "c")) in out.simplices
-
-
-def test_relative_derived_unit_segment():
-    c = segment_complex()
-    g = GeometricComplex(c, {"a": (F(0),), "b": (F(1),)})
-    refined, rec = relative_derived_subdivide(g, keep=[], r_sq=F(1, 9))
-    edges = refined.complex.simplices_of_dim(1)
-    assert len(edges) == 4
-    lengths = {refined.simplex_diameter_sq(e) for e in edges}
-    assert lengths == {F(1, 16)}
-
-
-def test_relative_derived_protects_keep():
-    c = triangle_complex()
-    g = GeometricComplex(
-        c, {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(1))}
-    )
-    keep = [c.canon(("a", "b"))]
-    refined, rec = relative_derived_subdivide(g, keep=keep, r_sq=F(1, 4))
-    # Every positive-dimensional simplex of the bare triangle touches the
-    # protected edge, so the collar exemption leaves the complex unchanged.
-    assert refined.complex.simplices == c.simplices
-    assert refined.coords["a"] == (F(0), F(0))
-    assert refined.coords["b"] == (F(1), F(0))
-
-
-def test_relative_derived_refines_away_from_keep():
-    c = SimplicialComplex.from_maximal(
-        ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d", "e")]
-    )
-    g = GeometricComplex(
-        c,
-        {
-            "a": (F(0), F(0)),
-            "b": (F(1), F(0)),
-            "c": (F(0), F(1)),
-            "d": (F(4), F(1)),
-            "e": (F(0), F(5)),
-        },
-    )
-    keep = [c.canon(("a", "b"))]
-    refined, rec = relative_derived_subdivide(g, keep=keep, r_sq=F(4))
-    # Protected edge and its coordinates are bit-identical.
-    assert c.canon(("a", "b")) in refined.complex.simplices
-    assert refined.coords["a"] == (F(0), F(0))
-    assert refined.coords["b"] == (F(1), F(0))
-    # The triangle touching the protected edge is exempt and stays whole.
-    assert c.canon(("a", "b", "c")) in refined.complex.simplices
-    # Everything disjoint from the protected edge obeys the diameter bound.
-    for s in refined.complex.simplices:
-        if len(s) >= 2 and not ({"a", "b"} & set(s)):
-            assert refined.simplex_diameter_sq(s) <= F(4)
-    # The far triangle (squared diameter 32) really was refined.
-    assert refined.complex.f_vector()[0] > 5
-    # Subdivision record maps every new vertex into the base realization.
-    for v in refined.complex.vertices:
-        assert g.point(rec.position(v)) == refined.coords[v]
-
-
-def test_relative_derived_rejects_bad_radius():
-    c = segment_complex()
-    g = GeometricComplex(c, {"a": (F(0),), "b": (F(1),)})
-    with pytest.raises(PreconditionError):
-        relative_derived_subdivide(g, keep=[], r_sq=F(0))
