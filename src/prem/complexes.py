@@ -8,9 +8,9 @@ library; downstream cochain-level products depend on it.
 
 Complexes are never mutated after construction.  Derived indexes rely on
 that: each complex groups its simplices by dimension once (sorting a group
-the first time it is asked for in order), and each involution complex maps
-its simplices under the involution once, reusing the simplex tuples it
-already holds as the images.
+the first time it is asked for in order) and finds its connected components
+once, and each involution complex maps its simplices under the involution
+once, reusing the simplex tuples it already holds as the images.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("vertices", "rank", "simplices", "_neighbors", "_dim", "_star_index",
-                 "_by_dim", "_sorted_dims")
+                 "_by_dim", "_sorted_dims", "_components")
 
     def __init__(self, vertices: Sequence, simplices: Iterable[Iterable]):
         self._declare(vertices)
@@ -56,6 +56,7 @@ class SimplicialComplex:
         self._star_index: Optional[Dict] = None
         self._by_dim: Optional[List[list]] = None
         self._sorted_dims: set = set()
+        self._components: Optional[list] = None
 
     # -- construction -----------------------------------------------------
 
@@ -218,7 +219,10 @@ class SimplicialComplex:
 
     def connected_components(self) -> list:
         """Vertex sets of connected components (via edges), deterministically
-        ordered by their smallest vertex rank."""
+        ordered by their smallest vertex rank (computed once, then cached;
+        treat the list and its sets as read-only)."""
+        if self._components is not None:
+            return self._components
         label = dict(self.rank)  # vertex -> id of its component so far
         members = {i: [v] for v, i in label.items()}
         for s in self.simplices:
@@ -233,7 +237,8 @@ class SimplicialComplex:
                     for v in moved:
                         label[v] = keep
         comps = sorted(members.values(), key=lambda g: min(map(self.rank.__getitem__, g)))
-        return [set(g) for g in comps]
+        self._components = [set(g) for g in comps]
+        return self._components
 
     def is_pure(self) -> bool:
         """Whether the simplices are exactly the faces of the top-dimensional

@@ -49,6 +49,7 @@ from .obstruction import (
     certify_witness,
     equivariant_map_exists,
     equivariant_witness,
+    sheet_split_witness,
 )
 from .verify import VerificationResult, verify_embedding
 
@@ -213,10 +214,13 @@ def construct_lift_3ptfree(
     points (witness reported); every fold must be simple (offenders
     reported); and the witness must certify every closure cell (a supplied
     witness that does not is an input fault, :class:`PreconditionError`).
-    When no moment-curve witness certifies and the equivariant obstruction is
-    nonzero, :class:`NotKPrem` reports that no lift exists.  The
-    resulting lift is exact, verified, and accompanied by a homotopy
-    certificate tying the realized separations back to the witness.
+    When no moment-curve witness certifies, a sheet split of the off-diagonal
+    part is tried (``+e1`` on one sheet, ``-e1`` on the other), which
+    certifies whenever that part is a trivial double cover; failing that,
+    when the equivariant obstruction is nonzero, :class:`NotKPrem` reports
+    that no lift exists.  The resulting lift is exact, verified, and
+    accompanied by a homotopy certificate tying the realized separations
+    back to the witness.
     """
     if k < 1:
         raise PreconditionError("the number of extra coordinates k must be >= 1")
@@ -238,10 +242,13 @@ def construct_lift_3ptfree(
     if alpha is None:
         try:
             alpha = closure_witness(closure, k)
+            notes.append("witness: moment-curve construction")
         except CertificationError:
-            _raise_if_obstructed(f, k)
-            raise
-        notes.append("witness: moment-curve construction")
+            alpha = sheet_split_witness(closure.pair_complex, k)
+            if alpha is None or not certify_witness(closure.pair_complex, k, alpha)[0]:
+                _raise_if_obstructed(f, k)
+                raise
+            notes.append("witness: sheet split")
     else:
         alpha = {p: tuple(Fraction(x) for x in val) for p, val in alpha.items()}
         ok, evidence = certify_witness(closure.pair_complex, k, alpha)

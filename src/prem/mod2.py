@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional
 
 from . import gf2
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
@@ -308,3 +308,39 @@ def component_report(ic: InvolutionComplex) -> ComponentReport:
     t = ic.involution
     flags = [{t[v] for v in comp} == comp for comp in comps]
     return ComponentReport(components=comps, invariant_flags=flags)
+
+
+# -- trivial double covers ---------------------------------------------------
+
+
+def sheet_split(ic: InvolutionComplex) -> Optional[set]:
+    """One sheet of a trivial double cover: the union of one component from
+    each pair that the involution swaps, the earlier of the two in component
+    order.  ``None`` when some component is mapped onto itself.  The
+    involution maps components onto components, so one vertex per component
+    tells whether it is invariant; with no invariant component the
+    involution is free, R1 and R2 hold, and the sheet is a copy of the
+    quotient."""
+    t = ic.involution
+    sheet: set = set()
+    for comp in ic.complex.connected_components():
+        v = next(iter(comp))
+        if t[v] in comp:
+            return None
+        if t[v] not in sheet:
+            sheet |= comp
+    return sheet
+
+
+def is_sheet_split(ic: InvolutionComplex, sheet: set) -> bool:
+    """Whether ``sheet`` holds exactly one vertex of every orbit and, for
+    every simplex, either all of its vertices or none: the certificate that
+    the double cover is trivial, checked in one pass over the simplices."""
+    t = ic.involution
+    if any((v in sheet) == (t[v] in sheet) for v in ic.complex.vertices):
+        return False
+    for s in ic.complex.simplices:
+        side = s[0] in sheet
+        if any((v in sheet) != side for v in s[1:]):
+            return False
+    return True

@@ -7,12 +7,17 @@ Verdict logic, in order:
 1. ``dim < k``: an equivariant map to the (k-1)-sphere always exists for a
    free complex of dimension below k (skeletal extension), so the answer is
    a definite yes and a witness can be constructed.
-2. k-th cup power of the classifying class nonzero: definite no.
-3. ``dim == k``, power vanishes, and the quotient is a closed mod-2 homology
+2. No connected component is mapped onto itself (``trivial-cover``): the
+   double cover is trivial, so ``+e`` on one sheet and ``-e`` on the other
+   is an equivariant map to every sphere, a definite yes with Yang index 0.
+   The certificate is the sheet split, checked in one pass; the quotient is
+   never built.
+3. k-th cup power of the classifying class nonzero: definite no.
+4. ``dim == k``, power vanishes, and the quotient is a closed mod-2 homology
    k-manifold (pure, ridges in two facets, strongly connected per component,
    vertex links with the mod-2 homology of the (k-1)-sphere): the top
    obstruction is the only one and it vanishes, so a definite yes.
-4. Otherwise only the necessary mod-2 condition holds: inconclusive.
+5. Otherwise only the necessary mod-2 condition holds: inconclusive.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ class Verdict:
     dim: int
     yang: Optional[int] = None
     quotient_f_vector: Optional[tuple] = None
-    quotient_betti: Optional[tuple] = None
     manifold_checked: Optional[bool] = None
 
     @property
@@ -78,22 +82,32 @@ def quotient_is_homology_manifold(q, k: int) -> bool:
     return _links_look_like_sphere(q, k)
 
 
-def equivariant_map_exists(model: InvolutionComplex, k: int, with_betti: bool = False) -> Verdict:
+def equivariant_map_exists(model: InvolutionComplex, k: int) -> Verdict:
     """Decide (when possible) whether an equivariant map from the free
-    involution complex to the (k-1)-sphere exists.  Betti numbers of the
-    quotient are informational and costly on large complexes, so they are
-    filled in only on request."""
+    involution complex to the (k-1)-sphere exists."""
     if k < 1:
         raise ValueError("sphere dimension parameter k must be >= 1")
     cx = model.complex
     dim = cx.dim if cx.simplices else -1
     if dim < k:
         return Verdict(answer=EXISTS, reason="dimension-below-k", k=k, dim=dim)
+    sheet = mod2.sheet_split(model)
+    if sheet is not None:
+        if not mod2.is_sheet_split(model, sheet):
+            raise InternalError("the sheet split of a trivial double cover fails its check")
+        # The sheet is a copy of the quotient, which needs no subdivision.
+        return Verdict(
+            answer=EXISTS,
+            reason="trivial-cover",
+            k=k,
+            dim=dim,
+            yang=0,
+            quotient_f_vector=tuple(n // 2 for n in cx.f_vector()),
+        )
     qr = mod2.quotient_by_free_involution(model)
     w = mod2.w1_cocycle(qr)
     yang = mod2.yang_index(qr.quotient, w)
     fv = qr.quotient.f_vector()
-    betti = tuple(gf2.betti_mod2(qr.quotient)) if with_betti else None
     if yang >= k:
         return Verdict(
             answer=NOT_EXISTS,
@@ -102,30 +116,17 @@ def equivariant_map_exists(model: InvolutionComplex, k: int, with_betti: bool = 
             dim=dim,
             yang=yang,
             quotient_f_vector=fv,
-            quotient_betti=betti,
         )
     if dim == k:
         manifold = quotient_is_homology_manifold(qr.quotient, k)
-        if manifold:
-            return Verdict(
-                answer=EXISTS,
-                reason="manifold-complete-obstruction",
-                k=k,
-                dim=dim,
-                yang=yang,
-                quotient_f_vector=fv,
-                quotient_betti=betti,
-                manifold_checked=True,
-            )
         return Verdict(
-            answer=INCONCLUSIVE,
-            reason="mod2-only",
+            answer=EXISTS if manifold else INCONCLUSIVE,
+            reason="manifold-complete-obstruction" if manifold else "mod2-only",
             k=k,
             dim=dim,
             yang=yang,
             quotient_f_vector=fv,
-            quotient_betti=betti,
-            manifold_checked=False,
+            manifold_checked=manifold,
         )
     return Verdict(
         answer=INCONCLUSIVE,
@@ -134,7 +135,6 @@ def equivariant_map_exists(model: InvolutionComplex, k: int, with_betti: bool = 
         dim=dim,
         yang=yang,
         quotient_f_vector=fv,
-        quotient_betti=betti,
     )
 
 
@@ -214,6 +214,25 @@ def equivariant_witness(model: InvolutionComplex, k: int, max_shifts: int = 8) -
         f"no antipodal witness found in {max_shifts} moment-curve draws; "
         f"last failure: {last_evidence[-1][:2] if last_evidence else None}"
     )
+
+
+def sheet_split_witness(model: InvolutionComplex, k: int) -> Optional[Dict]:
+    """``+e1`` on one sheet of the non-fixed part of the complex and ``-e1``
+    on the other, when no component of that part is mapped onto itself;
+    ``None`` otherwise.  The values are not certified here: the free part
+    of every simplex lies in one sheet, which :func:`certify_witness`
+    confirms."""
+    t = model.involution
+    free = [v for v in model.complex.vertices if t[v] != v]
+    part = InvolutionComplex(
+        model.complex.full_subcomplex(free), {v: t[v] for v in free}, check=False
+    )
+    sheet = mod2.sheet_split(part)
+    if sheet is None:
+        return None
+    e1 = (Fraction(1),) + (Fraction(0),) * (k - 1)
+    minus_e1 = tuple(-x for x in e1)
+    return {v: e1 if v in sheet else minus_e1 for v in free}
 
 
 # -- projection-degree parity --------------------------------------------------

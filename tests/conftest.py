@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from prem.complexes import SimplicialComplex
-from prem.maps import SemiLinearMap, SimplicialMap
 
 
 def F(x) -> Fraction:

@@ -7,7 +7,7 @@ from prem.complexes import SimplicialComplex
 from prem.errors import ComplexError
 from prem.subdivision import barycentric_subdivide
 
-from conftest import octahedron, torus_7, triangle_complex
+from conftest import torus_7, triangle_complex
 
 F = Fraction
 

@@ -8,8 +8,15 @@ the witness generators and certifiers were merged and pin the lift values,
 verification summaries and the obstructed exit.  The ``verify`` and
 ``plify`` files were written before the simplex moved to integer rows and pin
 what the exact LPs decide: violation witnesses, Farkas-derived separating
-cuts and the per-stage numbers of the refinement cascade.  Regenerate them
-only for a deliberate, documented output change::
+cuts and the per-stage numbers of the refinement cascade.
+
+One documented verdict change since: the ``trivial-cover`` route decides the
+``join-lens 3 1`` pair model, whose double cover is trivial, before the
+quotient is built.  ``lens3-obstruct1/2`` went from ``inconclusive`` (exit 2)
+to ``exists`` (exit 0), and ``lens3-obstruct3`` and ``lens3-thm3`` changed
+their reason from ``manifold-complete-obstruction``; Yang indices and
+quotient cell counts are unchanged.  Regenerate the files only for a
+deliberate, documented output change::
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 The package ``__init__`` re-exports names it never uses itself, and
 ``from __future__`` imports are directives, so both are exempt.
@@ -12,6 +12,7 @@ import pytest
 import prem
 
 MODULES = sorted(p for p in Path(prem.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -28,7 +29,11 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(p, id=p.stem) for p in MODULES]
+    + [pytest.param(p, id=f"tests.{p.stem}") for p in TEST_MODULES],
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -316,11 +316,68 @@ m E q
 """
 
 
+# A hexagon double-covering a triangle (Yang index 1) beside two tetrahedra
+# on one: at k = 2 the pair model has dimension 3 > k and the mod-2 test is
+# silent.
+HEXAGON_AND_TETRAHEDRA = """\
+source
+v n0
+v n1
+v n2
+v n3
+v n4
+v n5
+v a
+v b
+v c
+v d
+v A
+v B
+v C
+v D
+s n0 n1
+s n1 n2
+s n2 n3
+s n3 n4
+s n4 n5
+s n0 n5
+s a b c d
+s A B C D
+target
+v x0
+v x1
+v x2
+v p
+v q
+v r
+v s
+s x0 x1
+s x1 x2
+s x0 x2
+s p q r s
+map
+m n0 x0
+m n1 x1
+m n2 x2
+m n3 x0
+m n4 x1
+m n5 x2
+m a p
+m b q
+m c r
+m d s
+m A p
+m B q
+m C r
+m D s
+"""
+
+
 def test_obstruct_exit_codes(capsys, tmp_path, cover9, cover8):
     assert main(["obstruct", "-k", "1", cover9]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "verdict: exists"
-    assert out[1] == "reason: manifold-complete-obstruction"
+    assert out[1] == "reason: trivial-cover"
     assert out[2] == "yang index: 0"
 
     assert main(["obstruct", "-k", "1", cover8]) == 1
@@ -331,17 +388,25 @@ def test_obstruct_exit_codes(capsys, tmp_path, cover9, cover8):
 
     bowties = tmp_path / "bowties.map"
     bowties.write_text(BOWTIES, encoding="utf-8")
-    assert main(["obstruct", "-k", "2", str(bowties)]) == 2
+    assert main(["obstruct", "-k", "2", str(bowties)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: exists"
+    assert out[1] == "reason: trivial-cover"
+
+    mixed = tmp_path / "mixed.map"
+    mixed.write_text(HEXAGON_AND_TETRAHEDRA, encoding="utf-8")
+    assert main(["obstruct", "-k", "2", str(mixed)]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "verdict: inconclusive"
     assert out[1] == "reason: mod2-only"
+    assert out[2] == "yang index: 1"
 
 
 def test_report_thm3_json(capsys, cover9):
     assert main(["report-thm3", cover9, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "exists"
-    assert payload["reason"] == "manifold-complete-obstruction"
+    assert payload["reason"] == "trivial-cover"
     assert payload["conclusion"] == "inconclusive"
     assert payload["components"] == 2
     assert payload["invariant_components"] == 0

@@ -98,6 +98,20 @@ def test_lift_figure_eight():
     assert all(flag for _, flag, _ in res.homotopy_evidence)
 
 
+def test_lift_by_sheet_split_when_moment_curve_fails():
+    # Two disjoint edges of cycle-cover 2 3, declared so that the moment
+    # curve puts equal signs on pairs that share a source vertex.  The pair
+    # model is a trivial double cover (Yang index 0), so a lift exists.
+    f = cycle_cover(2, 3)
+    src = SimplicialComplex.from_maximal(["n0", "n2", "n3", "n5"], [("n0", "n5"), ("n2", "n3")])
+    g = SimplicialMap(src, f.target, {v: f.vertex_map[v] for v in src.vertices})
+    res = construct_lift_3ptfree(g, 1)
+    assert res.notes == ["witness: sheet split"]
+    assert {val for val in res.witness.values()} == {(F(1),), (F(-1),)}
+    assert res.verification.ok
+    assert res.homotopy_certified
+
+
 def test_lift_gates():
     with pytest.raises(TriplePointsPresent):
         construct_lift_3ptfree(cycle_cover(3, 3), 1)

@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prem.complexes import InvolutionComplex, SimplicialComplex
+from prem.complexes import InvolutionComplex
 from prem.errors import PreconditionError
 from prem.generators import cross_polytope_boundary, cycle_complex
 from prem.mod2 import (

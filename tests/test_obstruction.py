@@ -15,8 +15,6 @@ from prem.obstruction import (
     projection_degree_parity,
 )
 
-from conftest import complex_from_facets
-
 
 def swapped_pair(facets, rename):
     """Two disjoint copies of a complex swapped by the involution."""
@@ -38,13 +36,53 @@ def test_exists_by_dimension():
     assert v.dim == 1
 
 
-def test_exists_by_manifold_route():
+def flipped_torus(fins: bool = False) -> InvolutionComplex:
+    """The 6 x 3 grid torus with the free involution (i, j) -> (i + 3, j),
+    which negates the first circle factor.  The quotient is the 3 x 3 grid
+    torus and w1 comes from the first circle, so the Yang index is 1.  With
+    ``fins``, a triangle glued along the edge (0, 0)-(1, 0) and its image
+    along (3, 0)-(4, 0) make the quotient pinch along an edge."""
+
+    def v(i, j):
+        return (i % 6, j % 3)
+
+    facets = [f for i in range(6) for j in range(3)
+              for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                        (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    vertices = [(i, j) for i in range(6) for j in range(3)]
+    t = {(i, j): v(i + 3, j) for (i, j) in vertices}
+    if fins:
+        facets += [("f", (0, 0), (1, 0)), ("F", (3, 0), (4, 0))]
+        vertices += ["f", "F"]
+        t.update(f="F", F="f")
+    return InvolutionComplex(SimplicialComplex.from_maximal(vertices, facets), t)
+
+
+BOWTIE = [("a", "b", "c"), ("a", "d", "e")]
+
+
+def test_exists_by_trivial_cover():
+    # Every component of the pair model is swapped with another one.
     model = double_point_model(cycle_cover(3, 3))
     v = equivariant_map_exists(model.pair_complex, 1)
     assert v.answer == EXISTS
-    assert v.reason == "manifold-complete-obstruction"
+    assert v.reason == "trivial-cover"
     assert v.yang == 0
     assert v.quotient_f_vector == (9, 9)
+    assert v.manifold_checked is None
+    bowties = swapped_pair(BOWTIE, {x: x.upper() for x in "abcde"})
+    for k in (1, 2):
+        v = equivariant_map_exists(bowties, k)
+        assert (v.answer, v.reason, v.yang, v.dim) == (EXISTS, "trivial-cover", 0, 2)
+        assert v.quotient_f_vector == (5, 6, 2)
+
+
+def test_exists_by_manifold_route():
+    v = equivariant_map_exists(flipped_torus(), 2)
+    assert v.answer == EXISTS
+    assert v.reason == "manifold-complete-obstruction"
+    assert v.yang == 1
+    assert v.quotient_f_vector == (9, 27, 18)
     assert v.manifold_checked is True
 
 
@@ -64,23 +102,27 @@ def test_not_exists_antipodal_sphere():
 
 
 def test_inconclusive_nonmanifold_quotient():
-    # Two swapped bowties: dimension equals k but the quotient pinches.
-    bowtie = [("a", "b", "c"), ("a", "d", "e")]
-    rename = {x: x.upper() for x in "abcde"}
-    ic = swapped_pair(bowtie, rename)
-    v = equivariant_map_exists(ic, 2)
+    # Dimension equals k, but the fins make the quotient pinch along an edge.
+    v = equivariant_map_exists(flipped_torus(fins=True), 2)
     assert v.answer == INCONCLUSIVE
     assert v.reason == "mod2-only"
+    assert v.yang == 1
     assert v.manifold_checked is False
 
 
 def test_inconclusive_dimension_above_k():
-    bowtie = [("a", "b", "c"), ("a", "d", "e")]
-    rename = {x: x.upper() for x in "abcde"}
-    ic = swapped_pair(bowtie, rename)
-    v = equivariant_map_exists(ic, 1)
+    # An antipodal hexagon (Yang index 1) beside two swapped tetrahedra.
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    c = SimplicialComplex.from_maximal(
+        list(range(6)) + list("abcdABCD"), hexagon + [tuple("abcd"), tuple("ABCD")]
+    )
+    t = {i: (i + 3) % 6 for i in range(6)}
+    t.update({x: x.upper() for x in "abcd"})
+    t.update({x.upper(): x for x in "abcd"})
+    v = equivariant_map_exists(InvolutionComplex(c, t), 2)
     assert v.answer == INCONCLUSIVE
-    assert v.yang == 0
+    assert v.reason == "mod2-only"
+    assert (v.dim, v.yang) == (3, 1)
 
 
 def test_k_must_be_positive():

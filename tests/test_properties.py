@@ -87,6 +87,31 @@ def involution_complexes(draw):
     return InvolutionComplex(SimplicialComplex.from_maximal(vertices, gens), t)
 
 
+@st.composite
+def swapped_complexes(draw):
+    """Two copies of a random complex on ``a_i`` and on ``b_i``, swapped by
+    ``a_i <-> b_i`` and joined by up to two random simplices together with
+    their images; only free involutions are kept."""
+    n = draw(st.integers(1, 4))
+    t = {}
+    for i in range(n):
+        t[f"a{i}"], t[f"b{i}"] = f"b{i}", f"a{i}"
+    vertices = draw(st.permutations(sorted(t)))
+    gens = draw(st.lists(
+        st.lists(st.sampled_from([f"a{i}" for i in range(n)]), min_size=1, max_size=4,
+                 unique=True),
+        max_size=5,
+    ))
+    gens += draw(st.lists(
+        st.lists(st.sampled_from(vertices), min_size=2, max_size=3, unique=True),
+        max_size=2,
+    ))
+    gens += [[t[v] for v in s] for s in gens]
+    ic = InvolutionComplex(SimplicialComplex.from_maximal(vertices, gens), t)
+    assume(ic.is_free_on_simplices())
+    return ic
+
+
 def _restricted(f: SimplicialMap, facets) -> SimplicialMap:
     src = SimplicialComplex.from_maximal(
         [v for v in f.source.vertices if any(v in s for s in facets)], facets
@@ -310,6 +335,38 @@ def test_yang_index_invariant_under_subdivision(f):
         assert (old.answer, old.reason, old.yang) == (new.answer, new.reason, new.yang)
 
 
+@PROPERTY
+@given(
+    st.one_of(
+        covering_pieces().map(lambda f: double_point_model(f).pair_complex),
+        swapped_complexes(),
+    ),
+    st.integers(1, 3),
+    st.integers(0, 99),
+)
+def test_trivial_cover_route_matches_yang_zero(ic, k, pick):
+    """``trivial-cover`` is taken exactly when ``dim >= k`` and the quotient
+    route finds Yang index 0; its quotient f-vector is the real quotient's,
+    and its sheet split passes the checker while a damaged one fails."""
+    assume(ic.complex.simplices)
+    verdict = equivariant_map_exists(ic, k)
+    qr = mod2.quotient_by_free_involution(ic)
+    yang = mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
+    assert (verdict.reason == "trivial-cover") == (ic.complex.dim >= k and yang == 0)
+    sheet = mod2.sheet_split(ic)
+    assert (sheet is not None) == (yang == 0)
+    if verdict.reason != "trivial-cover":
+        return
+    assert verdict.quotient_f_vector == qr.quotient.f_vector()
+    assert qr.subdivision_rounds == 0
+    assert mod2.is_sheet_split(ic, sheet)
+    t = ic.involution
+    v = ic.complex.vertices[pick % len(ic.complex.vertices)]
+    moved = sheet ^ {v, t[v]}
+    assert mod2.is_sheet_split(ic, moved) == (not ic.complex.neighbors(v))
+    assert not mod2.is_sheet_split(ic, sheet | {v, t[v]})
+
+
 def test_full_covers_keep_their_yang_index_under_subdivision():
     assert _yang(cycle_cover(2, 5)) == 1
     assert _yang(_SPHERE) == 2
@@ -456,12 +513,12 @@ def test_constructed_lifts_verify(f, k):
     except NotKPrem:
         return
     except CertificationError:
-        # No moment-curve witness certified, and the verdict has no route to
-        # a certificate either way: Yang index 0, where the cover is trivial
-        # and a witness exists but the moment curve misses it, or
-        # 0 < Yang < k = dim.  A known gap of the verdict, not a bad lift.
+        # Neither the moment curve nor a sheet split certified, and the
+        # verdict has no route to a certificate either way: 0 < Yang < k.
+        # A known gap of the verdict, not a bad lift.
         verdict = equivariant_map_exists(double_point_model(f).pair_complex, k)
         assert verdict.answer == INCONCLUSIVE
+        assert verdict.yang > 0
         return
     serial = verify_embedding(f, lift)
     parallel = verify_embedding(f, lift, jobs=2)
