@@ -19,12 +19,12 @@ depth, and are reported as unmodellable rather than silently mis-modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .errors import DegenerateMap, ModelInvalid
 from .maps import SimplicialMap
-from .subdivision import SubdivisionRecord, barycentric_subdivide_map
+from .subdivision import barycentric_subdivide_map
 
 
 def identified_vertex_pairs(f: SimplicialMap) -> List[Tuple]:
@@ -99,13 +99,16 @@ def _pair_complex(f: SimplicialMap) -> InvolutionComplex:
     return InvolutionComplex(complex_, involution)
 
 
+# Barycentric subdivisions of a map after which a star violation that
+# remains is reported as unmodellable.
+SUBDIVISION_ROUNDS = 2
+
+
 @dataclass
 class DoublePointModel:
     pair_complex: InvolutionComplex
     map: SimplicialMap  # the (possibly subdivided) map actually modelled
     subdivision_rounds: int
-    source_record: Optional[SubdivisionRecord]
-    target_record: Optional[SubdivisionRecord]
 
     @property
     def complex(self) -> SimplicialComplex:
@@ -116,33 +119,22 @@ class DoublePointModel:
         return self.pair_complex.involution
 
 
-def double_point_model(f: SimplicialMap, max_rounds: int = 2) -> DoublePointModel:
+def double_point_model(f: SimplicialMap) -> DoublePointModel:
     """Pair model of the map, barycentrically subdividing source and target
-    until the star condition holds (at most ``max_rounds`` times)."""
+    until the star condition holds (at most ``SUBDIVISION_ROUNDS`` times)."""
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
     current = f
-    src_rec: Optional[SubdivisionRecord] = None
-    tgt_rec: Optional[SubdivisionRecord] = None
     rounds = 0
     while True:
         violations = check_star_condition(current)
         if not violations:
-            ic = _pair_complex(current)
-            return DoublePointModel(
-                pair_complex=ic,
-                map=current,
-                subdivision_rounds=rounds,
-                source_record=src_rec,
-                target_record=tgt_rec,
-            )
-        if rounds >= max_rounds:
+            return DoublePointModel(_pair_complex(current), current, rounds)
+        if rounds == SUBDIVISION_ROUNDS:
             raise ModelInvalid(
                 "identified vertices stay star-adjacent after "
-                f"{max_rounds} subdivisions (first violations: {violations[:3]}); "
+                f"{rounds} subdivisions (first violations: {violations[:3]}); "
                 "the map folds a simplex onto a neighbor of itself"
             )
-        current, rec_s, rec_t = barycentric_subdivide_map(current)
-        src_rec = rec_s if src_rec is None else src_rec.compose(rec_s)
-        tgt_rec = rec_t if tgt_rec is None else tgt_rec.compose(rec_t)
+        current = barycentric_subdivide_map(current)[0]
         rounds += 1

@@ -16,7 +16,7 @@ from .complexes import InvolutionComplex, SimplicialComplex
 from .double_points import check_star_condition
 from .errors import InternalError, PreconditionError
 from .maps import SemiLinearMap, SimplicialMap
-from .subdivision import barycentric_subdivide
+from .mod2 import orbit_quotient
 
 
 def cycle_complex(n: int, prefix: str = "n") -> SimplicialComplex:
@@ -146,90 +146,13 @@ def cross_polytope_boundary(m: int) -> InvolutionComplex:
 
 
 # -- cyclic group actions and their quotients ----------------------------------
-
-
-def _iterate(gamma: Dict, v, times: int):
-    for _ in range(times):
-        v = gamma[v]
-    return v
-
-
-def cyclic_orbit_regularity_failures(
-    c: SimplicialComplex, gamma: Dict, order: int
-) -> List[str]:
-    """Reasons the orbit map of the cyclic action fails to be a simplicial
-    quotient with one orbit of simplices over each quotient simplex."""
-    failures: List[str] = []
-    orbit_of: Dict = {}
-    for v in c.vertices:
-        orbit = frozenset(_iterate(gamma, v, j) for j in range(order))
-        if len(orbit) != order:
-            failures.append(f"action is not free at vertex {v!r}")
-        orbit_of[v] = orbit
-    if failures:
-        return failures
-    for s in c.simplices:
-        keys = [orbit_of[v] for v in s]
-        if len(set(keys)) != len(keys):
-            failures.append(f"simplex {s} has two vertices in one orbit")
-    if failures:
-        return failures
-    fibers: Dict = {}
-    for s in c.simplices:
-        fibers.setdefault(frozenset(orbit_of[v] for v in s), set()).add(s)
-    for key, fiber in fibers.items():
-        some = next(iter(fiber))
-        orbit = {c.canon(tuple(_iterate(gamma, v, j) for v in some)) for j in range(order)}
-        if fiber != orbit:
-            failures.append(
-                f"fiber over quotient simplex of {some} has {len(fiber)} simplices, "
-                f"expected the orbit of size {len(orbit)}"
-            )
-    return failures
-
-
-def cyclic_quotient(
-    c: SimplicialComplex, gamma: Dict, order: int
-) -> Tuple[SimplicialComplex, SimplicialMap]:
-    """Quotient complex of a regular free cyclic action together with the
-    orbit projection.  Quotient vertex ids are the smallest orbit members."""
-    failures = cyclic_orbit_regularity_failures(c, gamma, order)
-    if failures:
-        raise PreconditionError("; ".join(failures[:3]))
-    return _project_orbits(c, gamma, order)
-
-
-def _project_orbits(
-    c: SimplicialComplex, gamma: Dict, order: int
-) -> Tuple[SimplicialComplex, SimplicialMap]:
-    """The quotient and orbit projection of :func:`cyclic_quotient`, for an
-    action already checked to be regular."""
-    rep: Dict = {}
-    for v in c.vertices:
-        orbit = [_iterate(gamma, v, j) for j in range(order)]
-        rep[v] = min(orbit, key=c.rank.__getitem__)
-    q_vertices: List = []
-    for v in c.vertices:
-        if rep[v] == v:
-            q_vertices.append(v)
-    q_rank = {v: i for i, v in enumerate(q_vertices)}
-    q_simplices = set()
-    for s in c.simplices:
-        q_simplices.add(tuple(sorted({rep[v] for v in s}, key=q_rank.__getitem__)))
-    quotient = SimplicialComplex(q_vertices, q_simplices)
-    projection = SimplicialMap(c, quotient, rep)
-    return quotient, projection
-
-
-def subdivide_action(
-    c: SimplicialComplex, gamma: Dict
-) -> Tuple[SimplicialComplex, Dict]:
-    """Barycentric subdivision of a simplicial automorphism."""
-    rec = barycentric_subdivide(c)
-    refined_gamma = {
-        s: c.canon(tuple(gamma[v] for v in s)) for s in rec.refined.vertices
-    }
-    return rec.refined, refined_gamma
+#
+# A covering is the orbit projection of a free cyclic action, built by
+# :func:`mod2.orbit_quotient` after the barycentric subdivisions that make the
+# action regular.  Regularity implies the disjoint-closed-stars condition of
+# the pair model: adjacent vertices of one orbit break R1, and a common
+# neighbour of two vertices of one orbit puts two edges of different orbits
+# into one fibre, which breaks R2.
 
 
 def join_sphere(p: int) -> SimplicialComplex:
@@ -247,24 +170,17 @@ def join_sphere(p: int) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(a + b, facets)
 
 
+def _orbit_covering(c: SimplicialComplex, gamma: Dict, order: int) -> Tuple[SimplicialMap, int]:
+    """The orbit projection of a free cyclic action and the number of
+    subdivision rounds it took."""
+    qr = orbit_quotient(c, gamma, order)
+    projection = SimplicialMap(qr.upstairs, qr.quotient, qr.projection)
+    if check_star_condition(projection):
+        raise InternalError("a regular orbit map breaks the disjoint-closed-stars condition")
+    return projection, qr.subdivision_rounds
 
-def _quotient_after_subdividing(
-    c: SimplicialComplex, gamma: Dict, order: int, max_rounds: int
-) -> Tuple[SimplicialMap, int]:
-    """Subdivide until the orbit map is a simplicial quotient whose projection
-    also satisfies the disjoint-closed-stars condition, then project."""
-    rounds = 0
-    while True:
-        if not cyclic_orbit_regularity_failures(c, gamma, order):
-            _, projection = _project_orbits(c, gamma, order)
-            if not check_star_condition(projection):
-                return projection, rounds
-        if rounds >= max_rounds:
-            raise InternalError("orbit map did not become regular within the budget")
-        c, gamma = subdivide_action(c, gamma)
-        rounds += 1
 
-def lens_covering(p: int, q: int, max_rounds: int = 3) -> Tuple[SimplicialMap, int]:
+def lens_covering(p: int, q: int) -> Tuple[SimplicialMap, int]:
     """The ``p``-fold cyclic covering of the quotient of the join-of-circles
     3-sphere by the rotation pair (advance the first circle by one, the
     second by ``q``): subdivides barycentrically until the orbit map is a
@@ -279,12 +195,11 @@ def lens_covering(p: int, q: int, max_rounds: int = 3) -> Tuple[SimplicialMap, i
     for i in range(p):
         gamma[f"a{i}"] = f"a{(i + 1) % p}"
         gamma[f"b{i}"] = f"b{(i + q) % p}"
-    return _quotient_after_subdividing(c, gamma, p, max_rounds)
+    return _orbit_covering(c, gamma, p)
 
 
-def antipodal_sphere_covering(m: int, max_rounds: int = 3) -> Tuple[SimplicialMap, int]:
+def antipodal_sphere_covering(m: int) -> Tuple[SimplicialMap, int]:
     """The two-fold covering of real projective m-space by the cross-polytope
     m-sphere, subdivided until the antipodal orbit map is simplicial."""
     ic = cross_polytope_boundary(m)
-    c, gamma = ic.complex, dict(ic.involution)
-    return _quotient_after_subdividing(c, gamma, 2, max_rounds)
+    return _orbit_covering(ic.complex, ic.involution, 2)

@@ -1,13 +1,17 @@
-"""Quotients of complexes by free involutions and the GF(2) cochain algebra
-used to obstruct equivariant maps to spheres.
+"""Quotients of complexes by free cyclic actions and the GF(2) cochain
+algebra used to obstruct equivariant maps to spheres.
 
-The quotient construction requires two regularity conditions so that the
-quotient of the simplex set is again a simplicial complex whose simplices are
-determined by their vertex sets: (R1) no simplex contains both a vertex and
-its involution image, and (R2) the fiber over every candidate quotient
-simplex is exactly one orbit pair.  When either fails, the complex is
-barycentrically subdivided (the involution lifts to barycenters) and the
-check is retried; two rounds always suffice for a free involution.
+A cyclic action is given by its generator on vertices.  The orbit map of
+simplices is a simplicial quotient, with each simplex determined by its
+vertex set, under two regularity conditions: (R1) no simplex meets a vertex
+orbit twice or contains a vertex whose orbit is shorter than the order, and
+(R2) the simplices over every candidate quotient simplex form one orbit.
+When either fails, the complex is barycentrically subdivided (the action
+lifts to barycenters) and the check is retried; two rounds always suffice
+for an action of any order that is free on simplices (Bredon, *Introduction
+to Compact Transformation Groups*, III.1).  The quotient of the pair model
+by its swap and the lens-space quotients of the join sphere are both built
+this way.
 
 The double cover upstairs is classified by a 1-cocycle on the quotient: fix
 in each vertex orbit a preferred representative (the one earlier in the
@@ -22,112 +26,128 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import gf2
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .errors import InternalError, PreconditionError
-from .subdivision import SubdivisionRecord, barycentric_subdivide_involution
+from .subdivision import barycentric_subdivide
+
+# Barycentric subdivisions after which an action free on simplices is regular.
+SUBDIVISION_ROUNDS = 2
 
 
-# -- quotient by a free involution ------------------------------------------
+# -- quotient by a free cyclic action -----------------------------------------
 
 
 @dataclass
 class QuotientResult:
-    upstairs: InvolutionComplex  # possibly subdivided input
+    upstairs: SimplicialComplex  # the input, subdivided ``subdivision_rounds`` times
+    action: Dict  # the generator of the action on the upstairs vertices
     quotient: SimplicialComplex
-    projection: Dict  # upstairs vertex -> quotient vertex (= preferred rep)
-    representative: Dict  # quotient vertex -> its preferred upstairs lift
+    projection: Dict  # upstairs vertex -> quotient vertex (its orbit's earliest)
     subdivision_rounds: int
-    record: SubdivisionRecord  # original upstairs complex -> final upstairs
 
 
-def _orbit_fibres(ic: InvolutionComplex) -> Dict[FrozenSet[int], list]:
-    """Simplices grouped by the set of vertex orbits they meet, each orbit
-    named by the smaller rank of its two vertices."""
-    cx = ic.complex
+def _regularity(
+    cx: SimplicialComplex, action: Dict, order: int
+) -> Tuple[List[str], Dict, Dict, Dict[FrozenSet[int], list]]:
+    """The failures of R1 and R2; every vertex mapped to the rank of the
+    earliest vertex of its orbit; every simplex mapped to its image; and
+    the simplices grouped by the set of orbits they meet."""
     rank = cx.rank
-    t = ic.involution
-    orbit = {v: min(rank[v], rank[t[v]]) for v in cx.vertices}
+    orbit: Dict = {}
+    short: set = set()
+    for v in cx.vertices:  # in rank order, so ``v`` is the earliest of a new orbit
+        if v in orbit:
+            continue
+        members = [v]
+        w = action[v]
+        while w != v and len(members) < order:
+            members.append(w)
+            w = action[w]
+        if w != v or order % len(members):
+            raise PreconditionError(f"the action does not have order {order} at vertex {v!r}")
+        for u in members:
+            orbit[u] = rank[v]
+        if len(members) < order:
+            short.update(members)
+    image: Dict = {}
     fibres: Dict[FrozenSet[int], list] = {}
     for s in cx.simplices:
+        img = cx.canon(map(action.__getitem__, s))
+        if img not in cx.simplices:
+            raise PreconditionError(f"the action does not map simplex {s} to a simplex")
+        image[s] = img
         fibres.setdefault(frozenset(map(orbit.__getitem__, s)), []).append(s)
-    return fibres
-
-
-def _regularity_failures(ic: InvolutionComplex, fibres: Dict[FrozenSet[int], list]) -> List[str]:
-    cx = ic.complex
-    t = ic.involution
-    image = ic.simplex_images()
-    # (R1) a simplex contains a vertex and its image when it meets an orbit
-    # twice or contains a fixed vertex
-    fixed = {v for v in cx.vertices if t[v] == v}
-    own_orbit = [s for key, fibre in fibres.items() for s in fibre
-                 if len(s) > len(key) or not fixed.isdisjoint(s)]
-    failures = [f"simplex {s} meets its own involution orbit"
-                for s in sorted(own_orbit, key=cx.sort_key)]
-    # (R2) fibers of the vertex-orbit image must be exactly {s, t(s)}
+    own = [s for key, fibre in fibres.items() for s in fibre
+           if len(s) > len(key) or not short.isdisjoint(s)]
+    failures = [f"simplex {s} meets its own orbit" for s in sorted(own, key=cx.sort_key)]
+    # A fibre is a union of simplex orbits, so it is one orbit exactly when
+    # it is no larger than the orbit of its first simplex.
     for fibre in fibres.values():
-        if len(fibre) > 2:
-            failures.append(f"fiber {sorted(map(tuple, fibre))} has more than one orbit pair")
-        elif len(fibre) == 2 and image[fibre[0]] != fibre[1]:
-            failures.append(f"simplices {fibre[0]} and {fibre[1]} are identified but not swapped")
-    return failures
+        first = fibre[0]
+        size = 1
+        s = image[first]
+        while s != first:
+            size += 1
+            s = image[s]
+        if len(fibre) > size:
+            failures.append(f"fibre {sorted(fibre, key=cx.sort_key)} is not one orbit of simplices")
+    return failures, orbit, image, fibres
 
 
-def quotient_regularity_failures(ic: InvolutionComplex) -> List[str]:
+def regularity_failures(cx: SimplicialComplex, action: Dict, order: int) -> List[str]:
     """Empty when the orbit map of simplices yields a simplicial complex."""
-    return _regularity_failures(ic, _orbit_fibres(ic))
+    return _regularity(cx, action, order)[0]
 
 
-def quotient_by_free_involution(ic: InvolutionComplex, max_rounds: int = 2) -> QuotientResult:
+def orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
+    """Quotient by a cyclic action of the given order that is free on
+    simplices, subdividing until the action is regular."""
+    rounds = 0
+    while True:
+        failures, orbit, image, fibres = _regularity(cx, action, order)
+        if not failures:
+            break
+        if rounds == SUBDIVISION_ROUNDS:
+            raise InternalError(f"quotient not regular after {rounds} subdivisions: {failures[0]}")
+        # Barycentric vertex ids are the base simplices, so the simplex
+        # images are the action on the refined vertices.
+        cx = barycentric_subdivide(cx).refined
+        action = {s: image[s] for s in cx.vertices}
+        rounds += 1
+
+    # Each orbit is named by its earliest vertex, so a quotient simplex is
+    # the rank-sorted set of orbit ranks its fibre meets.
+    vertices = cx.vertices
+    projection = {v: vertices[orbit[v]] for v in vertices}
+    q_vertices = [v for v in vertices if projection[v] == v]
+    q_simplices = {tuple(map(vertices.__getitem__, sorted(key))) for key in fibres}
+    return QuotientResult(
+        upstairs=cx,
+        action=action,
+        quotient=SimplicialComplex.from_canonical(q_vertices, q_simplices),
+        projection=projection,
+        subdivision_rounds=rounds,
+    )
+
+
+def quotient_by_free_involution(ic: InvolutionComplex) -> QuotientResult:
     """Quotient complex of a free involution, subdividing until regular."""
     if not ic.is_free_on_simplices():
         raise PreconditionError(
             f"involution is not free: fixed simplices {ic.fixed_simplices()[:3]}"
         )
-    record = SubdivisionRecord.identity(ic.complex)
-    current = ic
-    rounds = 0
-    while True:
-        fibres = _orbit_fibres(current)
-        if not _regularity_failures(current, fibres):
-            break
-        if rounds >= max_rounds:
-            raise InternalError("quotient did not become regular within the subdivision budget")
-        current, rec = barycentric_subdivide_involution(current)
-        record = record.compose(rec)
-        rounds += 1
-
-    # Each orbit is represented by its earlier vertex, so a quotient simplex
-    # is the rank-sorted set of orbit ranks its fibre meets.
-    cx = current.complex
-    t = current.involution
-    proj: Dict = {}
-    for v in cx.vertices:
-        w = t[v]
-        proj[v] = v if cx.rank[v] <= cx.rank[w] else w
-    rep = {r: r for r in proj.values()}
-    q_vertices = sorted(rep, key=cx.rank.__getitem__)
-    q_simplices = {tuple(map(cx.vertices.__getitem__, sorted(key))) for key in fibres}
-    quotient = SimplicialComplex.from_canonical(q_vertices, q_simplices)
-    return QuotientResult(
-        upstairs=current,
-        quotient=quotient,
-        projection=proj,
-        representative=rep,
-        subdivision_rounds=rounds,
-        record=record,
-    )
+    return orbit_quotient(ic.complex, ic.involution, 2)
 
 
 def w1_cocycle(qr: QuotientResult) -> Dict[Simplex, int]:
     """The 1-cocycle on the quotient classifying the double cover.  The
     cocycle condition is verified on every quotient triangle."""
-    up = qr.upstairs.complex
+    up = qr.upstairs
     rank = up.rank
-    t = qr.upstairs.involution
+    t = qr.action
     w: Dict[Simplex, int] = {}
     for e in qr.quotient.simplices_of_dim(1):
         a, b = e  # both are preferred representatives upstairs, a before b

@@ -140,6 +140,9 @@ def equivariant_map_exists(model: InvolutionComplex, k: int) -> Verdict:
 
 # -- antipodal witnesses ------------------------------------------------------
 
+# Shifts of the moment curve that :func:`equivariant_witness` tries.
+WITNESS_SHIFTS = 8
+
 
 def moment_vector(j: int, k: int, shift: int = 0) -> tuple:
     base = j + 1 + shift
@@ -186,7 +189,7 @@ def certify_witness(model: InvolutionComplex, k: int, values: Dict) -> Tuple[boo
     return True, evidence
 
 
-def equivariant_witness(model: InvolutionComplex, k: int, max_shifts: int = 8) -> Dict:
+def equivariant_witness(model: InvolutionComplex, k: int) -> Dict:
     """Explicit antipodal map to nonzero vectors on the non-fixed vertices:
     orbit representatives, in vertex order, get moment-curve vectors, their
     partners the negatives.  Certified on every simplex; raises when no shift
@@ -200,7 +203,7 @@ def equivariant_witness(model: InvolutionComplex, k: int, max_shifts: int = 8) -
         reps.append(v)
         seen.add(t[v])
     last_evidence: list = []
-    for shift in range(max_shifts):
+    for shift in range(WITNESS_SHIFTS):
         values: Dict = {}
         for j, v in enumerate(reps):
             mv = moment_vector(j, k, shift)
@@ -211,7 +214,7 @@ def equivariant_witness(model: InvolutionComplex, k: int, max_shifts: int = 8) -
             return values
         last_evidence = evidence
     raise CertificationError(
-        f"no antipodal witness found in {max_shifts} moment-curve draws; "
+        f"no antipodal witness found in {WITNESS_SHIFTS} moment-curve draws; "
         f"last failure: {last_evidence[-1][:2] if last_evidence else None}"
     )
 

@@ -3,7 +3,7 @@ sits inside the base complex.
 
 The construction is full barycentric subdivision: new vertices are the
 barycenters of base simplices, new simplices are flags of faces.  It applies
-to complexes, to simplicial maps and to involutions.
+to complexes and to simplicial maps.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, Tuple
 
 from . import linalg
-from .complexes import BarycentricPoint, InvolutionComplex, SimplicialComplex, Simplex
+from .complexes import BarycentricPoint, SimplicialComplex, Simplex
 from .maps import SimplicialMap
 
 
@@ -110,11 +110,3 @@ def barycentric_subdivide_map(
     rec_tgt = barycentric_subdivide(f.target)
     vm = {s: f.image_simplex(s) for s in rec_src.refined.vertices}
     return SimplicialMap(rec_src.refined, rec_tgt.refined, vm), rec_src, rec_tgt
-
-
-def barycentric_subdivide_involution(
-    ic: InvolutionComplex,
-) -> Tuple[InvolutionComplex, SubdivisionRecord]:
-    rec = barycentric_subdivide(ic.complex)
-    t = {s: ic.map_simplex(s) for s in rec.refined.vertices}
-    return InvolutionComplex(rec.refined, t, check=False), rec

@@ -9,7 +9,7 @@ from prem.mod2 import (
     CochainSpace,
     component_report,
     quotient_by_free_involution,
-    quotient_regularity_failures,
+    regularity_failures,
     w1_cocycle,
     yang_index,
 )
@@ -27,13 +27,15 @@ def antipodal_cycle(n: int) -> InvolutionComplex:
 
 
 def test_regularity_hexagon_passes():
-    assert quotient_regularity_failures(antipodal_cycle(6)) == []
+    ic = antipodal_cycle(6)
+    assert regularity_failures(ic.complex, ic.involution, 2) == []
 
 
 def test_regularity_square_fails():
     # All four edges of the square share one orbit key, so the orbit map
     # identifies too much to stay simplicial.
-    assert quotient_regularity_failures(antipodal_cycle(4)) != []
+    ic = antipodal_cycle(4)
+    assert regularity_failures(ic.complex, ic.involution, 2) != []
 
 
 def test_quotient_hexagon_no_subdivision():

@@ -5,12 +5,14 @@ complexes, involutions, maps and witnesses.
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex, sorting
 every matched pair cell, rebuilding each link through ``subcomplex``,
-union-find over every simplex, and the separate witness certifiers of the
-pair model and of the closure model.
+union-find over every simplex, the separate witness certifiers of the
+pair model and of the closure model, and the separate regularity checks and
+projections of the order-2 and order-p quotients.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,9 +20,16 @@ from hypothesis import strategies as st
 
 from prem import gf2, linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex
-from prem.double_points import _pair_complex, double_point_model
+from prem.double_points import _pair_complex, check_star_condition, double_point_model
 from prem.errors import CertificationError, NotKPrem, PreconditionError
-from prem.generators import antipodal_sphere_covering, cycle_cover, figure_eight_map, fold_path_map
+from prem.generators import (
+    antipodal_sphere_covering,
+    cycle_complex,
+    cycle_cover,
+    figure_eight_map,
+    fold_path_map,
+    join_sphere,
+)
 from prem.lift import build_closure_model, construct_lift_3ptfree
 from prem.maps import SimplicialMap
 from prem.obstruction import (
@@ -30,7 +39,7 @@ from prem.obstruction import (
     equivariant_witness,
     moment_vector,
 )
-from prem.subdivision import barycentric_subdivide_map
+from prem.subdivision import barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
 
 PROPERTY = settings(deadline=None, max_examples=60,
@@ -152,6 +161,36 @@ def coloured_maps(draw):
     return SimplicialMap(SimplicialComplex.from_maximal(vertices, facets), target, colour)
 
 
+@st.composite
+def cyclic_actions(draw):
+    """Free cyclic actions of order 2 to 5: an n-gon rotated by n/p, or the
+    join of two m-gons, m a multiple of p, advancing the first circle by
+    m/p and the second by q*m/p for a unit q.  Sometimes subdivided once;
+    the vertices are declared in a random order."""
+    order = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        step = draw(st.integers(2 if order == 2 else 1, 3))
+        n = order * step
+        cx = cycle_complex(n)
+        action = {f"n{i}": f"n{(i + step) % n}" for i in range(n)}
+    else:
+        step = draw(st.sampled_from([j for j in (1, 2, 3) if 3 <= order * j <= 6]))
+        m = order * step
+        q = draw(st.sampled_from([q for q in range(1, order) if gcd(q, order) == 1]))
+        cx = join_sphere(m)
+        action = {}
+        for i in range(m):
+            action[f"a{i}"] = f"a{(i + step) % m}"
+            action[f"b{i}"] = f"b{(i + q * step) % m}"
+    if draw(st.booleans()):
+        base = cx
+        cx = barycentric_subdivide(base).refined
+        action = {s: base.canon(action[v] for v in s) for s in cx.vertices}
+    vertices = list(cx.vertices)
+    draw(st.randoms(use_true_random=False)).shuffle(vertices)
+    return SimplicialComplex(vertices, cx.simplices), action, order
+
+
 # -- oracles ----------------------------------------------------------------------------
 
 
@@ -198,17 +237,67 @@ def old_pair_cells(f: SimplicialMap, overlapping: bool) -> set:
 
 def old_regularity_failures(ic: InvolutionComplex) -> list:
     cx, t = ic.complex, ic.involution
-    failures = [f"simplex {s} meets its own involution orbit"
+    failures = [f"simplex {s} meets its own orbit"
                 for s in cx.sorted_simplices() if any(t[v] in s for v in s)]
     images = {}
     for s in cx.simplices:
         images.setdefault(frozenset(frozenset((v, t[v])) for v in s), []).append(s)
     for fiber in images.values():
         if len(fiber) > 2:
-            failures.append(f"fiber {sorted(map(tuple, fiber))} has more than one orbit pair")
+            failures.append(f"fibre {sorted(fiber, key=cx.sort_key)} is not one orbit of simplices")
         elif len(fiber) == 2 and cx.canon(t[v] for v in fiber[0]) != fiber[1]:
-            failures.append(f"simplices {fiber[0]} and {fiber[1]} are identified but not swapped")
+            failures.append(f"fibre {sorted(fiber, key=cx.sort_key)} is not one orbit of simplices")
     return failures
+
+
+def _iterate(gamma: dict, v, times: int):
+    for _ in range(times):
+        v = gamma[v]
+    return v
+
+
+def old_cyclic_regularity_failures(c: SimplicialComplex, gamma: dict, order: int) -> list:
+    failures = []
+    orbit_of = {}
+    for v in c.vertices:
+        orbit = frozenset(_iterate(gamma, v, j) for j in range(order))
+        if len(orbit) != order:
+            failures.append(f"action is not free at vertex {v!r}")
+        orbit_of[v] = orbit
+    if failures:
+        return failures
+    for s in c.simplices:
+        keys = [orbit_of[v] for v in s]
+        if len(set(keys)) != len(keys):
+            failures.append(f"simplex {s} has two vertices in one orbit")
+    if failures:
+        return failures
+    fibers = {}
+    for s in c.simplices:
+        fibers.setdefault(frozenset(orbit_of[v] for v in s), set()).add(s)
+    for fiber in fibers.values():
+        some = next(iter(fiber))
+        orbit = {c.canon(tuple(_iterate(gamma, v, j) for v in some)) for j in range(order)}
+        if fiber != orbit:
+            failures.append(
+                f"fiber over quotient simplex of {some} has {len(fiber)} simplices, "
+                f"expected the orbit of size {len(orbit)}"
+            )
+    return failures
+
+
+def old_project_orbits(c: SimplicialComplex, gamma: dict, order: int) -> SimplicialMap:
+    rep = {}
+    for v in c.vertices:
+        orbit = [_iterate(gamma, v, j) for j in range(order)]
+        rep[v] = min(orbit, key=c.rank.__getitem__)
+    q_vertices = [v for v in c.vertices if rep[v] == v]
+    q_rank = {v: i for i, v in enumerate(q_vertices)}
+    q_simplices = set()
+    for s in c.simplices:
+        q_simplices.add(tuple(sorted({rep[v] for v in s}, key=q_rank.__getitem__)))
+    quotient = SimplicialComplex(q_vertices, q_simplices)
+    return SimplicialMap(c, quotient, rep)
 
 
 # -- complexes ----------------------------------------------------------------------
@@ -279,9 +368,9 @@ def test_cached_simplex_involution_matches_map_simplex(ic):
 @PROPERTY
 @given(involution_complexes())
 def test_regularity_failures_and_quotient_match_oracle(ic):
-    new = mod2.quotient_regularity_failures(ic)
+    new = mod2.regularity_failures(ic.complex, ic.involution, 2)
     old = old_regularity_failures(ic)
-    own = [m for m in old if m.endswith("own involution orbit")]
+    own = [m for m in old if m.endswith("own orbit")]
     assert new[:len(own)] == own
     assert sorted(new) == sorted(old)
     if ic.is_free_on_simplices() and not new:
@@ -292,6 +381,32 @@ def test_regularity_failures_and_quotient_match_oracle(ic):
             tuple(sorted({proj[v] for v in s}, key=cx.rank.__getitem__))
             for s in cx.simplices}
         assert qr.quotient == SimplicialComplex(qr.quotient.vertices, qr.quotient.simplices)
+
+
+@PROPERTY
+@given(cyclic_actions())
+def test_cyclic_quotient_matches_order_p_oracle(case):
+    cx, action, order = case
+    regular = not mod2.regularity_failures(cx, action, order)
+    assert regular == (not old_cyclic_regularity_failures(cx, action, order))
+    if not regular and cx.dim > 1:
+        return  # the 3-spheres, subdivided twice more, are too large to test here
+    qr = mod2.orbit_quotient(cx, action, order)
+    up = qr.upstairs
+    assert (qr.subdivision_rounds == 0) == regular
+    assert not old_cyclic_regularity_failures(up, qr.action, order)
+    old = old_project_orbits(up, qr.action, order)
+    assert qr.quotient == old.target
+    assert qr.projection == old.vertex_map
+    # Regularity implies the star condition that ``generators`` relies on.
+    assert check_star_condition(SimplicialMap(up, qr.quotient, qr.projection)) == []
+
+
+def test_orbit_quotient_rejects_a_non_simplicial_action():
+    # Swapping the ends of one edge of a path moves the other edge off the complex.
+    path = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(PreconditionError, match="does not map simplex"):
+        mod2.orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
 
 
 # -- maps ---------------------------------------------------------------------------
