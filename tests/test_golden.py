@@ -46,6 +46,38 @@ INPUTS = {
 # Inputs of the analysis commands; ``cover23`` only feeds ``plify``.
 ANALYSED = ("lens2", "lens3", "cover25", "eight", "fold")
 
+# Higher-dimensional ``plify`` inputs, written out as a map text and a lift
+# text each.  ``wedge`` sends two triangles onto two triangles that share the
+# vertex ``x`` and needs one barycentric round; the others send two triangles
+# onto one: ``flat`` certifies, ``blocks`` needs local refinement of an edge
+# stratum (exit 65) and ``equal`` gives ``b`` and ``e`` one value (exit 65).
+_SOURCE = "source\n" + "".join(f"v {v}\n" for v in "abcdef") + "s a b c\ns d e f\n"
+WEDGE = (
+    _SOURCE
+    + "target\n" + "".join(f"v {v}\n" for v in "xyzuw") + "s x y z\ns x u w\n"
+    + "map\nm a x\nm b y\nm c z\nm d x\nm e u\nm f w\n"
+)
+TRIANGLES = (
+    _SOURCE
+    + "target\nv x\nv y\nv z\ns x y z\n"
+    + "map\nm a x\nm b y\nm c z\nm d x\nm e y\nm f z\n"
+)
+
+
+def _lift(values: dict) -> str:
+    return "".join(f"g {v} {x}\n" for v, x in values.items())
+
+
+WRITTEN = {
+    "wedge": (WEDGE, _lift({"a": "0 0", "b": "1 0", "c": "0 0", "d": "0 9", "e": "1 9", "f": "0 9"})),
+    "flat": (TRIANGLES, _lift({v: "1" if v in "abc" else "-1" for v in "abcdef"})),
+    "blocks": (
+        TRIANGLES,
+        _lift({"a": "-1", "b": "-9/8", "c": "-5/4", "d": "1", "e": "9/8", "f": "5/4"}),
+    ),
+    "equal": (TRIANGLES, _lift({"a": "1", "b": "0", "c": "2", "d": "-1", "e": "0", "f": "-2"})),
+}
+
 COMMANDS = {
     "delta": ["delta"],
     "yang": ["yang"],
@@ -58,14 +90,16 @@ COMMANDS = {
     "verify2": ["verify"],
     "verifymod5": ["verify"],
     "plify2": ["plify", "--trace"],
+    "plifygiven": ["plify", "--trace"],
 }
 
 # The lift file each ``verify`` / ``plify`` command reads after the map:
 # ``lift2`` is what ``lift -k 2`` writes for the input, ``mod5`` gives vertex
-# ``n<i>`` of ``cycle-cover 2 5`` the value ``i mod 5``.  Under ``mod5`` the
+# ``n<i>`` of ``cycle-cover 2 5`` the value ``i mod 5``, ``given`` is the lift
+# text of a ``WRITTEN`` input.  Under ``mod5`` the
 # two preimages of each target edge coincide, so a violation value is the
 # vertex at which the pair LP stops, not a unique crossing point.
-LIFT_OF = {"verify2": "lift2", "verifymod5": "mod5", "plify2": "lift2"}
+LIFT_OF = {"verify2": "lift2", "verifymod5": "mod5", "plify2": "lift2", "plifygiven": "given"}
 MOD5 = "".join(f"g n{i} {i % 5}\n" for i in range(10))
 
 # Commands that run only on some inputs (``lift`` needs a map without triple
@@ -76,11 +110,12 @@ ONLY_ON = {
     "verify2": ("cover25",),
     "verifymod5": ("cover25",),
     "plify2": ("cover23",),
+    "plifygiven": tuple(WRITTEN),
 }
 
 
 def _cases():
-    for inp in INPUTS:
+    for inp in (*INPUTS, *WRITTEN):
         for cmd in COMMANDS:
             if inp == "lens3" and cmd == "delta":
                 continue  # the pair complex listing alone is ~4 MB
@@ -111,11 +146,15 @@ def _argv(case: str, inputs: Path) -> list:
 def _generate(directory: Path) -> None:
     for name, params in INPUTS.items():
         assert main(["gen", *params, "-o", str(directory / f"{name}.map")]) == 0
+    for name, (map_text, _) in WRITTEN.items():
+        (directory / f"{name}.map").write_text(map_text, encoding="utf-8")
     for cmd, lift in LIFT_OF.items():
         for inp in ONLY_ON[cmd]:
             path = directory / f"{inp}-{lift}.lift"
             if lift == "mod5":
                 path.write_text(MOD5, encoding="utf-8")
+            elif lift == "given":
+                path.write_text(WRITTEN[inp][1], encoding="utf-8")
             else:
                 argv = ["lift", "-k", "2", str(directory / f"{inp}.map"), "-o", str(path)]
                 assert main(argv) == 0
