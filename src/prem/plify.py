@@ -1,11 +1,10 @@
 """Refinement of a verified lift until the identified sheets are separated
 at the level of derived stars, not just pointwise.
 
-Input: a non-degenerate simplicial map between graphs (complete support) or
-higher-dimensional complexes (partial support, see below) together with lift
-values whose combined map is injective.  Output: a common refinement of
-source and base on which the map is still simplicial, the same lift function
-re-expressed on the refinement, and exact certificates that
+Input: a non-degenerate simplicial map together with lift values whose
+combined map is injective.  Output: a common refinement of source and base
+on which the map is still simplicial, the same lift function re-expressed on
+the refinement, and exact certificates that
 
 * the lift values at refinement vertices agree with the input function,
 * for every pair of identified refinement vertices the convex hulls of the
@@ -13,18 +12,24 @@ re-expressed on the refinement, and exact certificates that
   functional as evidence), and
 * the combined map on the refinement verifies as injective.
 
-The refinement radius at each stage is ``separation / (2 * Lambda)`` where
-``Lambda`` bounds the lift's variation per unit of simplex geometry (the
-source is metrized by the standard-basis embedding, so an edge piece of
-parameter length ``dt`` has squared length ``2 dt^2``); the applied radius is
-halved once more so that all comparisons stay strict.  Stage 0 separates
-identified original vertices by uniform cuts of every base edge; later
-stages separate positive-dimensional identification strata and never re-cut
-the first or last piece of a base edge, which keeps the derived stars of
-original vertices bit-identical through the cascade.  For sources of
-dimension two or more, stage 0 refines by global barycentric iteration and
-positive-dimensional strata that would need local refinement are reported as
-blocked rather than silently mishandled.
+One cascade runs a stage per source dimension, and at least stages 0 and 1.
+Stage 0 measures the identified original vertices; stage ``i`` measures the
+identified vertices and the disjoint identified simplices of dimension at
+most ``i`` that avoid every original vertex, so that the derived stars of
+original vertices stay as stage 0 left them.  Each stage refines to the
+radius ``separation / (4 * Lambda)``, quartered once more so that every
+comparison stays strict, where ``Lambda`` bounds the lift's variation per
+unit of simplex geometry in the standard-basis metric of the source (an edge
+piece of parameter length ``dt`` has squared length ``2 dt^2``).  Each stage
+records the pairs it measured, these radii, the refinement it added
+(``cuts``) and the cells of the complexes it measured (``cells``: the input
+map at stage 0, what stage ``i - 1`` left at stage ``i``).
+
+The input's dimension selects only the refinement.  Graphs are cut edge by
+edge: stage 0 cuts every base edge uniformly, later stages cut only interior
+pieces.  Otherwise stage 0 subdivides source and base barycentrically, within
+a budget of top simplices, and a later stage that would need refining raises
+``BlockedRefinement``, since local refinement is only implemented for graphs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ from .errors import (
 from .maps import SemiLinearMap, SimplicialMap
 from .subdivision import SubdivisionRecord, barycentric_subdivide, barycentric_subdivide_map
 from .verify import VerificationResult, verify_embedding
+
+# Top simplices a barycentric round may leave in the source.  A round
+# multiplies the top d-simplices by (d+1)!.  On two triangles, four rounds
+# leave 2 592 triangles and the cascade takes about 10 s and 42 MiB; a fifth
+# leaves 15 552 and takes over a minute and 170 MiB.
+TOP_SIMPLEX_BUDGET = 5000
 
 
 @dataclass
@@ -99,22 +110,92 @@ def _ceil_sqrt_ratio(num: Fraction) -> int:
     return max(1, n)
 
 
-# -- graph case ---------------------------------------------------------------
+def _identified_vertex_pairs_of(fn: SimplicialMap) -> List[Tuple]:
+    groups: Dict = {}
+    for v in fn.source.vertices:
+        groups.setdefault(fn.vertex_map[v], []).append(v)
+    pairs = []
+    for group in groups.values():
+        for u, v in combinations(group, 2):
+            pairs.append((u, v))
+    return pairs
 
 
-class _GraphState:
-    """Source/base refinement state held as per-edge cut parameters."""
+def _metric_dist_sq(p: BarycentricPoint, q: BarycentricPoint) -> Fraction:
+    """Squared distance in the standard-basis metric of the source."""
+    pa, pb = p.coord_map(), q.coord_map()
+    return sum((pa.get(k, 0) - pb.get(k, 0)) ** 2 for k in pa.keys() | pb.keys())
+
+
+def _has_edge_longer(c: SimplicialComplex, positions: Dict, r_sq: Fraction) -> bool:
+    return any(_metric_dist_sq(positions[a], positions[b]) > r_sq for a, b in c.simplices_of_dim(1))
+
+
+def _stage_pairs(
+    stage: int, fn: SimplicialMap, gvals: Dict, positions: Dict
+) -> Tuple[int, Optional[Fraction], Optional[Fraction], Optional[tuple]]:
+    """(pair count, max d^2, min separation^2, first pair at separation 0)
+    over the identified simplex pairs that ``stage`` separates."""
+    protected = set()
+    if stage:
+        protected = {v for v in fn.source.vertices if len(positions[v].support) == 1}
+    fibers: Dict = {}
+    for d in range(stage + 1):
+        for s in fn.source.simplices_of_dim(d):
+            if protected.isdisjoint(s):
+                fibers.setdefault(fn.image_simplex(s), []).append(s)
+    ds: List[Fraction] = []
+    offender = None
+    for fiber in fibers.values():
+        for s, t in combinations(fiber, 2):
+            if not set(s).isdisjoint(t):
+                continue
+            match = fn.matched_bijection(s, t)
+            d, _ = lp.min_sq_norm_in_hull([linalg.vec_sub(gvals[match[u]], gvals[u]) for u in s])
+            if d == 0 and offender is None:
+                offender = (s, t)
+            ds.append(d)
+    if not ds:
+        return 0, None, None, None
+    return len(ds), max(ds), min(ds), offender
+
+
+def _lambda_sq(fn: SimplicialMap, gvals: Dict, positions: Dict) -> Fraction:
+    """Largest ``d^2 * spread / h_min`` over the simplices of the refined
+    source: ``spread`` is the squared diameter of the lift values and
+    ``h_min`` the smallest squared height in the standard-basis metric,
+    restricted to the base vertices that the simplex's positions involve."""
+    worst = Fraction(0)
+    for s in fn.source.simplices:
+        if len(s) < 2:
+            continue
+        spread = max(linalg.dist_sq(gvals[a], gvals[b]) for a, b in combinations(s, 2))
+        if spread == 0:
+            continue
+        maps = [positions[v].coord_map() for v in s]
+        keys = list(dict.fromkeys(k for m in maps for k in m))
+        pts = [tuple(m.get(k, Fraction(0)) for k in keys) for m in maps]
+        h_min = min(
+            linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
+            for i, p in enumerate(pts)
+        )
+        if not h_min:
+            raise InternalError(f"degenerate metric simplex {s}")
+        worst = max(worst, (len(s) - 1) ** 2 * spread / h_min)
+    return worst
+
+
+class _EdgeCuts:
+    """Graph refinement held as cut parameters on each base edge."""
 
     def __init__(self, f: SimplicialMap, g: SemiLinearMap):
         self.f = f
         self.g = g
-        self.K = f.source
-        self.L = f.target
-        self.l_edges = self.L.simplices_of_dim(1)
-        self.k_edges = self.K.simplices_of_dim(1)
+        self.l_edges = f.target.simplices_of_dim(1)
+        self.k_edges = f.source.simplices_of_dim(1)
         self.cuts: Dict[Simplex, List[Fraction]] = {e: [] for e in self.l_edges}
 
-    def add_cut(self, l_edge: Simplex, t: Fraction) -> bool:
+    def _add_cut(self, l_edge: Simplex, t: Fraction) -> bool:
         ts = self.cuts[l_edge]
         if t <= 0 or t >= 1 or t in ts:
             return False
@@ -122,15 +203,36 @@ class _GraphState:
         ts.sort()
         return True
 
-    def edge_orientation(self, k_edge: Simplex) -> Tuple[Simplex, bool]:
-        """Image edge and whether the parametrizations are reversed."""
-        a, b = k_edge
-        img = self.f.image_simplex(k_edge)
-        return img, self.f.vertex_map[a] != img[0]
+    def _end_pieces(self) -> Dict:
+        return {e: (ts[0], ts[-1]) if ts else None for e, ts in self.cuts.items()}
 
-    def build(self):
+    def refine(self, stage: int, r_app: Fraction) -> int:
+        """Stage 0 cuts every base edge into pieces of squared length at most
+        ``r_app``; later stages cut only the interior pieces, never the first
+        or last piece of a base edge."""
+        if stage == 0:
+            n = _ceil_sqrt_ratio(Fraction(2) / r_app)
+            return sum(
+                self._add_cut(e, Fraction(j, n)) for e in self.l_edges for j in range(1, n)
+            )
+        ends = self._end_pieces()
+        added = 0
+        for e in self.l_edges:
+            ts = [Fraction(0)] + self.cuts[e] + [Fraction(1)]
+            for lo, hi in list(zip(ts, ts[1:]))[1:-1]:
+                dt = hi - lo
+                if 2 * dt * dt > r_app:
+                    m = _ceil_sqrt_ratio(2 * dt * dt / r_app)
+                    added += sum(self._add_cut(e, lo + dt * Fraction(j, m)) for j in range(1, m))
+        after = self._end_pieces()
+        for e, before in ends.items():
+            if after[e] != before:
+                raise InternalError(f"protected end pieces of base edge {e} were re-cut")
+        return added
+
+    def current(self) -> Tuple[SimplicialMap, Dict, Dict]:
         """Materialize W -> B, lift values, and positions from the cut lists."""
-        K, L = self.K, self.L
+        K, L = self.f.source, self.f.target
         b_vertices = list(L.vertices)
         b_simplices = set((v,) for v in L.vertices)
         b_cut_ids: Dict[Simplex, list] = {}
@@ -152,8 +254,8 @@ class _GraphState:
         positions: Dict = {v: BarycentricPoint.at_vertex(v) for v in K.vertices}
         for ei, ke in enumerate(self.k_edges):
             a, b = ke
-            img, reversed_ = self.edge_orientation(ke)
-            li = self.l_edges.index(img)
+            img = self.f.image_simplex(ke)
+            reversed_ = self.f.vertex_map[a] != img[0]
             params = []
             for j, t in enumerate(self.cuts[img]):
                 s = 1 - t if reversed_ else t
@@ -178,100 +280,69 @@ class _GraphState:
         fn = SimplicialMap(W, B, vm, check=False)
         return fn, gvals, positions
 
-    def end_piece_snapshot(self) -> Dict:
-        snap = {}
-        for e in self.l_edges:
-            ts = self.cuts[e]
-            snap[e] = (min(ts), max(ts)) if ts else None
-        return snap
+    @staticmethod
+    def derived(fn: SimplicialMap, gvals: Dict) -> Tuple[SimplicialComplex, Dict, Dict]:
+        """The refined graph with the midpoint of every edge added; each
+        vertex keeps its name."""
+        W = fn.source
+        vertices = list(W.vertices)
+        simplices = set((v,) for v in W.vertices)
+        values = dict(gvals)
+        for e in W.simplices_of_dim(1):
+            a, b = e
+            mid = ("mid", e)
+            vertices.append(mid)
+            simplices.update({(mid,), (a, mid), (mid, b)})
+            values[mid] = linalg.vec_scale(Fraction(1, 2), linalg.vec_add(gvals[a], gvals[b]))
+        return SimplicialComplex(vertices, simplices), values, {v: v for v in W.vertices}
 
 
-def _piece_length_params(state: _GraphState, e: Simplex) -> List[Tuple[Fraction, Fraction]]:
-    ts = [Fraction(0)] + state.cuts[e] + [Fraction(1)]
-    return list(zip(ts, ts[1:]))
+class _BarycentricRounds:
+    """Refinement by global barycentric rounds of source and base."""
+
+    def __init__(self, f: SimplicialMap, g: SemiLinearMap):
+        self.g = g
+        self.fn = f
+        self.record = SubdivisionRecord.identity(f.source)
+        self.gvals = dict(g.values)
+
+    def refine(self, stage: int, r_app: Fraction) -> int:
+        """Stage 0 subdivides until no edge is longer than ``r_app``; a
+        later stage that would need refining is blocked."""
+        rounds = 0
+        while _has_edge_longer(self.fn.source, self.record.positions, r_app):
+            if stage:
+                raise BlockedRefinement(
+                    "positive-dimensional identification strata need local "
+                    "refinement, which is only implemented for graphs"
+                )
+            d = self.fn.source.dim
+            top = len(self.fn.source.simplices_of_dim(d)) * math.factorial(d + 1)
+            if top > TOP_SIMPLEX_BUDGET:
+                raise BlockedRefinement(
+                    f"barycentric round {rounds + 1} would leave {top} top simplices, "
+                    f"over the budget of {TOP_SIMPLEX_BUDGET}"
+                )
+            self.fn, rec_s, _ = barycentric_subdivide_map(self.fn)
+            self.record = self.record.compose(rec_s)
+            rounds += 1
+        self.gvals = self.record.interpolate(self.g.values)
+        return rounds
+
+    def current(self) -> Tuple[SimplicialMap, Dict, Dict]:
+        return self.fn, self.gvals, self.record.positions
+
+    @staticmethod
+    def derived(fn: SimplicialMap, gvals: Dict) -> Tuple[SimplicialComplex, Dict, Dict]:
+        """The barycentric subdivision; vertex ``v`` becomes ``(v,)``."""
+        rec = barycentric_subdivide(fn.source)
+        return rec.refined, rec.interpolate(gvals), {v: (v,) for v in fn.source.vertices}
 
 
-def _identified_vertex_pairs_of(fn: SimplicialMap) -> List[Tuple]:
-    groups: Dict = {}
-    for v in fn.source.vertices:
-        groups.setdefault(fn.vertex_map[v], []).append(v)
-    pairs = []
-    for group in groups.values():
-        for u, v in combinations(group, 2):
-            pairs.append((u, v))
-    return pairs
-
-
-def _matched_min_sq(g: Dict, s: Simplex, t: Simplex, match: Dict) -> Fraction:
-    diffs = [linalg.vec_sub(g[match[u]], g[u]) for u in s]
-    val, _ = lp.min_sq_norm_in_hull(diffs)
-    return val
-
-
-def _stage_pairs_graph(
-    stage: int,
-    fn: SimplicialMap,
-    gvals: Dict,
-    positions: Dict,
-) -> Tuple[int, Optional[Fraction], Optional[Fraction], Optional[tuple]]:
-    """(pair count, max d^2, min separation^2, offending zero pair)."""
-    original = {v for v in fn.source.vertices if len(positions[v].support) == 1}
-    d_list: List[Fraction] = []
-    offender = None
-    count = 0
-    if stage == 0:
-        for u, v in _identified_vertex_pairs_of(fn):
-            if u in original and v in original:
-                count += 1
-                d = linalg.dist_sq(gvals[u], gvals[v])
-                d_list.append(d)
-                if d == 0 and offender is None:
-                    offender = ((u,), (v,))
-    else:
-        for u, v in _identified_vertex_pairs_of(fn):
-            if u in original or v in original:
-                continue
-            count += 1
-            d = linalg.dist_sq(gvals[u], gvals[v])
-            d_list.append(d)
-            if d == 0 and offender is None:
-                offender = ((u,), (v,))
-        fibers: Dict = {}
-        for s in fn.source.simplices_of_dim(1):
-            fibers.setdefault(fn.image_simplex(s), []).append(s)
-        for fiber in fibers.values():
-            for s, t in combinations(fiber, 2):
-                if set(s) & original or set(t) & original:
-                    continue
-                match = fn.matched_bijection(s, t)
-                count += 1
-                d = _matched_min_sq(gvals, s, t, match)
-                d_list.append(d)
-                if d == 0 and offender is None:
-                    offender = (s, t)
-    if not d_list:
-        return count, None, None, None
-    return count, max(d_list), min(d_list), offender
-
-
-def _lambda_sq_graph(fn: SimplicialMap, gvals: Dict, positions: Dict) -> Fraction:
-    worst = Fraction(0)
-    for s in fn.source.simplices_of_dim(1):
-        a, b = s
-        spread = linalg.dist_sq(gvals[a], gvals[b])
-        if spread == 0:
-            continue
-        pa = positions[a].coord_map()
-        pb = positions[b].coord_map()
-        keys = set(pa) | set(pb)
-        # Both endpoints lie on one original edge, so the barycentric
-        # difference is (dt, -dt) and its squared norm is the squared metric
-        # length 2 dt^2 of the piece in the standard-basis embedding.
-        h_sq = sum((pa.get(k, Fraction(0)) - pb.get(k, Fraction(0))) ** 2 for k in keys)
-        if h_sq == 0:
-            raise InternalError("degenerate refinement piece")
-        worst = max(worst, spread / h_sq)
-    return worst
+def _star_points(derived: SimplicialComplex, values: Dict, centre) -> list:
+    """Lift values at the vertices of the closed star of ``centre``."""
+    star = {w for s in derived.star_simplices(centre) for w in s}
+    return [values[w] for w in sorted(star, key=derived.rank.__getitem__)]
 
 
 def plify(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> PlifyResult:
@@ -281,50 +352,24 @@ def plify(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> PlifyResult:
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
     if f.source.dim <= 1 and f.target.dim <= 1:
-        return _plify_graph(f, g, jobs)
-    return _plify_higher(f, g, jobs)
+        strategy = _EdgeCuts(f, g)
+    else:
+        strategy = _BarycentricRounds(f, g)
 
-
-def _plify_graph(f: SimplicialMap, g: SemiLinearMap, jobs: int) -> PlifyResult:
-    state = _GraphState(f, g)
     stages: List[StageTrace] = []
-    snapshot = None
-    for stage in (0, 1):
-        fn, gvals, positions = state.build()
-        count, d_max, sep, offender = _stage_pairs_graph(stage, fn, gvals, positions)
+    for stage in range(max(f.source.dim, 1) + 1):
+        fn, gvals, positions = strategy.current()
+        count, d_max, sep, offender = _stage_pairs(stage, fn, gvals, positions)
+        if sep == 0:
+            raise InputNotInjective(f"identified simplices {offender} carry equal lift values")
+        lam_sq = r_nom = r_app = None
         cuts_added = 0
-        lam_sq = None
-        r_nom = None
-        r_app = None
-        if count and sep == 0:
-            raise InputNotInjective(
-                f"identified simplices {offender} carry equal lift values"
-            )
-        if count and sep is not None:
-            lam_sq = _lambda_sq_graph(fn, gvals, positions)
+        if count:
+            lam_sq = _lambda_sq(fn, gvals, positions)
             if lam_sq > 0:
                 r_nom = sep / (4 * lam_sq)
                 r_app = r_nom / 4
-                if stage == 0:
-                    n_pieces = _ceil_sqrt_ratio(Fraction(2) / r_app)
-                    for e in state.l_edges:
-                        for j in range(1, n_pieces):
-                            if state.add_cut(e, Fraction(j, n_pieces)):
-                                cuts_added += 1
-                else:
-                    for e in state.l_edges:
-                        pieces = _piece_length_params(state, e)
-                        if len(pieces) <= 2:
-                            continue  # only end pieces: protected
-                        for idx, (lo, hi) in enumerate(pieces):
-                            if idx == 0 or idx == len(pieces) - 1:
-                                continue
-                            dt = hi - lo
-                            if 2 * dt * dt > r_app:
-                                m = _ceil_sqrt_ratio(2 * dt * dt / r_app)
-                                for j in range(1, m):
-                                    if state.add_cut(e, lo + dt * Fraction(j, m)):
-                                        cuts_added += 1
+                cuts_added = strategy.refine(stage, r_app)
         stages.append(
             StageTrace(
                 stage=stage,
@@ -339,52 +384,21 @@ def _plify_graph(f: SimplicialMap, g: SemiLinearMap, jobs: int) -> PlifyResult:
                 b_simplices=len(fn.target.simplices),
             )
         )
-        if stage == 0:
-            snapshot = state.end_piece_snapshot()
 
-    # Stage 1 must not have moved the end pieces of any base edge.
-    for e in state.l_edges:
-        ts = state.cuts[e]
-        before = snapshot[e]
-        after = (min(ts), max(ts)) if ts else None
-        if before is not None and (after is None or before[0] != after[0] or before[1] != after[1]):
-            raise InternalError(f"protected end pieces of base edge {e} were re-cut")
-        if before is None and after is not None:
-            raise InternalError(f"protected uncut base edge {e} was re-cut")
-
-    fn, gvals, positions = state.build()
+    fn, gvals, positions = strategy.current()
     lift_n = SemiLinearMap(fn.source, gvals, out_dim=g.out_dim)
-
-    # Derived complex: midpoint of every refined edge.
-    W = fn.source
-    d_vertices = list(W.vertices)
-    d_simplices = set((v,) for v in W.vertices)
-    g1 = dict(gvals)
-    star_mids: Dict = {v: [] for v in W.vertices}
-    for e in W.simplices_of_dim(1):
-        a, b = e
-        mid = ("mid", e)
-        d_vertices.append(mid)
-        d_simplices.add((mid,))
-        d_simplices.add((a, mid))
-        d_simplices.add((mid, b))
-        g1[mid] = linalg.vec_scale(Fraction(1, 2), linalg.vec_add(gvals[a], gvals[b]))
-        star_mids[a].append(mid)
-        star_mids[b].append(mid)
-    derived = SimplicialComplex(d_vertices, d_simplices)
+    derived, g1, centre = strategy.derived(fn, gvals)
     derived_lift = SemiLinearMap(derived, g1, out_dim=g.out_dim)
-
-    agreement = all(g1[v] == gvals[v] for v in W.vertices)
+    agreement = all(g1[centre[v]] == gvals[v] for v in fn.source.vertices)
 
     hull_evidence: List[HullEvidence] = []
-    hulls_ok = True
     for u, v in _identified_vertex_pairs_of(fn):
-        pu = [g1[u]] + [g1[mv] for mv in star_mids[u]]
-        pv = [g1[v]] + [g1[mv] for mv in star_mids[v]]
-        functional = lp.separate_hulls(pu, pv)
-        ok = functional is not None
-        hulls_ok = hulls_ok and ok
-        hull_evidence.append(HullEvidence(pair=(u, v), disjoint=ok, functional=functional))
+        functional = lp.separate_hulls(
+            _star_points(derived, g1, centre[u]), _star_points(derived, g1, centre[v])
+        )
+        hull_evidence.append(
+            HullEvidence(pair=(u, v), disjoint=functional is not None, functional=functional)
+        )
 
     verification = verify_embedding(fn, lift_n, jobs=jobs)
     return PlifyResult(
@@ -397,185 +411,5 @@ def _plify_graph(f: SimplicialMap, g: SemiLinearMap, jobs: int) -> PlifyResult:
         hull_evidence=hull_evidence,
         verification=verification,
         vertex_agreement=agreement,
-        hulls_disjoint=hulls_ok,
-    )
-
-
-# -- higher-dimensional case ---------------------------------------------------
-
-
-def _metric_coords(base: SimplicialComplex, record: SubdivisionRecord) -> Dict:
-    std = {}
-    n = len(base.vertices)
-    for i, v in enumerate(base.vertices):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        std[v] = tuple(e)
-    return record.interpolate(std)
-
-
-def _mesh_sq(c: SimplicialComplex, coords: Dict) -> Fraction:
-    worst = Fraction(0)
-    for s in c.simplices:
-        for a, b in combinations(s, 2):
-            d = linalg.dist_sq(coords[a], coords[b])
-            if d > worst:
-                worst = d
-    return worst
-
-
-def _lambda_sq_higher(c: SimplicialComplex, coords: Dict, gvals: Dict) -> Fraction:
-    worst = Fraction(0)
-    for s in c.simplices:
-        if len(s) < 2:
-            continue
-        d = len(s) - 1
-        spread = Fraction(0)
-        for a, b in combinations(s, 2):
-            spread = max(spread, linalg.dist_sq(gvals[a], gvals[b]))
-        if spread == 0:
-            continue
-        h_min = None
-        for v in s:
-            others = [coords[u] for u in s if u != v]
-            h = linalg.point_to_affine_hull_dist_sq(coords[v], others)
-            h_min = h if h_min is None else min(h_min, h)
-        if not h_min:
-            raise InternalError(f"degenerate metric simplex {s}")
-        worst = max(worst, Fraction(d * d) * spread / h_min)
-    return worst
-
-
-def _plify_higher(f: SimplicialMap, g: SemiLinearMap, jobs: int) -> PlifyResult:
-    fn = f
-    record = SubdivisionRecord.identity(f.source)
-    gvals = {v: g.values[v] for v in f.source.vertices}
-    stages: List[StageTrace] = []
-
-    coords = _metric_coords(f.source, record)
-    pairs0 = _identified_vertex_pairs_of(fn)
-    rounds = 0
-    d_max = sep = lam_sq = r_nom = r_app = None
-    if pairs0:
-        ds = [linalg.dist_sq(gvals[u], gvals[v]) for u, v in pairs0]
-        d_max, sep = max(ds), min(ds)
-        if sep == 0:
-            bad = pairs0[ds.index(sep)]
-            raise InputNotInjective(f"identified vertices {bad} carry equal lift values")
-        lam_sq = _lambda_sq_higher(fn.source, coords, gvals)
-        if lam_sq > 0:
-            r_nom = sep / (4 * lam_sq)
-            r_app = r_nom / 4
-            while _mesh_sq(fn.source, coords) > r_app:
-                fn, rec_s, _ = barycentric_subdivide_map(fn)
-                record = record.compose(rec_s)
-                gvals = record.interpolate({v: g.values[v] for v in f.source.vertices})
-                coords = _metric_coords(f.source, record)
-                rounds += 1
-                if rounds > 12:
-                    raise InternalError("mesh refinement did not reach the stage radius")
-    stages.append(
-        StageTrace(
-            stage=0,
-            pair_count=len(pairs0),
-            d_max_sq=d_max,
-            separation_sq=sep,
-            lambda_sq=lam_sq,
-            r_nominal_sq=r_nom,
-            r_applied_sq=r_app,
-            cuts_added=rounds,
-            w_simplices=len(fn.source.simplices),
-            b_simplices=len(fn.target.simplices),
-        )
-    )
-
-    # Positive-dimensional strata: detect, measure, and refuse local
-    # refinement rather than refine globally past the protected stars.
-    original = {v for v in fn.source.vertices if len(record.positions[v].support) == 1}
-    for stage_dim in range(1, f.source.dim + 1):
-        d_list = []
-        count = 0
-        offender = None
-        fibers: Dict = {}
-        for s in fn.source.simplices:
-            if 1 <= len(s) - 1 <= stage_dim:
-                fibers.setdefault(fn.image_simplex(s), []).append(s)
-        for u, v in _identified_vertex_pairs_of(fn):
-            if u in original or v in original:
-                continue
-            count += 1
-            d_list.append(linalg.dist_sq(gvals[u], gvals[v]))
-            if d_list[-1] == 0 and offender is None:
-                offender = ((u,), (v,))
-        for fiber in fibers.values():
-            for s, t in combinations(fiber, 2):
-                if set(s) & set(t):
-                    continue
-                if set(s) & original or set(t) & original:
-                    continue
-                match = fn.matched_bijection(s, t)
-                count += 1
-                d_list.append(_matched_min_sq(gvals, s, t, match))
-                if d_list[-1] == 0 and offender is None:
-                    offender = (s, t)
-        d_max_i = max(d_list) if d_list else None
-        sep_i = min(d_list) if d_list else None
-        lam_i = r_nom_i = r_app_i = None
-        if count and sep_i == 0:
-            raise InputNotInjective(f"identified simplices {offender} carry equal lift values")
-        if count and sep_i is not None:
-            lam_i = _lambda_sq_higher(fn.source, coords, gvals)
-            if lam_i > 0:
-                r_nom_i = sep_i / (4 * lam_i)
-                r_app_i = r_nom_i / 4
-                if _mesh_sq(fn.source, coords) > r_app_i:
-                    raise BlockedRefinement(
-                        "positive-dimensional identification strata need local "
-                        "refinement, which is only implemented for graphs"
-                    )
-        stages.append(
-            StageTrace(
-                stage=stage_dim,
-                pair_count=count,
-                d_max_sq=d_max_i,
-                separation_sq=sep_i,
-                lambda_sq=lam_i,
-                r_nominal_sq=r_nom_i,
-                r_applied_sq=r_app_i,
-                cuts_added=0,
-                w_simplices=len(fn.source.simplices),
-                b_simplices=len(fn.target.simplices),
-            )
-        )
-
-    lift_n = SemiLinearMap(fn.source, gvals, out_dim=g.out_dim)
-    rec_d = barycentric_subdivide(fn.source)
-    g1 = rec_d.interpolate(gvals)
-    derived = rec_d.refined
-    derived_lift = SemiLinearMap(derived, g1, out_dim=g.out_dim)
-    agreement = all(g1[(v,)] == gvals[v] for v in fn.source.vertices)
-
-    hull_evidence: List[HullEvidence] = []
-    hulls_ok = True
-    for u, v in _identified_vertex_pairs_of(fn):
-        pu = [g1[s] for s in derived.star_subcomplex((u,)).vertices]
-        pv = [g1[s] for s in derived.star_subcomplex((v,)).vertices]
-        functional = lp.separate_hulls(pu, pv)
-        ok = functional is not None
-        hulls_ok = hulls_ok and ok
-        hull_evidence.append(HullEvidence(pair=(u, v), disjoint=ok, functional=functional))
-
-    verification = verify_embedding(fn, lift_n, jobs=jobs)
-    positions = dict(record.positions)
-    return PlifyResult(
-        refined_map=fn,
-        lift=lift_n,
-        derived_complex=derived,
-        derived_lift=derived_lift,
-        positions=positions,
-        stages=stages,
-        hull_evidence=hull_evidence,
-        verification=verification,
-        vertex_agreement=agreement,
-        hulls_disjoint=hulls_ok,
+        hulls_disjoint=all(h.disjoint for h in hull_evidence),
     )

@@ -15,8 +15,14 @@ One documented verdict change since: the ``trivial-cover`` route decides the
 quotient is built.  ``lens3-obstruct1/2`` went from ``inconclusive`` (exit 2)
 to ``exists`` (exit 0), and ``lens3-obstruct3`` and ``lens3-thm3`` changed
 their reason from ``manifold-complete-obstruction``; Yang indices and
-quotient cell counts are unchanged.  Regenerate the files only for a
-deliberate, documented output change::
+quotient cell counts are unchanged.
+
+Two documented ``plify`` changes since the graph and higher-dimensional
+cascades merged: a stage's ``cells`` count the complexes it measured, so the
+``wedge`` stage 0 reads ``14/13`` (the input) where it read ``50/49`` (after
+its barycentric round), and a zero vertex pair is named with the graph
+wording, ``identified simplices (('b',), ('e',))`` in ``equal``'s stderr.
+Regenerate the files only for a deliberate, documented output change::
 
     PYTHONPATH=src python tests/test_golden.py
 """

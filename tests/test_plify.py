@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,32 @@ def two_triangles_onto_one():
     return src, f
 
 
+def fold_path_input():
+    f = fold_path_map()
+    return f, SemiLinearMap(f.source, {"a": (F(-1),), "b": (F(0),), "c": (F(1),)})
+
+
+def triangle_identity_input():
+    tgt = SimplicialComplex.from_maximal(list("xyz"), [("x", "y", "z")])
+    ident = SimplicialMap(tgt, tgt, {v: v for v in tgt.vertices})
+    return ident, SemiLinearMap(tgt, {v: (F(0),) for v in tgt.vertices})
+
+
+def flat_triangles_input():
+    src, f = two_triangles_onto_one()
+    return f, SemiLinearMap(src, {v: (F(1),) if v in "abc" else (F(-1),) for v in src.vertices})
+
+
+def wedge_input(h=F(9)):
+    """Two triangles onto two triangles that share the vertex ``x``, lifted
+    to the plane at heights 0 and ``h``."""
+    src = SimplicialComplex.from_maximal(list("abcdef"), [("a", "b", "c"), ("d", "e", "f")])
+    tgt = SimplicialComplex.from_maximal(list("xyzuw"), [("x", "y", "z"), ("x", "u", "w")])
+    f = SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "z", "d": "x", "e": "u", "f": "w"})
+    vals = {"a": (0, 0), "b": (1, 0), "c": (0, 0), "d": (0, h), "e": (1, h), "f": (0, h)}
+    return f, SemiLinearMap(src, {v: tuple(map(F, x)) for v, x in vals.items()})
+
+
 def test_figure_eight_cascade_trace():
     f, g = figure_eight_input()
     res = plify(f, g)
@@ -52,9 +79,7 @@ def test_figure_eight_cascade_trace():
 
 
 def test_fold_path_cascade_trace():
-    f = fold_path_map()
-    g = SemiLinearMap(f.source, {"a": (F(-1),), "b": (F(0),), "c": (F(1),)})
-    res = plify(f, g)
+    res = plify(*fold_path_input())
     s0, s1 = res.stages
     assert (s0.pair_count, s0.cuts_added, s0.w_simplices, s0.b_simplices) == (1, 1, 5, 3)
     assert s0.r_applied_sq == F(1, 2)
@@ -83,6 +108,41 @@ def test_wiggly_figure_eight_no_cuts_needed():
     assert res.ok
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        figure_eight_input,
+        fold_path_input,
+        wiggly_figure_eight,
+        triangle_identity_input,
+        flat_triangles_input,
+        wedge_input,
+    ],
+)
+def test_stage_cells_count_the_measured_complex(make):
+    # Stage 0 measures the input map and stage i what stage i-1 left; the
+    # last stage leaves the refined map.  A stage that refines nothing
+    # leaves what it measured.
+    f, g = make()
+    res = plify(f, g)
+    measured = [(t.w_simplices, t.b_simplices) for t in res.stages]
+    assert measured[0] == (len(f.source.simplices), len(f.target.simplices))
+    refined = res.refined_map
+    left = measured[1:] + [(len(refined.source.simplices), len(refined.target.simplices))]
+    for t, before, after in zip(res.stages, measured, left):
+        assert (after == before) == (t.cuts_added == 0)
+
+
+def test_barycentric_rounds_stop_at_the_budget():
+    # Five rounds would leave 15 552 triangles; the fifth is refused before
+    # it runs, after four rounds that take well under a second.
+    f, g = wedge_input(F(1))
+    start = time.perf_counter()
+    with pytest.raises(BlockedRefinement, match="round 5 would leave 15552 top simplices"):
+        plify(f, g)
+    assert time.perf_counter() - start < 1
+
+
 def test_positions_map_back_to_source():
     f, g = figure_eight_input()
     res = plify(f, g)
@@ -102,10 +162,17 @@ def test_wraparound_crossing_rejected():
 
 
 def test_zero_separation_rejected():
+    # One wording names a zero vertex pair, on graphs and above.
     f = cycle_cover(2, 4)
     g = SemiLinearMap(f.source, {v: (F(0),) for v in f.source.vertices})
-    with pytest.raises(InputNotInjective):
+    with pytest.raises(InputNotInjective) as graph:
         plify(f, g)
+    assert str(graph.value) == "identified simplices (('n0',), ('n4',)) carry equal lift values"
+    src, f = two_triangles_onto_one()
+    vals = {"a": 1, "b": 0, "c": 2, "d": -1, "e": 0, "f": -2}
+    with pytest.raises(InputNotInjective) as surface:
+        plify(f, SemiLinearMap(src, {v: (F(x),) for v, x in vals.items()}))
+    assert str(surface.value) == "identified simplices (('b',), ('e',)) carry equal lift values"
 
 
 def test_lift_values_must_cover_source():
@@ -124,10 +191,7 @@ def test_degenerate_map_rejected():
 
 
 def test_surface_identity_passes():
-    tgt = SimplicialComplex.from_maximal(list("xyz"), [("x", "y", "z")])
-    ident = SimplicialMap(tgt, tgt, {v: v for v in tgt.vertices})
-    g = SemiLinearMap(tgt, {v: (F(0),) for v in tgt.vertices})
-    res = plify(ident, g)
+    res = plify(*triangle_identity_input())
     assert res.ok
     # One stage per dimension, none needing cuts.
     assert [s.stage for s in res.stages] == [0, 1, 2]
@@ -135,11 +199,7 @@ def test_surface_identity_passes():
 
 
 def test_surface_pair_with_flat_lift_passes():
-    src, f = two_triangles_onto_one()
-    flat = SemiLinearMap(
-        src, {v: (F(1),) if v in "abc" else (F(-1),) for v in src.vertices}
-    )
-    res = plify(f, flat)
+    res = plify(*flat_triangles_input())
     assert res.ok
     assert res.verification.ok and res.vertex_agreement
 
