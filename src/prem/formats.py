@@ -346,10 +346,8 @@ def write_lift(g: SemiLinearMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_witness(values: Dict, vertex_order: Optional[Sequence] = None) -> str:
-    keys = list(vertex_order) if vertex_order is not None else sorted(
-        values, key=lambda p: (id_token(p[0]), id_token(p[1]))
-    )
+def write_witness(values: Dict) -> str:
+    keys = sorted(values, key=lambda p: (id_token(p[0]), id_token(p[1])))
     lines = []
     for u, v in keys:
         nums = " ".join(format_fraction(x) for x in values[(u, v)])

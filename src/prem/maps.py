@@ -83,13 +83,6 @@ class SimplicialMap:
             out.setdefault(self.image_simplex(s), []).append(s)
         return out
 
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise MapError("composition mismatch")
-        vm = {v: self.vertex_map[other.vertex_map[v]] for v in other.source.vertices}
-        return SimplicialMap(other.source, self.target, vm, check=False)
-
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 
@@ -116,9 +109,6 @@ class SemiLinearMap:
         for v, c in zip(bp.support, bp.coords):
             acc = linalg.vec_add(acc, linalg.vec_scale(c, self.values[v]))
         return acc
-
-    def at_vertex(self, v) -> tuple:
-        return self.values[v]
 
     def __repr__(self) -> str:
         return f"SemiLinearMap({self.source!r} -> Q^{self.out_dim})"

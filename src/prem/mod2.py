@@ -318,10 +318,6 @@ class ComponentReport:
     def invariant_count(self) -> int:
         return sum(self.invariant_flags)
 
-    @property
-    def parity(self) -> int:
-        return self.invariant_count % 2
-
 
 def component_report(ic: InvolutionComplex) -> ComponentReport:
     comps = ic.complex.connected_components()

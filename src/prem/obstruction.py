@@ -48,14 +48,6 @@ class Verdict:
     quotient_f_vector: Optional[tuple] = None
     manifold_checked: Optional[bool] = None
 
-    @property
-    def exists(self) -> Optional[bool]:
-        if self.answer == EXISTS:
-            return True
-        if self.answer == NOT_EXISTS:
-            return False
-        return None
-
 
 def _links_look_like_sphere(q, k: int) -> bool:
     """Every vertex link has the mod-2 Betti numbers of the (k-1)-sphere."""
@@ -241,21 +233,18 @@ def sheet_split_witness(model: InvolutionComplex, k: int) -> Optional[Dict]:
 # -- projection-degree parity --------------------------------------------------
 
 
-def projection_degree_parity(
-    model: DoublePointModel, component, side: str = "first"
-) -> int:
-    """Mod-2 degree of the coordinate projection of one pair-complex component
-    onto the (possibly subdivided) source.
+def projection_degree_parity(model: DoublePointModel, component) -> int:
+    """Mod-2 degree of the first-coordinate projection of one pair-complex
+    component onto the (possibly subdivided) source.
 
     Counts, over every top simplex of the source, the component's top cells
-    whose chosen-coordinate projection is a bijection onto that simplex, and
+    whose first-coordinate projection is a bijection onto that simplex, and
     checks the count's parity is the same everywhere; that shared bit is the
     degree parity.  Requires the source to be a closed pseudomanifold and the
     component to be pure of the same dimension with mod-2-cycle top cells.
+    On an invariant component the swap permutes the top cells and exchanges
+    the two projections, so the second projection has the same degree.
     """
-    if side not in ("first", "second"):
-        raise PreconditionError(f"projection side must be first|second, got {side!r}")
-    idx = 0 if side == "first" else 1
     source = model.map.source
     n = source.dim
     if not source.is_closed_pseudomanifold():
@@ -282,11 +271,9 @@ def projection_degree_parity(
             )
     counts = {s: 0 for s in source.simplices_of_dim(n)}
     for cell in cells:
-        proj = {v[idx] for v in cell}
+        proj = {v[0] for v in cell}
         if len(proj) != n + 1:
-            raise InternalError(
-                f"pair cell {cell} does not project bijectively on side {side}"
-            )
+            raise InternalError(f"pair cell {cell} does not project bijectively")
         key = source.canon(proj)
         if key not in counts:
             raise InternalError(f"pair cell {cell} projects outside the source")
@@ -327,7 +314,6 @@ def prem_report(
     f: SimplicialMap,
     k: int,
     model: Optional[DoublePointModel] = None,
-    verdict: Optional[Verdict] = None,
 ) -> PremReport:
     """Weigh the equivariant verdict against the dimension hypotheses under
     which a positive verdict upgrades to an actual embedding lift."""
@@ -335,8 +321,7 @@ def prem_report(
         model = double_point_model(f)
     n = f.source.dim
     m = f.target.dim
-    if verdict is None:
-        verdict = equivariant_map_exists(model.pair_complex, k)
+    verdict = equivariant_map_exists(model.pair_complex, k)
     comp = mod2.component_report(model.pair_complex)
     hyp_codim = m >= n
     hyp_meta = 2 * (m + k) >= 3 * (n + 1)

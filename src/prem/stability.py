@@ -37,18 +37,6 @@ class StableToLineReport:
     def stable(self) -> bool:
         return self.verdict == "stable"
 
-    def lines(self) -> List[str]:
-        out = [
-            f"edges embed: {self.embeds_all_edges}",
-            f"critical vertices: {self.critical_vertices or 'none'}",
-            f"critical values pairwise distinct: {self.critical_values_injective}",
-            f"verdict: {self.verdict}",
-        ]
-        if self.undecided_vertices:
-            out.append(f"regularity undecided at: {self.undecided_vertices}")
-        out.extend(f"caveat: {c}" for c in self.caveats)
-        return out
-
 
 def _scalar(values: Dict, v) -> Fraction:
     x = values[v]

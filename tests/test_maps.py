@@ -62,21 +62,6 @@ def test_fibers_partition_source():
     assert all(len(v) == 3 for v in fib.values())
 
 
-def test_compose():
-    f = cycle_cover(3, 3)
-    ident = SimplicialMap(f.target, f.target, {v: v for v in f.target.vertices})
-    gf = ident.compose(f)
-    assert gf.source is f.source
-    assert gf.target is f.target
-    assert gf.vertex_map["n4"] == "b1"
-
-
-def test_compose_rejects_mismatched_complexes():
-    f = cycle_cover(3, 3)
-    with pytest.raises(MapError):
-        f.compose(f)
-
-
 def test_semi_linear_carrier_and_values():
     f = fold_path_map()
     g = SemiLinearMap(f.source, {"a": (F(0),), "b": (F(1),), "c": (F(2),)})

@@ -149,11 +149,9 @@ def test_component_report():
     assert len(rep.components) == 1
     assert rep.invariant_flags == [True]
     assert rep.invariant_count == 1
-    assert rep.parity == 1
 
     c = complex_from_facets([("a", "b"), ("x", "y")])
     t = {"a": "x", "b": "y", "x": "a", "y": "b"}
     rep = component_report(InvolutionComplex(c, t))
     assert len(rep.components) == 2
     assert rep.invariant_count == 0
-    assert rep.parity == 0

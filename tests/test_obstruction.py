@@ -163,8 +163,7 @@ def test_certify_rejects_bad_values():
 def test_projection_parity_invariant_circle():
     model = double_point_model(cycle_cover(2, 4))
     comp = model.complex.connected_components()[0]
-    assert projection_degree_parity(model, comp, side="first") == 1
-    assert projection_degree_parity(model, comp, side="second") == 1
+    assert projection_degree_parity(model, comp) == 1
 
 
 def test_projection_parity_swapped_circles():
@@ -173,11 +172,9 @@ def test_projection_parity_swapped_circles():
         assert projection_degree_parity(model, comp) == 1
 
 
-def test_projection_parity_validates_side_and_component():
+def test_projection_parity_validates_component():
     model = double_point_model(cycle_cover(2, 4))
     comp = model.complex.connected_components()[0]
-    with pytest.raises(PreconditionError):
-        projection_degree_parity(model, comp, side="middle")
     one_vertex = [next(iter(comp))]
     with pytest.raises(PreconditionError):
         projection_degree_parity(model, one_vertex)
