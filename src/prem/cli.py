@@ -562,6 +562,9 @@ def _cmd_gen(args) -> int:
     elif name == "join-lens":
         p, q = params
         if p == 2:
+            # L(2, 1) is real projective 3-space, the antipodal quotient.
+            if q != 1:
+                raise PreconditionError("the rotation parameter must be a unit modulo p")
             projection, _rounds = antipodal_sphere_covering(3)
         else:
             projection, _rounds = lens_covering(p, q)

@@ -228,6 +228,14 @@ def test_gen_rejects_bad_requests(capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_gen_join_lens_rejects_a_non_unit_rotation(capsys):
+    for p, q in (("2", "7"), ("2", "0"), ("3", "3")):
+        assert main(["gen", "join-lens", p, q]) == 65
+        assert capsys.readouterr().err == (
+            "error (PreconditionError): the rotation parameter must be a unit modulo p\n"
+        )
+
+
 def test_gen_outputs_reparse(capsys):
     for spec in (
         ["gen", "figure-eight"],
