@@ -251,6 +251,8 @@ def min_sq_norm_in_hull(points: Sequence[Sequence]) -> Tuple[Fraction, Vec]:
         raise InternalError("empty hull")
     pts = [tuple(Fraction(x) for x in p) for p in points]
     k = len(pts)
+    if k == 1:
+        return linalg.norm_sq(pts[0]), [Fraction(1)]
     gram = [[linalg.dot(pts[i], pts[j]) for j in range(k)] for i in range(k)]
     best_val: Optional[Fraction] = None
     best_lam: Optional[Vec] = None

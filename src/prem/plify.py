@@ -56,7 +56,8 @@ from .verify import VerificationResult, verify_embedding
 # Top simplices a barycentric round may leave in the source.  A round
 # multiplies the top d-simplices by (d+1)!.  On two triangles, four rounds
 # leave 2 592 triangles and the cascade takes about 10 s and 42 MiB; a fifth
-# leaves 15 552 and takes over a minute and 170 MiB.
+# leaves 15 552 and takes over a minute and 170 MiB (2-vCPU Xeon guest,
+# CPython 3.11).
 TOP_SIMPLEX_BUDGET = 5000
 
 
@@ -174,7 +175,7 @@ def _lambda_sq(fn: SimplicialMap, gvals: Dict, positions: Dict) -> Fraction:
             continue
         maps = [positions[v].coord_map() for v in s]
         keys = list(dict.fromkeys(k for m in maps for k in m))
-        pts = [tuple(m.get(k, Fraction(0)) for k in keys) for m in maps]
+        pts = [tuple(m.get(k, linalg.Q0) for k in keys) for m in maps]
         h_min = min(
             linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
             for i, p in enumerate(pts)
