@@ -129,7 +129,9 @@ def _metric_dist_sq(p: BarycentricPoint, q: BarycentricPoint) -> Fraction:
 
 
 def _has_edge_longer(c: SimplicialComplex, positions: Dict, r_sq: Fraction) -> bool:
-    return any(_metric_dist_sq(positions[a], positions[b]) > r_sq for a, b in c.simplices_of_dim(1))
+    return any(
+        _metric_dist_sq(positions[a], positions[b]) > r_sq for a, b in c.simplices_of_dim(1)
+    )
 
 
 def _stage_pairs(
@@ -137,6 +139,8 @@ def _stage_pairs(
 ) -> Tuple[int, Optional[Fraction], Optional[Fraction], Optional[tuple]]:
     """(pair count, max d^2, min separation^2, first pair at separation 0)
     over the identified simplex pairs that ``stage`` separates."""
+    # Stage 0 separates the identified original vertices; later stages
+    # leave the derived stars of original vertices as stage 0 left them.
     protected = set()
     if stage:
         protected = {v for v in fn.source.vertices if len(positions[v].support) == 1}

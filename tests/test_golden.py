@@ -75,7 +75,10 @@ def _lift(values: dict) -> str:
 
 
 WRITTEN = {
-    "wedge": (WEDGE, _lift({"a": "0 0", "b": "1 0", "c": "0 0", "d": "0 9", "e": "1 9", "f": "0 9"})),
+    "wedge": (
+        WEDGE,
+        _lift({"a": "0 0", "b": "1 0", "c": "0 0", "d": "0 9", "e": "1 9", "f": "0 9"}),
+    ),
     "flat": (TRIANGLES, _lift({v: "1" if v in "abc" else "-1" for v in "abcdef"})),
     "blocks": (
         TRIANGLES,
@@ -102,9 +105,9 @@ COMMANDS = {
 # The lift file each ``verify`` / ``plify`` command reads after the map:
 # ``lift2`` is what ``lift -k 2`` writes for the input, ``mod5`` gives vertex
 # ``n<i>`` of ``cycle-cover 2 5`` the value ``i mod 5``, ``given`` is the lift
-# text of a ``WRITTEN`` input.  Under ``mod5`` the
-# two preimages of each target edge coincide, so a violation value is the
-# vertex at which the pair LP stops, not a unique crossing point.
+# text of a ``WRITTEN`` input.  Under ``mod5`` the two preimages of each
+# target edge coincide, so a violation value is the vertex at which the pair
+# LP stops, not a unique crossing point.
 LIFT_OF = {"verify2": "lift2", "verifymod5": "mod5", "plify2": "lift2", "plifygiven": "given"}
 MOD5 = "".join(f"g n{i} {i % 5}\n" for i in range(10))
 
