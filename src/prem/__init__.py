@@ -53,7 +53,7 @@ from .obstruction import (
     prem_report,
     projection_degree_parity,
 )
-from .plify import PlifyResult, plify
+from .plify import PlifyResult
 from .stability import StableToLineReport, stable_to_line_report
 from .subdivision import SubdivisionRecord, barycentric_subdivide, barycentric_subdivide_map
 from .verify import VerificationResult, verify_embedding
@@ -103,7 +103,6 @@ __all__ = [
     "has_triple_points",
     "identified_vertex_pairs",
     "is_simple_fold",
-    "plify",
     "prem_report",
     "projection_degree_parity",
     "quotient_by_free_involution",

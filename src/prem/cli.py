@@ -15,16 +15,13 @@ negative one and 2 when inconclusive; ``verify`` exits 1 when the
 certificate fails.  ``--json`` renders every report as a
 versioned JSON document, written to ``-o FILE`` when given, and turns an
 error into one JSON object on stderr, ``{"schema": 1, "error": {"type",
-"message", "exit_code"}}``, with the same exit code; ``--jobs`` (or the
-PREM_JOBS environment variable) sets the worker process count, at least 1
-and clamped to the CPU count.
+"message", "exit_code"}}``, with the same exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -74,27 +71,6 @@ def _emit(text: str, out: Optional[str]) -> None:
                 fh.write(text)
         except OSError as exc:
             raise OutputError(f"cannot write {out}: {exc}") from exc
-
-
-def _positive_jobs(value, source: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError as exc:
-        raise ParseError(f"{source} must be an integer, got {value!r}") from exc
-    if jobs < 1:
-        raise ParseError(f"{source} must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _jobs(args) -> int:
-    """Worker process count: ``--jobs``, else PREM_JOBS, else 1; values below
-    1 are parse errors and values above the CPU count are clamped to it."""
-    if getattr(args, "jobs", None) is not None:
-        return _positive_jobs(args.jobs, "--jobs")
-    env = os.environ.get("PREM_JOBS")
-    if env:
-        return _positive_jobs(env, "PREM_JOBS")
-    return 1
 
 
 def _print_json(payload: Dict, out: Optional[str]) -> None:
@@ -353,9 +329,7 @@ def _cmd_lift(args) -> int:
             ),
             values=values,
         )
-    result = construct_lift_3ptfree(
-        doc.map, args.k, alpha=alpha, star=star, jobs=_jobs(args)
-    )
+    result = construct_lift_3ptfree(doc.map, args.k, alpha=alpha, star=star)
     if args.json:
         _print_json(
             {
@@ -390,7 +364,7 @@ def _cmd_lift(args) -> int:
 def _cmd_verify(args) -> int:
     doc = formats.parse_map(_read(args.map_file))
     g = formats.parse_lift(_read(args.lift_file), doc.map.source)
-    res = verify_embedding(doc.map, g, jobs=_jobs(args))
+    res = verify_embedding(doc.map, g)
     if args.json:
         _print_json(
             {
@@ -434,7 +408,7 @@ def _stage_line(t) -> str:
 def _cmd_plify(args) -> int:
     doc = formats.parse_map(_read(args.map_file))
     g = formats.parse_lift(_read(args.lift_file), doc.map.source)
-    result = run_plify(doc.map, g, jobs=_jobs(args))
+    result = run_plify(doc.map, g)
     if args.json:
         payload = {
             "schema": SCHEMA,
@@ -589,11 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def common(p, jobs=False):
+    def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("-o", "--out", help="write the report to a file")
-        if jobs:
-            p.add_argument("--jobs", type=int, help="worker process cap")
 
     p = sub.add_parser("delta", help="pair complex of a simplicial map")
     p.add_argument("map_file")
@@ -623,20 +595,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--star", action="append", help="star boundary file (repeatable)"
     )
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("verify", help="embedding certificate for a lift")
     p.add_argument("map_file")
     p.add_argument("lift_file")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("plify", help="convert a lift to a certified PL lift")
     p.add_argument("map_file")
     p.add_argument("lift_file")
     p.add_argument("--trace", action="store_true", help="per-stage numbers")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(fn=_cmd_plify)
 
     p = sub.add_parser("stability", help="stable-to-line JSON report")

@@ -206,7 +206,6 @@ def construct_lift_3ptfree(
     k: int,
     alpha: Optional[Dict] = None,
     star: Optional[StarBoundary] = None,
-    jobs: int = 1,
 ) -> LiftResult:
     """Certified extra coordinates for a triple-point-free simple-fold map.
 
@@ -317,7 +316,7 @@ def construct_lift_3ptfree(
         notes.append("boundary values reproduced verbatim")
 
     g = SemiLinearMap(f.source, g_values, out_dim=k)
-    verification = verify_embedding(f, g, jobs=jobs)
+    verification = verify_embedding(f, g)
     if not verification.ok:
         raise InternalError(
             "constructed lift failed verification although the witness was "

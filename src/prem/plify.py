@@ -111,17 +111,6 @@ def _ceil_sqrt_ratio(num: Fraction) -> int:
     return max(1, n)
 
 
-def _identified_vertex_pairs_of(fn: SimplicialMap) -> List[Tuple]:
-    groups: Dict = {}
-    for v in fn.source.vertices:
-        groups.setdefault(fn.vertex_map[v], []).append(v)
-    pairs = []
-    for group in groups.values():
-        for u, v in combinations(group, 2):
-            pairs.append((u, v))
-    return pairs
-
-
 def _metric_dist_sq(p: BarycentricPoint, q: BarycentricPoint) -> Fraction:
     """Squared distance in the standard-basis metric of the source."""
     pa, pb = p.coord_map(), q.coord_map()
@@ -350,7 +339,7 @@ def _star_points(derived: SimplicialComplex, values: Dict, centre) -> list:
     return [values[w] for w in sorted(star, key=derived.rank.__getitem__)]
 
 
-def plify(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> PlifyResult:
+def plify(f: SimplicialMap, g: SemiLinearMap) -> PlifyResult:
     """Run the refinement cascade and produce the certified PL lift."""
     if g.source.vertices != f.source.vertices:
         raise PreconditionError("lift values are not given on the source vertices")
@@ -396,8 +385,15 @@ def plify(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> PlifyResult:
     derived_lift = SemiLinearMap(derived, g1, out_dim=g.out_dim)
     agreement = all(g1[centre[v]] == gvals[v] for v in fn.source.vertices)
 
+    # The identified vertices: the pairs of each 0-dimensional fibre.
+    vertex_pairs = [
+        (u, v)
+        for img, fibre in fn.fibers().items()
+        if len(img) == 1
+        for (u,), (v,) in combinations(fibre, 2)
+    ]
     hull_evidence: List[HullEvidence] = []
-    for u, v in _identified_vertex_pairs_of(fn):
+    for u, v in vertex_pairs:
         functional = lp.separate_hulls(
             _star_points(derived, g1, centre[u]), _star_points(derived, g1, centre[v])
         )
@@ -405,7 +401,7 @@ def plify(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> PlifyResult:
             HullEvidence(pair=(u, v), disjoint=functional is not None, functional=functional)
         )
 
-    verification = verify_embedding(fn, lift_n, jobs=jobs)
+    verification = verify_embedding(fn, lift_n)
     return PlifyResult(
         refined_map=fn,
         lift=lift_n,

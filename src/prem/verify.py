@@ -4,32 +4,40 @@ is injective, i.e. that ``x -> (f(x), g(x))`` embeds the source complex.
 The target polyhedron is embedded by sending each of its vertices to a
 standard basis vector, so the combined map is affine on every source simplex
 with rational values, and injectivity reduces to finitely many exact checks.
-Each maximal simplex first gets an affine-independence check.  Then every
-unordered pair ``(s, t)`` of maximal simplices is settled.  A pair whose
-images touch no common target vertex cannot meet in a double point, so an
-inverted index from target vertex to the maximal simplices over it yields
-the candidate pairs, those sharing a target vertex, and the others are only
-counted.  A candidate is settled by a cheap prefilter (``s u t`` is itself a
-simplex and was already checked) or by exactly one LP over the pair polytope
-``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``:
+Each maximal simplex first gets an affine-independence check.  Then only
+pairs of distinct simplices with the same image can fail: two distinct points
+with one value lie in the open simplices ``sigma`` and ``tau`` that carry
+them, ``f`` sends each open simplex into the open simplex of its image, so
+``f(sigma) = f(tau)``, and ``sigma = tau`` is ruled out by the check of a
+maximal simplex containing it.  So one loop over the pairs of each fibre of
+``f`` decides every pair of maximal simplices:
 
-* disjoint ``s`` and ``t``: a feasibility LP; any solution is a violation,
-  and infeasibility comes with a Farkas certificate;
-* shared face ``rho = s n t``: maximize the mass ``mu(x, y)`` of ``x`` on
+* non-degenerate ``f``: the matched bijection ``m: s -> t`` commutes with
+  ``f`` and fixes ``s n t``, so ``f(x) = f(y)`` means ``y = m(x)``, and the
+  pair meets exactly when the origin lies in the convex hull of
+  ``g(m(v)) - g(v)`` over the vertices ``v`` of ``s`` outside ``t``.  That is
+  ``obstruction.separation``: ``independent`` or ``separated``, or hull
+  coefficients that put ``x`` on those vertices and ``y = m(x)``, a violation;
+* degenerate ``f``: a prefilter (``s u t`` is itself a simplex and was already
+  checked), else exactly one LP over the pair polytope
+  ``{(x, y) in s x t : f(x) = f(y), g(x) = g(y)}``.  For disjoint ``s`` and
+  ``t`` it is a feasibility LP; any solution is a violation, and
+  infeasibility comes with a Farkas certificate.  For a shared face
+  ``rho = s n t`` it maximizes the mass ``mu(x, y)`` of ``x`` on
   ``s \\ rho`` plus that of ``y`` on ``t \\ rho``.  ``mu = 0`` puts both points
-  in ``rho``, a face of ``s``, and the per-simplex check has shown ``(f, g)``
-  injective on ``s``, so ``x = y``.  ``mu > 0`` puts one point outside
-  ``s n t``, so the maximizer is two distinct points with the same value.
+  in ``rho``, a face of ``s``, on which ``(f, g)`` is injective, so ``x = y``.
+  ``mu > 0`` puts one point outside ``s n t``, so the maximizer is two
+  distinct points with the same value.
 
-Every maximal simplex and every candidate pair contributes one evidence
-record; the pairs with disjoint images are a count.  Any violation carries an
-exact witness pair of points.
+Every maximal simplex and every same-image pair contributes one evidence
+record, and any violation carries an exact witness pair of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,8 +45,8 @@ from . import linalg, lp
 from .complexes import BarycentricPoint, Simplex
 from .errors import InternalError, MapError
 from .maps import SemiLinearMap, SimplicialMap
+from .obstruction import separation
 
-DISJOINT_IMAGES = "disjoint-images"
 SAME_CARRIER = "same-carrier"
 FARKAS = "farkas"
 DIAGONAL_CONFINED = "diagonal-confined"
@@ -66,11 +74,10 @@ class PairEvidence:
 class VerificationResult:
     """Outcome of :func:`verify_embedding`.
 
-    ``pairs_checked`` counts every unordered pair of maximal simplices.
-    ``evidence`` holds one record per maximal simplex, then one per candidate
-    pair (images sharing a target vertex) in ``combinations`` order; the
-    remaining ``disjoint_images`` pairs are counted, not recorded, and
-    :meth:`kind_counts` reports them under ``disjoint-images``.
+    ``pairs_checked`` counts every unordered pair of maximal simplices; each
+    is decided by the same-image pairs of its faces.  ``evidence`` holds one
+    record per maximal simplex, then one per same-image pair, fibre by fibre
+    in :meth:`SimplicialMap.fibers` order.
     """
 
     ok: bool
@@ -78,18 +85,15 @@ class VerificationResult:
     pairs_checked: int
     evidence: List[PairEvidence] = field(default_factory=list)
     violations: List[ViolationWitness] = field(default_factory=list)
-    disjoint_images: int = 0
 
     def kind_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for e in self.evidence:
             counts[e.kind] = counts.get(e.kind, 0) + 1
-        if self.disjoint_images:
-            counts[DISJOINT_IMAGES] = self.disjoint_images
         return counts
 
 
-def _combined_columns(f: SimplicialMap, g: SemiLinearMap, s: Simplex, frame: list) -> list:
+def _combined_columns(f: SimplicialMap, g: SemiLinearMap, s: Simplex, frame: Sequence) -> list:
     """Value of (f, g) at each vertex of ``s`` in the given target-vertex
     frame (indicator part) followed by the g coordinates."""
     idx = {w: i for i, w in enumerate(frame)}
@@ -130,17 +134,12 @@ def _self_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex) -> Optional[Viol
     return ViolationWitness(simplex_x=s, simplex_y=s, x=x, y=y, g_value=g(x))
 
 
-def _pair_check(
-    f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex, img_s: frozenset, img_t: frozenset
-) -> PairEvidence:
-    """Settle a candidate pair: ``img_s`` and ``img_t``, the target vertices
-    under ``s`` and ``t``, meet."""
-    src = f.source
-    union = set(s) | set(t)
-    if src.has_simplex(union):
+def _pair_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex) -> PairEvidence:
+    """Settle a same-image pair of a degenerate map with one LP."""
+    if f.source.has_simplex(set(s) | set(t)):
         return PairEvidence(pair=(s, t), kind=SAME_CARRIER)
 
-    frame = sorted(img_s | img_t, key=f.target.rank.__getitem__)
+    frame = f.image_simplex(s)
     cols_s = _combined_columns(f, g, s, frame)
     cols_t = _combined_columns(f, g, t, frame)
     d = len(cols_s[0])
@@ -180,34 +179,26 @@ def _pair_check(
     return PairEvidence(pair=(s, t), kind=DIAGONAL_CONFINED)
 
 
-def _candidate_pairs(images: List[frozenset]) -> List[Tuple[int, int]]:
-    """Positions ``(i, j)``, ``i < j``, of the simplices whose images share a
-    target vertex, in the order ``combinations`` visits them: only these pairs
-    can meet in a double point."""
-    over: Dict = {}
-    for i, img in enumerate(images):
-        for w in img:
-            over.setdefault(w, []).append(i)
-    candidates = []
-    for i, img in enumerate(images):
-        partners = {j for w in img for j in over[w] if j > i}
-        candidates.extend((i, j) for j in sorted(partners))
-    return candidates
+def _matched_pair_check(
+    f: SimplicialMap, g: SemiLinearMap, s: Simplex, t: Simplex
+) -> PairEvidence:
+    """Settle a same-image pair of a non-degenerate map.  The matched
+    bijection ``m: s -> t`` fixes ``s n t``, and ``x`` in ``s`` and ``m(x)``
+    share a value exactly when the mass of ``x`` on the vertices of ``s``
+    outside ``t`` combines the differences ``g(m(v)) - g(v)`` to zero."""
+    m = f.matched_bijection(s, t)
+    part = [v for v in s if v not in t]
+    kind, cert = separation([linalg.vec_sub(g.values[m[v]], g.values[v]) for v in part])
+    if kind != "origin-in-hull":
+        return PairEvidence(pair=(s, t), kind=kind)
+    x = _point_from_coeffs(part, cert)
+    y_mass = {m[v]: c for v, c in zip(part, cert)}
+    y = _point_from_coeffs(t, [y_mass.get(w, 0) for w in t])
+    witness = ViolationWitness(simplex_x=s, simplex_y=t, x=x, y=y, g_value=g(x))
+    return PairEvidence(pair=(s, t), kind=VIOLATION, witness=witness)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(f: SimplicialMap, g: SemiLinearMap) -> None:
-    _WORKER_STATE["f"] = f
-    _WORKER_STATE["g"] = g
-
-
-def _worker_run(candidate: tuple) -> PairEvidence:
-    return _pair_check(_WORKER_STATE["f"], _WORKER_STATE["g"], *candidate)
-
-
-def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> VerificationResult:
+def verify_embedding(f: SimplicialMap, g: SemiLinearMap) -> VerificationResult:
     """Decide exactly whether ``x -> (f(x), g(x))`` is injective on the
     source polyhedron."""
     if g.source.vertices != f.source.vertices:
@@ -233,29 +224,17 @@ def verify_embedding(f: SimplicialMap, g: SemiLinearMap, jobs: int = 1) -> Verif
             violations=violations,
         )
 
-    images = [frozenset(f.vertex_map[v] for v in s) for s in maximal]
-    candidates = [
-        (maximal[i], maximal[j], images[i], images[j]) for i, j in _candidate_pairs(images)
-    ]
-    if jobs > 1 and len(candidates) > 8:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(f, g)) as pool:
-            pair_evidence = pool.map(_worker_run, candidates, chunksize=16)
-    else:
-        pair_evidence = [_pair_check(f, g, *c) for c in candidates]
-
-    for ev in pair_evidence:
-        evidence.append(ev)
-        if ev.kind == VIOLATION:
-            violations.append(ev.witness)
-    pairs = comb(len(maximal), 2)
+    settle = _matched_pair_check if f.is_non_degenerate() else _pair_check
+    for fibre in f.fibers().values():
+        for s, t in combinations(fibre, 2):
+            ev = settle(f, g, s, t)
+            evidence.append(ev)
+            if ev.kind == VIOLATION:
+                violations.append(ev.witness)
     return VerificationResult(
         ok=not violations,
         simplices_checked=len(maximal),
-        pairs_checked=pairs,
+        pairs_checked=comb(len(maximal), 2),
         evidence=evidence,
         violations=violations,
-        disjoint_images=pairs - len(candidates),
     )

@@ -22,6 +22,16 @@ cascades merged: a stage's ``cells`` count the complexes it measured, so the
 ``wedge`` stage 0 reads ``14/13`` (the input) where it read ``50/49`` (after
 its barycentric round), and a zero vertex pair is named with the graph
 wording, ``identified simplices (('b',), ('e',))`` in ``equal``'s stderr.
+
+One documented ``verify`` output change since ``verify`` tests only pairs of
+distinct source faces with the same image (same-image pairs), fibre by fibre
+of the map.  Evidence kinds are now counted per same-image face pair: on a
+non-degenerate map ``independent``, ``separated`` or ``violation``, in place of
+``disjoint-images``, ``farkas`` and ``diagonal-confined`` per pair of maximal
+simplices.  A violation names the smallest such pair, in fibre order, so
+``cover25-verifymod5`` now lists ``[n0] and [n5]`` first.  Sixteen ``verify``,
+``lift`` and ``plify`` files changed in those lines only; verdicts, exit
+codes and ``pairs checked`` (every pair of maximal simplices) did not.
 Regenerate the files only for a deliberate, documented output change::
 
     PYTHONPATH=src python tests/test_golden.py

@@ -1,14 +1,12 @@
 """Tests for the text formats and the command-line interface."""
 
-import argparse
 import json
-import os
 from fractions import Fraction as F
 
 import pytest
 
 from prem import formats
-from prem.cli import _jobs, main
+from prem.cli import main
 from prem.complexes import SimplicialComplex
 from prem.errors import ParseError
 
@@ -501,51 +499,19 @@ def test_verify_subcommand(capsys, tmp_path, fig8, fig8_lift):
     assert out[0] == "embedding certificate: ok"
     assert out[1] == "simplices checked: 8"
     assert out[2] == "pairs checked: 28"
-    assert out[3].startswith("evidence kinds: diagonal-confined 8")
+    assert out[3] == "evidence kinds: embedded-simplex 8, independent 1"
 
     zero = tmp_path / "zero.lift"
     zero.write_text("".join(f"g n{i} 0\n" for i in range(8)), encoding="utf-8")
     assert main(["verify", fig8, str(zero)]) == 1
     out = capsys.readouterr().out
     assert "embedding certificate: FAILED" in out
-    assert "violation: simplices [n0 n1] and [n3 n4] share value (0/1)" in out
+    assert "violation: simplices [n0] and [n4] share value (0/1)" in out
 
 
-def test_verify_jobs_matches_serial(capsys, monkeypatch, fig8, fig8_lift):
-    assert main(["verify", fig8, fig8_lift]) == 0
-    serial = capsys.readouterr().out
-    assert main(["verify", fig8, fig8_lift, "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
-    monkeypatch.setenv("PREM_JOBS", "2")
-    assert main(["verify", fig8, fig8_lift]) == 0
-    assert capsys.readouterr().out == serial
-    monkeypatch.setenv("PREM_JOBS", "zebra")
-    assert main(["verify", fig8, fig8_lift]) == 64
-    monkeypatch.delenv("PREM_JOBS")
-    assert main(["verify", fig8, fig8_lift, "--jobs", "0"]) == 64
-    assert main(["verify", fig8, fig8_lift, "--jobs", "-3"]) == 64
-    assert capsys.readouterr().out == ""
-
-
-def test_jobs_parser_bounds(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("PREM_JOBS", raising=False)
-    assert _jobs(argparse.Namespace(jobs=None)) == 1
-    assert _jobs(argparse.Namespace()) == 1
-    assert _jobs(argparse.Namespace(jobs=1)) == 1
-    assert _jobs(argparse.Namespace(jobs=10**9)) == 2
-    for bad in (0, -1):
-        with pytest.raises(ParseError):
-            _jobs(argparse.Namespace(jobs=bad))
-    monkeypatch.setenv("PREM_JOBS", "64")
-    assert _jobs(argparse.Namespace(jobs=None)) == 2
-    assert _jobs(argparse.Namespace(jobs=1)) == 1
-    for bad in ("0", "-2", "zebra", "1.5"):
-        monkeypatch.setenv("PREM_JOBS", bad)
-        with pytest.raises(ParseError):
-            _jobs(argparse.Namespace(jobs=None))
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _jobs(argparse.Namespace(jobs=8)) == 1
+def test_verify_has_no_jobs_flag(capsys, fig8, fig8_lift):
+    assert main(["verify", fig8, fig8_lift, "--jobs", "2"]) == 64
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_json_honours_out_file(capsys, tmp_path, fig8, fig8_lift):
@@ -594,8 +560,8 @@ def test_json_output_into_missing_directory_is_a_json_error(capsys, tmp_path, fi
 
 
 def test_lift_and_verify_on_the_double_cover_of_a_1000_cycle(capsys, tmp_path):
-    """2 000 source edges make C(2000, 2) = 1 999 000 pairs; 5 per target
-    vertex, 5 000 in all, share a target vertex."""
+    """2 000 source edges make C(2000, 2) = 1 999 000 pairs; one vertex pair
+    and one edge pair per target vertex, 2 000 in all, share an image."""
     cover, lift = str(tmp_path / "cover.map"), str(tmp_path / "cover.lift")
     assert main(["gen", "cycle-cover", "2", "1000", "-o", cover]) == 0
     assert main(["lift", "-k", "2", cover, "-o", lift]) == 0
@@ -603,7 +569,7 @@ def test_lift_and_verify_on_the_double_cover_of_a_1000_cycle(capsys, tmp_path):
     ver = json.loads(capsys.readouterr().out)
     assert ver["ok"] is True
     assert ver["pairs_checked"] == 1_999_000
-    assert ver["evidence_kinds"]["disjoint-images"] == 1_994_000
+    assert ver["evidence_kinds"] == {"embedded-simplex": 2000, "independent": 2000}
 
 
 def test_plify_text_reparses(capsys, fig8, fig8_lift):

@@ -1,4 +1,5 @@
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -218,3 +219,12 @@ def test_surface_varying_lift_blocks():
     }
     with pytest.raises(BlockedRefinement):
         plify(f, SemiLinearMap(src, vals))
+
+
+def test_plify_submodule_is_not_shadowed():
+    """The package exports ``PlifyResult`` but not the function ``plify``,
+    so the name ``prem.plify`` stays the submodule."""
+    import prem.plify as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.plify is plify

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -33,12 +32,8 @@ def test_figure_eight_lift_certifies():
     assert res.ok
     assert res.simplices_checked == 8
     assert res.pairs_checked == 28
-    assert res.kind_counts() == {
-        "embedded-simplex": 8,
-        "disjoint-images": 16,
-        "farkas": 4,
-        "diagonal-confined": 8,
-    }
+    # n0 and n4 over the crossing are the only same-image pair.
+    assert res.kind_counts() == {"embedded-simplex": 8, "independent": 1}
     assert res.violations == []
 
 
@@ -63,7 +58,7 @@ def test_fold_with_height_is_embedded():
     assert res.ok
     assert res.simplices_checked == 2
     assert res.pairs_checked == 1
-    assert res.kind_counts() == {"embedded-simplex": 2, "diagonal-confined": 1}
+    assert res.kind_counts() == {"embedded-simplex": 2, "independent": 2}
 
 
 def test_fold_without_height_fails():
@@ -73,16 +68,6 @@ def test_fold_without_height_fails():
     assert not res.ok
     w = res.violations[0]
     assert w.simplex_x != w.simplex_y
-
-
-def test_parallel_matches_serial():
-    f, g = figure_eight_lift()
-    serial = verify_embedding(f, g, jobs=1)
-    parallel = verify_embedding(f, g, jobs=2)
-    assert parallel.ok == serial.ok
-    assert parallel.kind_counts() == serial.kind_counts()
-    assert parallel.pairs_checked == serial.pairs_checked
-    assert [ev.pair for ev in parallel.evidence] == [ev.pair for ev in serial.evidence]
 
 
 def test_lift_must_cover_source_vertices():
@@ -101,25 +86,40 @@ def fold_disk_map() -> SimplicialMap:
     return SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "z", "d": "x"})
 
 
+def collapsed_triangle_map() -> SimplicialMap:
+    """A triangle whose edge ``b c`` collapses onto ``y``, and an edge ``c d``
+    over the triangle's image: a degenerate map, decided by pair LPs."""
+    src = SimplicialComplex.from_maximal(["a", "b", "c", "d"], [("a", "b", "c"), ("c", "d")])
+    tgt = SimplicialComplex.from_maximal(["x", "y"], [("x", "y")])
+    return SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "y", "d": "x"})
+
+
 def test_unbounded_pair_lp_is_internal_error(monkeypatch):
-    f = fold_path_map()
-    g = SemiLinearMap(f.source, {v: (F(0),) for v in f.source.vertices})
+    """``a c`` and ``c d`` share ``c`` but not a simplex: the pair maximizes
+    the mass off ``c``."""
+    f = collapsed_triangle_map()
+    g = SemiLinearMap(f.source, {"a": (F(0),), "b": (F(0),), "c": (F(1),), "d": (F(0),)})
     monkeypatch.setattr(lp, "lp_max", lambda a, b, c: lp.LPResult(status="unbounded"))
     with pytest.raises(InternalError) as info:
         verify_embedding(f, g)
     assert info.value.exit_code == 70
 
 
-# -- the one-LP pair check against the per-objective check it replaced --------
+# -- the same-image pair loop against the per-objective check of every pair ----
+
+DISJOINT_IMAGES = "disjoint-images"
+MATCHED_KINDS = {"independent", "separated", verify.VIOLATION}
+LP_KINDS = {verify.SAME_CARRIER, verify.FARKAS, verify.DIAGONAL_CONFINED, verify.VIOLATION}
 
 
 def oracle_pair_check(f, g, s, t) -> PairEvidence:
-    """The former shared-face test: a feasibility LP, then one ``lp_max`` per
-    off-face coordinate and per signed difference on the shared face."""
+    """The former test of a pair of maximal simplices: a feasibility LP, then
+    one ``lp_max`` per off-face coordinate and per signed difference on the
+    shared face."""
     img_s = {f.vertex_map[v] for v in s}
     img_t = {f.vertex_map[w] for w in t}
     if not (img_s & img_t):
-        return PairEvidence(pair=(s, t), kind=verify.DISJOINT_IMAGES)
+        return PairEvidence(pair=(s, t), kind=DISJOINT_IMAGES)
     if f.source.has_simplex(set(s) | set(t)):
         return PairEvidence(pair=(s, t), kind=verify.SAME_CARRIER)
     frame = sorted(img_s | img_t, key=f.target.rank.__getitem__)
@@ -175,6 +175,7 @@ MAPS = st.one_of(
     st.just(fold_path_map()),
     st.just(figure_eight_map()),
     st.just(fold_disk_map()),
+    st.just(collapsed_triangle_map()),
     st.integers(3, 6).map(lambda b: cycle_cover(2, b)),
 )
 
@@ -194,26 +195,26 @@ PROPERTY = settings(deadline=None, max_examples=60, suppress_health_check=[Healt
 @PROPERTY
 @given(lifted_maps())
 def test_one_lp_pair_check_matches_oracle(fg):
+    """``verify_embedding`` loops over same-image pairs only; the oracle
+    decides every pair of maximal simplices.  ``ok`` agrees, and every
+    violation re-checks exactly."""
     f, g = fg
     res = verify_embedding(f, g)
     maximal = f.source.maximal_simplices()
-    # Edges and triangles with distinct vertex images always pass the
-    # per-simplex check, so every pair is decided.
+    embedded = all(verify._self_check(f, g, s) is None for s in maximal)
+    oracle_ok = embedded and all(
+        oracle_pair_check(f, g, s, t).kind != verify.VIOLATION
+        for s, t in combinations(maximal, 2)
+    )
+    assert res.ok == oracle_ok
     assert res.simplices_checked == len(maximal)
-    assert res.pairs_checked == comb(len(maximal), 2) > 0
-    own = res.evidence[: res.simplices_checked]
-    assert [ev.kind for ev in own] == [verify.EMBEDDED_SIMPLEX] * len(maximal)
-    recorded = {ev.pair: ev.kind for ev in res.evidence[res.simplices_checked :]}
-    assert [ev.pair for ev in res.evidence[res.simplices_checked :]] == [
-        p for p in combinations(maximal, 2) if p in recorded
-    ]
-    # Every pair without a record has disjoint images under the oracle.
-    expected = Counter(ev.kind for ev in own)
-    for s, t in combinations(maximal, 2):
-        kind = oracle_pair_check(f, g, s, t).kind
-        assert recorded.get((s, t), verify.DISJOINT_IMAGES) == kind, (s, t)
-        expected[kind] += 1
-    assert res.kind_counts() == dict(expected)
+    if embedded:
+        assert res.pairs_checked == comb(len(maximal), 2)
+        same_image = [p for fibre in f.fibers().values() for p in combinations(fibre, 2)]
+        pairs = res.evidence[len(maximal) :]
+        assert [ev.pair for ev in pairs] == same_image
+        kinds = MATCHED_KINDS if f.is_non_degenerate() else LP_KINDS
+        assert {ev.kind for ev in pairs} <= kinds
     for w in res.violations:
         x = dict(zip(w.x.support, w.x.coords))
         y = dict(zip(w.y.support, w.y.coords))
@@ -225,68 +226,54 @@ def test_one_lp_pair_check_matches_oracle(fg):
         assert g(w.x) == g(w.y) == w.g_value
 
 
-@settings(deadline=None, max_examples=8)
-@given(lifted_maps())
-def test_parallel_matches_serial_on_random_lifts(fg):
-    f, g = fg
-    serial = verify_embedding(f, g, jobs=1)
-    parallel = verify_embedding(f, g, jobs=2)
-    assert parallel.ok == serial.ok
-    assert [(ev.pair, ev.kind) for ev in parallel.evidence] == [
-        (ev.pair, ev.kind) for ev in serial.evidence
-    ]
-    assert parallel.violations == serial.violations
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_one_solve_per_undecided_pair(monkeypatch):
-    calls = []
-    solve = lp.lp_solve
-
-    def counting_solve(a, b, c):
-        calls.append(1)
-        return solve(a, b, c)
-
-    monkeypatch.setattr(lp, "lp_solve", counting_solve)
-    f = fold_path_map()
-    a, b, c = f.source.vertices
-    g = SemiLinearMap(f.source, {a: (F(0),), b: (F(0),), c: (F(1),)})
-    fig8 = figure_eight_lift()
-    for f, g in [(f, g), fig8]:
-        calls.clear()
+    """An ``independent`` or ``same-carrier`` pair takes no LP; every other
+    pair record takes exactly one."""
+    solves = _count_calls(monkeypatch, lp, "lp_solve")
+    cover = cycle_cover(2, 5)
+    # The edge n9 n0 and its partner n4 n5 get differences -5 and 5: a
+    # violation; the other edge pairs get 5 and 5: separated.
+    wrapped = SemiLinearMap(cover.source, {f"n{i}": (F(i),) for i in range(10)})
+    collapsed = collapsed_triangle_map()
+    lifted = SemiLinearMap(
+        collapsed.source, {"a": (F(0),), "b": (F(0),), "c": (F(1),), "d": (F(2),)}
+    )
+    counts = []
+    for f, g in [(cover, wrapped), (collapsed, lifted)]:
+        solves.clear()
         res = verify_embedding(f, g)
-        assert res.ok
         kinds = res.kind_counts()
-        prefiltered = kinds.get(verify.DISJOINT_IMAGES, 0) + kinds.get(verify.SAME_CARRIER, 0)
-        assert len(calls) == res.pairs_checked - prefiltered > 0
+        free = kinds.get("independent", 0) + kinds.get(verify.SAME_CARRIER, 0)
+        assert len(solves) == len(res.evidence) - res.simplices_checked - free > 0
+        counts.append(kinds)
+    assert counts[0] == {"embedded-simplex": 10, "independent": 5, "separated": 4, "violation": 1}
 
 
 @pytest.mark.parametrize("b", [3, 5, 100])
 def test_pair_checks_run_on_candidate_pairs_only(monkeypatch, b):
-    """On the ``lift -k 2`` lift of the double cover of a b-cycle, each target
-    vertex has 4 incident source edges (6 pairs), and the b pairs over one
-    target edge are counted at both of its ends: 5b candidate pairs, each one
-    LP, out of C(2b, 2)."""
+    """The candidate pairs are the same-image pairs.  On the ``lift -k 2``
+    lift of the double cover of a b-cycle, each target vertex and each target
+    edge has two preimages: 2b pairs, all ``independent``, no LP, and every
+    one of the C(2b, 2) pairs of edges decided."""
     f = cycle_cover(2, b)
     g = construct_lift_3ptfree(f, 2).lift
-    checks, solves = [], []
-    pair_check, solve = verify._pair_check, lp.lp_solve
-
-    def counting_pair_check(*args):
-        checks.append(1)
-        return pair_check(*args)
-
-    def counting_solve(*args):
-        solves.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(verify, "_pair_check", counting_pair_check)
-    monkeypatch.setattr(lp, "lp_solve", counting_solve)
+    checks = _count_calls(monkeypatch, verify, "_matched_pair_check")
+    solves = _count_calls(monkeypatch, lp, "lp_solve")
     res = verify_embedding(f, g)
     assert res.ok
-    assert len(checks) == 5 * b
+    assert len(checks) == 2 * b
     assert res.pairs_checked == comb(2 * b, 2)
-    kinds = res.kind_counts()
-    assert kinds.get(verify.DISJOINT_IMAGES, 0) == comb(2 * b, 2) - 5 * b
-    # At b = 3 every pair is a candidate: no zero-valued key.
-    assert (verify.DISJOINT_IMAGES in kinds) == (b > 3)
-    assert len(solves) == 5 * b
+    assert res.kind_counts() == {verify.EMBEDDED_SIMPLEX: 2 * b, "independent": 2 * b}
+    assert solves == []
