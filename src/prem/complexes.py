@@ -10,7 +10,8 @@ Complexes are never mutated after construction.  Derived indexes rely on
 that: each complex groups its simplices by dimension once (sorting a group
 the first time it is asked for in order) and finds its connected components
 once, and each involution complex maps its simplices under the involution
-once, reusing the simplex tuples it already holds as the images.
+once, reusing the simplex tuples it already holds as the images, or takes
+those images from the builder that made them and checks them.
 """
 
 from __future__ import annotations
@@ -324,15 +325,41 @@ def _simplex_involution(cx: SimplicialComplex, t: Dict) -> Tuple[Dict, list]:
     return image, strays
 
 
+def _check_simplex_images(cx: SimplicialComplex, t: Dict, image: Dict) -> None:
+    """Check supplied simplex images exactly: every simplex has one image,
+    each image is a stored simplex whose own image is the very simplex it
+    came from, and the vertex involution maps each simplex onto its image."""
+    simplices = cx.simplices
+    if len(image) != len(simplices) or not simplices.issuperset(image):
+        raise ComplexError("simplex images must be given for exactly the simplices")
+    for s, img in image.items():
+        back = image.get(img)
+        if back is None:
+            raise ComplexError(f"image {img} of simplex {s} is not a simplex")
+        if back is not s:
+            raise ComplexError(f"simplex images do not pair up at {s}")
+        if len(img) != len(s) or not set(img).issuperset(map(t.__getitem__, s)):
+            raise ComplexError(f"{img} is not the image of simplex {s}")
+
+
 class InvolutionComplex:
-    """A simplicial complex with a simplicial involution given on vertices."""
+    """A simplicial complex with a simplicial involution given on vertices.
+
+    A builder that already knows the image of every simplex passes it as
+    ``images``: the check then confirms it instead of recomputing it."""
 
     __slots__ = ("complex", "involution", "_image")
 
-    def __init__(self, complex: SimplicialComplex, involution: Dict, check: bool = True):
+    def __init__(
+        self,
+        complex: SimplicialComplex,
+        involution: Dict,
+        check: bool = True,
+        images: Optional[Dict] = None,
+    ):
         self.complex = complex
         self.involution = dict(involution)
-        self._image: Optional[Dict] = None
+        self._image = images
         if check:
             self._validate()
 
@@ -346,6 +373,9 @@ class InvolutionComplex:
                 raise ComplexError(f"involution image {t[v]!r} is not a vertex")
             if t[t[v]] != v:
                 raise ComplexError(f"involution is not of order 2 at {v!r}")
+        if self._image is not None:
+            _check_simplex_images(cx, t, self._image)
+            return
         self._image, strays = _simplex_involution(cx, t)
         if strays:
             raise ComplexError(f"involution does not map simplex {strays[0]} to a simplex")

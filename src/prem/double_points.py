@@ -7,6 +7,12 @@ simplices with equal image, encoded by the vertex pairs of the unique
 image-compatible bijection between them.  Swapping coordinates is a free
 simplicial involution.
 
+Swap images come from the builder, not from a second pass: one walk over
+the fibres of the map's image index meets each unordered same-image pair
+``{s, t}`` once and enters the cells of ``(s, t)`` and ``(t, s)`` together,
+each as the other's image.  The involution complex then checks these images
+exactly instead of canonicalising every swapped cell again.
+
 The pair model is a faithful model of the identified-pair space only when
 identified vertices are combinatorially far apart: for every pair ``u, v`` of
 distinct vertices with equal image, the closed vertex stars of ``u`` and
@@ -19,7 +25,7 @@ depth, and are reported as unmodellable rather than silently mis-modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .errors import DegenerateMap, ModelInvalid
@@ -54,49 +60,57 @@ def check_star_condition(f: SimplicialMap) -> List[Tuple]:
     return violations
 
 
-def matched_pair_cells(
+def swap_paired_cells(
     f: SimplicialMap, vertices: List[Tuple], overlapping: bool = False
-) -> Iterator[Simplex]:
-    """Pair cells of a non-degenerate map: for every ordered pair ``(s, t)``
-    of distinct source simplices with the same image, the vertex pairs
-    ``(u, m(u))`` of the image-compatible bijection ``m: s -> t``, listed in
-    the order of ``s``.  Only disjoint pairs are included unless
-    ``overlapping`` is set, in which case shared vertices give diagonal
-    pairs ``(u, u)``.  Every pair must be one of ``vertices``, whose tuple
-    objects the cells reuse.
+) -> Dict[Simplex, Simplex]:
+    """Pair cells of a non-degenerate map, each mapped to its swap image.
+    For every unordered pair ``{s, t}`` of distinct source simplices with
+    the same image, the cell of ``(s, t)`` is the vertex pairs ``(u, m(u))``
+    of the image-compatible bijection ``m: s -> t``, listed in the order of
+    ``s``; its swap image is the cell of ``(t, s)``, and the two are entered
+    together.  Only disjoint pairs are included unless ``overlapping`` is
+    set, in which case shared vertices give diagonal pairs ``(u, u)``.  Every
+    pair must be one of ``vertices``, whose tuple objects the cells reuse.
 
     Since ``s`` is rank-sorted without repeats, each cell is canonical in any
     complex whose pair vertices are ordered by the ranks of their first, then
-    second, coordinates."""
+    second, coordinates.  The 0-cells are the pairs of same-image vertices,
+    so every off-diagonal pair vertex appears as a cell."""
     pair = {p: p for p in vertices}
     vm = f.vertex_map
-    target_rank = f.target.rank
+    # Cells are keyed by content, so the fibres need not be sorted as
+    # ``f.fibers()`` sorts them.
     fibres: Dict = {}
-    for s in f.source.simplices:
-        images = tuple(map(vm.__getitem__, s))
-        key = tuple(sorted(map(target_rank.__getitem__, images)))
-        fibres.setdefault(key, []).append((s, images))
+    for s, img in f.simplex_images().items():
+        fibres.setdefault(img, []).append(s)
+    images: Dict = {}
     for fibre in fibres.values():
         if len(fibre) < 2:
             continue
-        partners = [(t, dict(zip(images, t))) for t, images in fibre]
-        for s, images in fibre:
+        members = []
+        for s in fibre:
+            s_targets = tuple(map(vm.__getitem__, s))
+            members.append((s, s_targets, dict(zip(s_targets, s))))
+        for i, (s, s_targets, s_by_target) in enumerate(members):
             shared = None if overlapping else set(s)
-            for t, by_image in partners:
-                if t is s or (shared is not None and not shared.isdisjoint(t)):
+            for t, t_targets, t_by_target in members[i + 1:]:
+                if shared is not None and not shared.isdisjoint(t):
                     continue
-                yield tuple(map(pair.__getitem__, zip(s, map(by_image.__getitem__, images))))
+                st = tuple(map(pair.__getitem__, zip(s, map(t_by_target.__getitem__, s_targets))))
+                ts = tuple(map(pair.__getitem__, zip(t, map(s_by_target.__getitem__, t_targets))))
+                images[st] = ts
+                images[ts] = st
+    return images
 
 
 def _pair_complex(f: SimplicialMap) -> InvolutionComplex:
     """The pair model itself, for a map already checked to be non-degenerate
     and to satisfy the star condition."""
     vertices = identified_vertex_pairs(f)
-    cells = {(p,) for p in vertices}
-    cells.update(matched_pair_cells(f, vertices))
-    complex_ = SimplicialComplex.from_canonical(vertices, cells)
+    images = swap_paired_cells(f, vertices)
+    complex_ = SimplicialComplex.from_canonical(vertices, images)
     involution = {(u, v): (v, u) for (u, v) in vertices}
-    return InvolutionComplex(complex_, involution)
+    return InvolutionComplex(complex_, involution, images=images)
 
 
 # Barycentric subdivisions of a map after which a star violation that

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Inputs are sequences of ``int`` and :class:`fractions.Fraction` entries
-(anything else is read through ``Fraction``).  ``rank`` eliminates
+Inputs are sequences of ``int`` and :class:`fractions.Fraction` entries;
+the eliminations read anything else through ``Fraction``, the distance
+helpers take their entries as they are.  ``rank`` eliminates
 fraction-free: each row is scaled to integers once, and elimination replaces
 a row by ``p * row - f * pivot_row`` divided by the gcd of its entries, so no
 ``Fraction`` is built.  ``rref`` and ``solve`` do plain Gaussian elimination
@@ -155,9 +156,9 @@ def linearly_independent(vectors: Sequence[Sequence]) -> bool:
 
 def point_to_affine_hull_dist_sq(p: Sequence, hull_points: Sequence[Sequence]) -> Fraction:
     """Exact squared Euclidean distance from ``p`` to the affine hull of
-    ``hull_points`` (which must be non-empty)."""
-    p = vec(p)
-    base = vec(hull_points[0])
+    ``hull_points`` (which must be non-empty).  Entries must already be
+    ``int`` or ``Fraction``; they are not read through ``Fraction`` again."""
+    base = hull_points[0]
     dirs = [vec_sub(q, base) for q in hull_points[1:]]
     r = vec_sub(p, base)
     if not dirs:

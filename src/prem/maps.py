@@ -17,9 +17,14 @@ from .errors import MapError
 
 
 class SimplicialMap:
-    """Vertex-induced map of simplicial complexes."""
+    """Vertex-induced map of simplicial complexes.
 
-    __slots__ = ("source", "target", "vertex_map")
+    The image of every source simplex is computed once, when the map is
+    checked (or on first use when it is not), and indexed as the target's
+    own stored tuple, so the index holds no new tuples.  An image that is
+    not a target simplex is an error either way."""
+
+    __slots__ = ("source", "target", "vertex_map", "_images")
 
     def __init__(
         self,
@@ -31,6 +36,7 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
+        self._images: Optional[Dict] = None
         if check:
             self._validate()
 
@@ -41,16 +47,31 @@ class SimplicialMap:
         for v in self.source.vertices:
             if self.vertex_map[v] not in self.target.rank:
                 raise MapError(f"image {self.vertex_map[v]!r} of {v!r} is not a target vertex")
-        for s in self.source.simplices:
-            img = self.image_simplex(s)
-            if img not in self.target.simplices:
-                raise MapError(f"image {img} of simplex {s} is not a simplex")
+        self.simplex_images()
 
     def __call__(self, v):
         return self.vertex_map[v]
 
+    def simplex_images(self) -> Dict:
+        """Every source simplex mapped to the stored target simplex that is
+        its image, found by vertex set (computed once, then cached; treat
+        the dict as read-only)."""
+        if self._images is None:
+            stored = {frozenset(s): s for s in self.target.simplices}
+            vm = self.vertex_map
+            images: Dict = {}
+            for s in self.source.simplices:
+                img = stored.get(frozenset(map(vm.__getitem__, s)))
+                if img is None:
+                    img = self.target.canon(map(vm.__getitem__, s))
+                    raise MapError(f"image {img} of simplex {s} is not a simplex")
+                images[s] = img
+            self._images = images
+        return self._images
+
     def image_simplex(self, s: Simplex) -> Simplex:
-        return self.target.canon(tuple(self.vertex_map[v] for v in s))
+        """Image of a simplex of the source."""
+        return self.simplex_images()[s]
 
     def is_non_degenerate(self) -> bool:
         """True when no edge collapses, i.e. the map is injective on every
@@ -71,16 +92,18 @@ class SimplicialMap:
         """For simplices with the same image under a non-degenerate map, the
         unique vertex bijection s -> t commuting with the map; ``None`` when
         the images differ."""
-        if self.image_simplex(s) != self.image_simplex(t):
+        images = self.simplex_images()
+        if images[s] != images[t]:
             return None
         by_image = {self.vertex_map[w]: w for w in t}
         return {v: by_image[self.vertex_map[v]] for v in s}
 
     def fibers(self) -> Dict:
         """Map each target simplex to the sorted list of its preimage simplices."""
+        images = self.simplex_images()
         out: Dict = {}
-        for s in sorted(self.source.simplices, key=self.source.sort_key):
-            out.setdefault(self.image_simplex(s), []).append(s)
+        for s in self.source.sorted_simplices():
+            out.setdefault(images[s], []).append(s)
         return out
 
     def __repr__(self) -> str:

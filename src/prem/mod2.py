@@ -355,8 +355,4 @@ def is_sheet_split(ic: InvolutionComplex, sheet: set) -> bool:
     t = ic.involution
     if any((v in sheet) == (t[v] in sheet) for v in ic.complex.vertices):
         return False
-    for s in ic.complex.simplices:
-        side = s[0] in sheet
-        if any((v in sheet) != side for v in s[1:]):
-            return False
-    return True
+    return all(sheet.issuperset(s) or sheet.isdisjoint(s) for s in ic.complex.simplices)

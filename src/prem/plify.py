@@ -169,10 +169,13 @@ def _lambda_sq(fn: SimplicialMap, gvals: Dict, positions: Dict) -> Fraction:
         maps = [positions[v].coord_map() for v in s]
         keys = list(dict.fromkeys(k for m in maps for k in m))
         pts = [tuple(m.get(k, linalg.Q0) for k in keys) for m in maps]
-        h_min = min(
-            linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
-            for i, p in enumerate(pts)
-        )
+        if len(pts) == 2:
+            h_min = linalg.dist_sq(*pts)  # both heights of an edge are its length
+        else:
+            h_min = min(
+                linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
+                for i, p in enumerate(pts)
+            )
         if not h_min:
             raise InternalError(f"degenerate metric simplex {s}")
         worst = max(worst, (len(s) - 1) ** 2 * spread / h_min)

@@ -1,5 +1,6 @@
 import pytest
 
+from prem import complexes
 from prem.complexes import SimplicialComplex
 from prem.double_points import (
     check_star_condition,
@@ -8,6 +9,7 @@ from prem.double_points import (
 )
 from prem.errors import DegenerateMap, ModelInvalid
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
+from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
 from prem.mod2 import component_report
 
@@ -97,3 +99,19 @@ def test_figure_eight_single_double_point():
     rep = component_report(model.pair_complex)
     assert len(rep.components) == 2
     assert rep.invariant_count == 0
+
+
+def test_swap_images_come_from_the_builder(monkeypatch):
+    # The pair model and the closure model enter each cell with its swap
+    # image; neither may canonicalise the swapped cells a second time.
+    def rescan(*args):
+        raise AssertionError("simplex involution recomputed")
+
+    monkeypatch.setattr(complexes, "_simplex_involution", rescan)
+    f = cycle_cover(2, 5)
+    model = double_point_model(f)
+    assert model.complex.f_vector() == (10, 10)
+    assert model.pair_complex.is_free_on_simplices()
+    closure = build_closure_model(f)
+    assert closure.complex == model.complex
+    assert closure.pair_complex.simplex_images() == model.pair_complex.simplex_images()

@@ -4,10 +4,11 @@ complexes, involutions, maps and witnesses.
 
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex, sorting
-every matched pair cell, rebuilding each link through ``subcomplex``,
-union-find over every simplex, the separate witness certifiers of the
-pair model and of the closure model, and the separate regularity checks and
-projections of the order-2 and order-p quotients.
+every matched pair cell, scanning the fibres for pair cells and then
+canonicalising each cell's swap image, rebuilding each link through
+``subcomplex``, union-find over every simplex, the separate witness
+certifiers of the pair model and of the closure model, and the separate
+regularity checks and projections of the order-2 and order-p quotients.
 """
 
 from fractions import Fraction
@@ -19,8 +20,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prem import gf2, linalg, lp, mod2
-from prem.complexes import InvolutionComplex, SimplicialComplex
-from prem.double_points import _pair_complex, check_star_condition, double_point_model
+from prem.complexes import InvolutionComplex, SimplicialComplex, _simplex_involution
+from prem.double_points import (
+    _pair_complex,
+    check_star_condition,
+    double_point_model,
+    identified_vertex_pairs,
+)
 from prem.errors import CertificationError, NotKPrem, PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
@@ -30,7 +36,7 @@ from prem.generators import (
     fold_path_map,
     join_sphere,
 )
-from prem.lift import build_closure_model, construct_lift_3ptfree
+from prem.lift import build_closure_model, construct_lift_3ptfree, fold_locus
 from prem.maps import SimplicialMap
 from prem.obstruction import (
     INCONCLUSIVE,
@@ -235,6 +241,49 @@ def old_pair_cells(f: SimplicialMap, overlapping: bool) -> set:
     return cells
 
 
+def old_matched_pair_cells(f: SimplicialMap, vertices: list, overlapping: bool):
+    """Pair cells from a private fibre scan keyed by sorted target ranks,
+    each listed in the order of its first simplex."""
+    pair = {p: p for p in vertices}
+    vm = f.vertex_map
+    target_rank = f.target.rank
+    fibres = {}
+    for s in f.source.simplices:
+        images = tuple(map(vm.__getitem__, s))
+        key = tuple(sorted(map(target_rank.__getitem__, images)))
+        fibres.setdefault(key, []).append((s, images))
+    for fibre in fibres.values():
+        if len(fibre) < 2:
+            continue
+        partners = [(t, dict(zip(images, t))) for t, images in fibre]
+        for s, images in fibre:
+            shared = None if overlapping else set(s)
+            for t, by_image in partners:
+                if t is s or (shared is not None and not shared.isdisjoint(t)):
+                    continue
+                yield tuple(map(pair.__getitem__, zip(s, map(by_image.__getitem__, images))))
+
+
+def old_swap_model(f: SimplicialMap, closure: bool) -> tuple:
+    """``(vertices, simplices, simplex images)`` of the pair model, or of the
+    closure model, with the images found by canonicalising every cell's
+    swap."""
+    vertices = identified_vertex_pairs(f)
+    if closure:
+        fold = fold_locus(f)
+        rank = f.source.rank
+        vertices = sorted(vertices + [(v, v) for (v,) in fold.simplices_of_dim(0)],
+                          key=lambda p: (rank[p[0]], rank[p[1]]))
+    cells = {(p,) for p in vertices}
+    cells.update(old_matched_pair_cells(f, vertices, closure))
+    if closure:
+        cells.update(tuple((u, u) for u in rho) for rho in fold.simplices)
+    cx = SimplicialComplex.from_canonical(vertices, cells)
+    images, strays = _simplex_involution(cx, {(u, v): (v, u) for (u, v) in vertices})
+    assert not strays
+    return cx.vertices, cx.simplices, images
+
+
 def old_regularity_failures(ic: InvolutionComplex) -> list:
     cx, t = ic.complex, ic.involution
     failures = [f"simplex {s} meets its own orbit"
@@ -423,6 +472,47 @@ def test_pair_cells_match_matched_bijection_route(f):
     assert old_pair_cells(f, True) <= closure.complex.simplices
     assert closure.complex == SimplicialComplex(
         closure.complex.vertices, closure.complex.simplices)
+
+
+_SMALL_MAPS = _COVERS + [fold_path_map(), figure_eight_map(),
+                         antipodal_sphere_covering(1)[0]]
+
+
+@st.composite
+def small_non_degenerate_maps(draw):
+    """Restrictions of small covers and folds to random sets of source
+    facets, sometimes subdivided once."""
+    f = draw(st.sampled_from(_SMALL_MAPS))
+    facets = f.source.maximal_simplices()
+    f = _restricted(f, draw(st.lists(st.sampled_from(facets), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        f = barycentric_subdivide_map(f)[0]
+    return f
+
+
+@PROPERTY
+@given(small_non_degenerate_maps())
+def test_one_pass_swap_models_match_rescan_oracle(f):
+    for closure, ic in ((False, _pair_complex(f)), (True, build_closure_model(f).pair_complex)):
+        vertices, simplices, images = old_swap_model(f, closure)
+        assert ic.complex.vertices == vertices
+        assert ic.complex.simplices == simplices
+        assert ic.simplex_images() == images
+        for s, img in ic.simplex_images().items():
+            assert ic.simplex_images()[img] is s
+
+
+def test_map_images_and_fibres_match_canonicalising_oracle():
+    for f in _SMALL_MAPS + [_SPHERE]:
+        stored = {s: s for s in f.target.simplices}
+        for s in f.source.simplices:
+            img = f.image_simplex(s)
+            assert img == f.target.canon(f.vertex_map[v] for v in s)
+            assert stored[img] is img  # the target's own tuple
+        oracle = {}
+        for s in sorted(f.source.simplices, key=f.source.sort_key):
+            oracle.setdefault(f.target.canon(f.vertex_map[v] for v in s), []).append(s)
+        assert list(f.fibers().items()) == list(oracle.items())
 
 
 def _yang(f: SimplicialMap) -> int:
