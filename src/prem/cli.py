@@ -129,6 +129,7 @@ def _cmd_delta(args) -> int:
     comp = mod2.component_report(model.pair_complex)
     fvec = model.complex.f_vector()
     if args.json:
+        tok = formats.token_table(model.complex)
         _print_json(
             {
                 "schema": SCHEMA,
@@ -137,15 +138,12 @@ def _cmd_delta(args) -> int:
                 "components": len(comp.components),
                 "invariant_components": comp.invariant_count,
                 "subdivision_rounds": model.subdivision_rounds,
-                "vertices": [formats.id_token(v) for v in model.complex.vertices],
+                "vertices": [tok[v] for v in model.complex.vertices],
                 "maximal_simplices": [
-                    [formats.id_token(v) for v in s]
-                    for s in sorted(
-                        model.complex.maximal_simplices(), key=model.complex.sort_key
-                    )
+                    [tok[v] for v in s] for s in model.complex.maximal_simplices()
                 ],
                 "involution": sorted(
-                    [formats.id_token(a), formats.id_token(b)]
+                    [tok[a], tok[b]]
                     for a, b in model.involution.items()
                     if model.complex.rank[a] <= model.complex.rank[b]
                 ),
@@ -410,6 +408,8 @@ def _cmd_plify(args) -> int:
     g = formats.parse_lift(_read(args.lift_file), doc.map.source)
     result = run_plify(doc.map, g)
     if args.json:
+        derived = result.derived_complex
+        tok = formats.token_table(derived)
         payload = {
             "schema": SCHEMA,
             "command": "plify",
@@ -418,20 +418,13 @@ def _cmd_plify(args) -> int:
             "derived_star_hulls_disjoint": result.hulls_disjoint,
             "verification": _verification_payload(result.verification),
             "refined_cells_by_dimension": list(result.refined_map.source.f_vector()),
-            "derived_cells_by_dimension": list(result.derived_complex.f_vector()),
-            "derived_vertices": [
-                formats.id_token(v) for v in result.derived_complex.vertices
-            ],
+            "derived_cells_by_dimension": list(derived.f_vector()),
+            "derived_vertices": [tok[v] for v in derived.vertices],
             "derived_maximal_simplices": [
-                [formats.id_token(v) for v in s]
-                for s in sorted(
-                    result.derived_complex.maximal_simplices(),
-                    key=result.derived_complex.sort_key,
-                )
+                [tok[v] for v in s] for s in derived.maximal_simplices()
             ],
             "derived_lift": {
-                formats.id_token(v): _vec(result.derived_lift.values[v])
-                for v in result.derived_complex.vertices
+                tok[v]: _vec(result.derived_lift.values[v]) for v in derived.vertices
             },
         }
         if args.trace:

@@ -143,8 +143,7 @@ class SimplicialComplex:
         proper_faces: set = set()
         for s in self.simplices:
             if len(s) > 1:
-                for i in range(len(s)):
-                    proper_faces.add(s[:i] + s[i + 1 :])
+                proper_faces.update(combinations(s, len(s) - 1))
         return sorted(
             (s for s in self.simplices if s not in proper_faces), key=self.sort_key
         )

@@ -299,15 +299,28 @@ def parse_complex_and_lift(text: str) -> Tuple[ComplexDocument, SemiLinearMap]:
 # -- writers ---------------------------------------------------------------------
 
 
-def write_complex(doc: ComplexDocument) -> str:
+def token_table(c: SimplicialComplex) -> Dict:
+    """Each vertex of ``c`` mapped to its token, one :func:`id_token` call per
+    vertex.  Two vertices that print as one token would be one vertex when
+    read back, so they are rejected, naming both ids."""
+    table = {v: id_token(v) for v in c.vertices}
+    if len(set(table.values())) < len(table):
+        first: Dict = {}
+        for v, tok in table.items():
+            u = first.setdefault(tok, v)
+            if u is not v:
+                raise ParseError(f"vertex ids {u!r} and {v!r} both print as {tok!r}")
+    return table
+
+
+def _complex_text(doc: ComplexDocument, tok: Dict) -> str:
     c = doc.complex
-    lines = [f"v {id_token(v)}" for v in c.vertices]
-    for s in sorted(c.maximal_simplices(), key=c.sort_key):
-        lines.append("s " + " ".join(id_token(v) for v in s))
+    lines = [f"v {tok[v]}" for v in c.vertices]
+    lines.extend("s " + " ".join(map(tok.__getitem__, s)) for s in c.maximal_simplices())
     if doc.coordinates is not None:
         for v in c.vertices:
             nums = " ".join(format_fraction(x) for x in doc.coordinates[v])
-            lines.append(f"c {id_token(v)} {nums}")
+            lines.append(f"c {tok[v]} {nums}")
     if doc.involution is not None:
         done = set()
         for v in c.vertices:
@@ -315,8 +328,12 @@ def write_complex(doc: ComplexDocument) -> str:
             if v in done or w in done:
                 continue
             done.update((v, w))
-            lines.append(f"t {id_token(v)} {id_token(w)}")
+            lines.append(f"t {tok[v]} {tok[w]}")
     return "\n".join(lines) + "\n"
+
+
+def write_complex(doc: ComplexDocument) -> str:
+    return _complex_text(doc, token_table(doc.complex))
 
 
 def write_map(
@@ -326,15 +343,17 @@ def write_map(
 ) -> str:
     source = source or ComplexDocument(f.source)
     target = target or ComplexDocument(f.target)
+    src_tok = token_table(source.complex)
+    tgt_tok = token_table(target.complex)
     parts = [
         "source",
-        write_complex(source).rstrip("\n"),
+        _complex_text(source, src_tok).rstrip("\n"),
         "target",
-        write_complex(target).rstrip("\n"),
+        _complex_text(target, tgt_tok).rstrip("\n"),
         "map",
     ]
-    for v in f.source.vertices:
-        parts.append(f"m {id_token(v)} {id_token(f.vertex_map[v])}")
+    vm = f.vertex_map
+    parts.extend(f"m {src_tok[v]} {tgt_tok[vm[v]]}" for v in f.source.vertices)
     return "\n".join(parts) + "\n"
 
 

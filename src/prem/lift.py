@@ -83,10 +83,15 @@ def has_triple_points(f: SimplicialMap) -> Optional[Tuple[Simplex, Simplex, Simp
     return None
 
 
-def is_simple_fold(f: SimplicialMap) -> Tuple[bool, List[Tuple]]:
-    """Whether no identified vertex lies on the fold locus.  Returns the
-    flag together with the offending identified pairs."""
-    fold_vertices = {s[0] for s in fold_locus(f).simplices if len(s) == 1}
+def is_simple_fold(
+    f: SimplicialMap, fold: Optional[SimplicialComplex] = None
+) -> Tuple[bool, List[Tuple]]:
+    """Whether no identified vertex lies on the fold locus (``fold``, when
+    the caller has it already).  Returns the flag together with the
+    offending identified pairs."""
+    if fold is None:
+        fold = fold_locus(f)
+    fold_vertices = {s[0] for s in fold.simplices if len(s) == 1}
     bad = [(u, v) for (u, v) in identified_vertex_pairs(f) if v in fold_vertices]
     return (not bad, bad)
 
@@ -108,11 +113,16 @@ class DoublePointClosure:
         return self.pair_complex.complex
 
 
-def build_closure_model(f: SimplicialMap) -> DoublePointClosure:
+def build_closure_model(
+    f: SimplicialMap, fold: Optional[SimplicialComplex] = None
+) -> DoublePointClosure:
+    """The closure model of ``f``, on the fold locus ``fold`` when the caller
+    has it already."""
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
     rank = f.source.rank
-    fold = fold_locus(f)
+    if fold is None:
+        fold = fold_locus(f)
     off_diag = identified_vertex_pairs(f)
     diag = [(s[0], s[0]) for s in fold.simplices if len(s) == 1]
     vertices = sorted(off_diag + diag, key=lambda p: (rank[p[0]], rank[p[1]]))
@@ -231,12 +241,13 @@ def construct_lift_3ptfree(
         raise TriplePointsPresent(
             f"three pairwise disjoint simplices share an image: {triple}"
         )
-    simple, offenders = is_simple_fold(f)
+    fold = fold_locus(f)
+    simple, offenders = is_simple_fold(f, fold)
     if not simple:
         raise NotSimpleFold(
             f"identified vertices lie on the fold locus: {offenders[:3]}"
         )
-    closure = build_closure_model(f)
+    closure = build_closure_model(f, fold)
     notes: List[str] = []
 
     if alpha is None:

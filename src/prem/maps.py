@@ -22,9 +22,10 @@ class SimplicialMap:
     The image of every source simplex is computed once, when the map is
     checked (or on first use when it is not), and indexed as the target's
     own stored tuple, so the index holds no new tuples.  An image that is
-    not a target simplex is an error either way."""
+    not a target simplex is an error either way.  The fibres are grouped
+    once, on first use."""
 
-    __slots__ = ("source", "target", "vertex_map", "_images")
+    __slots__ = ("source", "target", "vertex_map", "_images", "_fibers")
 
     def __init__(
         self,
@@ -37,6 +38,7 @@ class SimplicialMap:
         self.target = target
         self.vertex_map = dict(vertex_map)
         self._images: Optional[Dict] = None
+        self._fibers: Optional[Dict] = None
         if check:
             self._validate()
 
@@ -99,12 +101,16 @@ class SimplicialMap:
         return {v: by_image[self.vertex_map[v]] for v in s}
 
     def fibers(self) -> Dict:
-        """Map each target simplex to the sorted list of its preimage simplices."""
-        images = self.simplex_images()
-        out: Dict = {}
-        for s in self.source.sorted_simplices():
-            out.setdefault(images[s], []).append(s)
-        return out
+        """Map each target simplex to the sorted list of its preimage
+        simplices (computed once, then cached; treat the dict and its lists
+        as read-only)."""
+        if self._fibers is None:
+            images = self.simplex_images()
+            out: Dict = {}
+            for s in self.source.sorted_simplices():
+                out.setdefault(images[s], []).append(s)
+            self._fibers = out
+        return self._fibers
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"

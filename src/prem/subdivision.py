@@ -79,22 +79,18 @@ def _flags(c: SimplicialComplex) -> list:
         memo[s] = out
         return out
 
-    all_chains: list = []
-    for s in c.sorted_simplices():
-        all_chains.extend(ending_at(s))
-    # The recursion above revisits shared faces via the memo, so each chain
-    # appears exactly once (it is generated only from its own top simplex).
-    dedup = {}
-    for ch in all_chains:
-        dedup[frozenset(ch)] = ch
-    return list(dedup.values())
+    # The recursion revisits shared faces via the memo, and each chain is
+    # generated only from its own top simplex, so none appears twice.
+    return [ch for s in c.sorted_simplices() for ch in ending_at(s)]
 
 
 def barycentric_subdivide(c: SimplicialComplex) -> SubdivisionRecord:
     """Barycentric subdivision.  New vertex ids are the base simplices
-    themselves; vertex order is by (dimension, base vertex ranks)."""
+    themselves; vertex order is by (dimension, base vertex ranks).  A flag
+    lists its faces bottom-up, so by increasing dimension: it is already
+    canonical in that order."""
     new_vertices = c.sorted_simplices()
-    refined = SimplicialComplex(new_vertices, _flags(c))
+    refined = SimplicialComplex.from_canonical(new_vertices, _flags(c))
     positions = {
         s: BarycentricPoint(s, tuple(Fraction(1, len(s)) for _ in s)) for s in new_vertices
     }

@@ -9,6 +9,7 @@ from prem import formats
 from prem.cli import main
 from prem.complexes import SimplicialComplex
 from prem.errors import ParseError
+from prem.generators import lens_covering
 
 # ---------------------------------------------------------------------------
 # tokens and fractions
@@ -24,6 +25,33 @@ def test_id_token_mangles_tuples():
         formats.id_token("a,b")
     with pytest.raises(ParseError):
         formats.id_token("")
+
+
+def test_token_table_rejects_ids_that_print_alike():
+    c = SimplicialComplex.from_maximal(["a+b", ("a", "b")], [])
+    with pytest.raises(ParseError, match=r"'a\+b' and \('a', 'b'\) both print as 'a\+b'"):
+        formats.token_table(c)
+    with pytest.raises(ParseError):
+        formats.write_complex(formats.ComplexDocument(c))
+
+
+def test_write_map_tokens_each_vertex_once(monkeypatch):
+    f, _rounds = lens_covering(3, 1)
+    real, top, depth = formats.id_token, [], [0]
+
+    def counting(v):
+        if not depth[0]:
+            top.append(v)
+        depth[0] += 1
+        try:
+            return real(v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(formats, "id_token", counting)
+    text = formats.write_map(f)
+    assert 0 < len(top) <= len(f.source.vertices) + len(f.target.vertices)
+    assert text.count("\nm ") == len(f.source.vertices)
 
 
 def test_fraction_round_trip():
@@ -616,6 +644,29 @@ def test_plify_json_payload(capsys, fig8, fig8_lift):
     }
     assert payload["derived_lift"]["n0"] == ["-1/1"]
     assert payload["derived_lift"]["n4"] == ["1/1"]
+
+
+# The two-triangle wedge input of the golden ``plify`` cases with source
+# vertex ``f`` renamed ``a+b``: the barycentre of the edge ``a b`` prints as
+# ``a+b`` too, so the derived complex has no faithful text form.
+COLLIDING_WEDGE = (
+    "source\n" + "".join(f"v {v}\n" for v in ("a", "b", "c", "d", "e", "a+b"))
+    + "s a b c\ns d e a+b\n"
+    + "target\n" + "".join(f"v {v}\n" for v in "xyzuw") + "s x y z\ns x u w\n"
+    + "map\nm a x\nm b y\nm c z\nm d x\nm e u\nm a+b w\n"
+)
+COLLIDING_LIFT = "g a 0 0\ng b 1 0\ng c 0 0\ng d 0 9\ng e 1 9\ng a+b 0 9\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_plify_rejects_derived_vertices_that_print_alike(capsys, tmp_path, mode):
+    (tmp_path / "w.map").write_text(COLLIDING_WEDGE)
+    (tmp_path / "w.lift").write_text(COLLIDING_LIFT)
+    assert main(["plify", str(tmp_path / "w.map"), str(tmp_path / "w.lift"), *mode]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)["error"]["message"] if mode else captured.err
+    assert "both print as 'a+b'" in report
 
 
 def test_stability_subcommand(capsys, tmp_path):

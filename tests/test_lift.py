@@ -10,6 +10,7 @@ from prem.errors import (
     TriplePointsPresent,
 )
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
+from prem import lift
 from prem.lift import (
     StarBoundary,
     build_closure_model,
@@ -54,6 +55,16 @@ def test_simple_fold_flag():
     ok, bad = is_simple_fold(zigzag_map())
     assert not ok
     assert ("a", "c") in bad
+
+
+def test_lift_finds_the_fold_locus_and_the_fibres_once(monkeypatch):
+    f = figure_eight_map()
+    calls = []
+    real = lift.fold_locus
+    monkeypatch.setattr(lift, "fold_locus", lambda g: calls.append(g) or real(g))
+    construct_lift_3ptfree(f, 1)
+    assert calls == [f]
+    assert f.fibers() is f.fibers()
 
 
 def test_closure_model_fold_path():

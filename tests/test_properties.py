@@ -3,12 +3,14 @@ certifier, the verdicts and the constructed lifts, on random small
 complexes, involutions, maps and witnesses.
 
 Each rewritten routine is compared with the straightforward construction it
-replaced, kept here as the oracle: canonicalising every simplex, sorting
-every matched pair cell, scanning the fibres for pair cells and then
-canonicalising each cell's swap image, rebuilding each link through
-``subcomplex``, union-find over every simplex, the separate witness
-certifiers of the pair model and of the closure model, and the separate
-regularity checks and projections of the order-2 and order-p quotients.
+replaced, kept here as the oracle: canonicalising every simplex and every
+flag of a barycentric subdivision, slicing out codimension-one faces to find
+the maximal simplices, sorting every matched pair cell, scanning the fibres
+for pair cells and then canonicalising each cell's swap image, rebuilding
+each link through ``subcomplex``, union-find over every simplex, the
+separate witness certifiers of the pair model and of the closure model, and
+the separate regularity checks and projections of the order-2 and order-p
+quotients.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from prem.double_points import (
 from prem.errors import CertificationError, NotKPrem, PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
+    cross_polytope_boundary,
     cycle_complex,
     cycle_cover,
     figure_eight_map,
@@ -45,7 +48,7 @@ from prem.obstruction import (
     equivariant_witness,
     moment_vector,
 )
-from prem.subdivision import barycentric_subdivide, barycentric_subdivide_map
+from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
 
 PROPERTY = settings(deadline=None, max_examples=60,
@@ -149,6 +152,20 @@ def covering_pieces(draw, covers=tuple(_COVERS) + (_SPHERE,)):
     return _restricted(f, chosen)
 
 
+_GENERATED = [cycle_cover(2, 3).source, cycle_cover(3, 3).source, join_sphere(3),
+              cross_polytope_boundary(2).complex, cross_polytope_boundary(3).complex]
+
+
+@st.composite
+def facet_restrictions(draw):
+    """Subcomplexes of generated complexes (cycle covers, the join sphere and
+    the cross-polytope) spanned by random sets of their facets."""
+    c = draw(st.sampled_from(_GENERATED))
+    chosen = draw(st.lists(st.sampled_from(c.maximal_simplices()), min_size=1, unique=True))
+    used = set().union(*chosen)
+    return SimplicialComplex.from_maximal([v for v in c.vertices if v in used], chosen)
+
+
 @st.composite
 def coloured_maps(draw):
     """Random complexes of dimension at most two, properly coloured onto the
@@ -220,6 +237,11 @@ def old_components(c: SimplicialComplex) -> list:
     comps = [sorted(g, key=c.rank.__getitem__) for g in groups.values()]
     comps.sort(key=lambda g: c.rank[g[0]])
     return [set(g) for g in comps]
+
+
+def old_maximal_simplices(c: SimplicialComplex) -> list:
+    proper = {s[:i] + s[i + 1:] for s in c.simplices if len(s) > 1 for i in range(len(s))}
+    return sorted((s for s in c.simplices if s not in proper), key=c.sort_key)
 
 
 def old_link(c: SimplicialComplex, v) -> SimplicialComplex:
@@ -362,6 +384,17 @@ def test_dimension_index_matches_sorting(c):
     assert SimplicialComplex(c.vertices, c.simplices) == c
     assert c.f_vector() == tuple(
         sum(1 for s in c.simplices if len(s) == d + 1) for d in range(c.dim + 1))
+
+
+@PROPERTY
+@given(facet_restrictions())
+def test_canonical_flags_and_maximal_simplices_match_oracles(c):
+    refined = barycentric_subdivide(c).refined
+    flags = _flags(c)
+    assert len(set(map(frozenset, flags))) == len(flags)
+    assert refined == SimplicialComplex(c.sorted_simplices(), flags)
+    for cx in (c, refined):
+        assert cx.maximal_simplices() == old_maximal_simplices(cx)
 
 
 @PROPERTY
