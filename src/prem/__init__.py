@@ -39,8 +39,6 @@ from .lift import (
 )
 from .maps import SemiLinearMap, SimplicialMap
 from .mod2 import (
-    ComponentReport,
-    component_report,
     quotient_by_free_involution,
     w1_cocycle,
     yang_index,
@@ -65,7 +63,6 @@ __all__ = [
     "BlockedRefinement",
     "CertificationError",
     "ComplexError",
-    "ComponentReport",
     "DegenerateMap",
     "DoublePointModel",
     "InputNotInjective",
@@ -94,7 +91,6 @@ __all__ = [
     "barycentric_subdivide_map",
     "build_closure_model",
     "check_star_condition",
-    "component_report",
     "construct_lift_3ptfree",
     "double_point_model",
     "equivariant_map_exists",

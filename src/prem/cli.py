@@ -126,7 +126,8 @@ def _verification_lines(res: VerificationResult) -> List[str]:
 def _cmd_delta(args) -> int:
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
-    comp = mod2.component_report(model.pair_complex)
+    components = len(model.components)
+    invariant = sum(model.invariant_flags)
     fvec = model.complex.f_vector()
     if args.json:
         tok = formats.token_table(model.complex)
@@ -135,8 +136,8 @@ def _cmd_delta(args) -> int:
                 "schema": SCHEMA,
                 "command": "delta",
                 "cells_by_dimension": list(fvec),
-                "components": len(comp.components),
-                "invariant_components": comp.invariant_count,
+                "components": components,
+                "invariant_components": invariant,
                 "subdivision_rounds": model.subdivision_rounds,
                 "vertices": [tok[v] for v in model.complex.vertices],
                 "maximal_simplices": [
@@ -153,8 +154,8 @@ def _cmd_delta(args) -> int:
         return 0
     head = [
         f"# pair cells by dimension: {' '.join(map(str, fvec))}",
-        f"# components: {len(comp.components)}",
-        f"# invariant components: {comp.invariant_count}",
+        f"# components: {components}",
+        f"# invariant components: {invariant}",
         f"# subdivision rounds: {model.subdivision_rounds}",
     ]
     body = formats.write_complex(
@@ -210,7 +211,7 @@ def _cmd_obstruct(args) -> int:
         raise PreconditionError("k must be a positive integer")
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
-    verdict = equivariant_map_exists(model.pair_complex, args.k)
+    verdict = equivariant_map_exists(model, args.k)
     if args.json:
         _print_json(
             {

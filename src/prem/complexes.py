@@ -31,6 +31,25 @@ def _subsets(s: Simplex):
         yield from combinations(s, size)
 
 
+def edge_components(vertices: Sequence, edges: Iterable[Tuple]) -> List[set]:
+    """Vertex sets of the connected components of the graph on ``vertices``
+    with the given edges, ordered by their earliest vertex in ``vertices``.
+    Merging relabels the smaller component into the larger."""
+    label = {v: i for i, v in enumerate(vertices)}
+    members = {i: [v] for v, i in label.items()}
+    for a, b in edges:
+        i, j = label[a], label[b]
+        if i == j:
+            continue
+        if len(members[i]) < len(members[j]):
+            i, j = j, i
+        moved = members.pop(j)
+        members[i].extend(moved)
+        for v in moved:
+            label[v] = i
+    return [set(members[i]) for i in dict.fromkeys(map(label.__getitem__, vertices))]
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex.
 
@@ -221,23 +240,9 @@ class SimplicialComplex:
         """Vertex sets of connected components (via edges), deterministically
         ordered by their smallest vertex rank (computed once, then cached;
         treat the list and its sets as read-only)."""
-        if self._components is not None:
-            return self._components
-        label = dict(self.rank)  # vertex -> id of its component so far
-        members = {i: [v] for v, i in label.items()}
-        for s in self.simplices:
-            ids = set(map(label.__getitem__, s))
-            if len(ids) > 1:
-                # relabel the smaller components into the largest
-                keep = max(ids, key=lambda i: len(members[i]))
-                ids.discard(keep)
-                for i in ids:
-                    moved = members.pop(i)
-                    members[keep].extend(moved)
-                    for v in moved:
-                        label[v] = keep
-        comps = sorted(members.values(), key=lambda g: min(map(self.rank.__getitem__, g)))
-        self._components = [set(g) for g in comps]
+        if self._components is None:
+            groups = self.dimension_groups()
+            self._components = edge_components(self.vertices, groups[1] if len(groups) > 1 else ())
         return self._components
 
     def is_pure(self) -> bool:
@@ -353,14 +358,12 @@ class InvolutionComplex:
         self,
         complex: SimplicialComplex,
         involution: Dict,
-        check: bool = True,
         images: Optional[Dict] = None,
     ):
         self.complex = complex
         self.involution = dict(involution)
         self._image = images
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         cx = self.complex
@@ -381,9 +384,7 @@ class InvolutionComplex:
 
     def simplex_images(self) -> Dict:
         """Every simplex mapped to its image under the involution (computed
-        once, then cached; treat the dict as read-only)."""
-        if self._image is None:
-            self._image = _simplex_involution(self.complex, self.involution)[0]
+        or checked once, at construction; treat the dict as read-only)."""
         return self._image
 
     def map_simplex(self, s: Simplex) -> Simplex:

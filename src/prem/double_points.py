@@ -7,11 +7,20 @@ simplices with equal image, encoded by the vertex pairs of the unique
 image-compatible bijection between them.  Swapping coordinates is a free
 simplicial involution.
 
-Swap images come from the builder, not from a second pass: one walk over
-the fibres of the map's image index meets each unordered same-image pair
-``{s, t}`` once and enters the cells of ``(s, t)`` and ``(t, s)`` together,
-each as the other's image.  The involution complex then checks these images
-exactly instead of canonicalising every swapped cell again.
+Cells are walked, not stored.  A walk over the fibres of the map's image
+index meets each unordered same-image pair ``{s, t}`` once and yields the
+cell of ``(s, t)``; the swap sends it to the cell of ``(t, s)``.  One walk
+gives the model its dimension, its pair count per dimension (the f-vector
+of the quotient by the swap), its 1-cells and from them its connected
+components, each flagged when the swap maps it onto itself.  A sheet split
+is checked on a second walk, so a map whose components the swap exchanges
+in pairs is decided without a stored cell.
+
+The pair complex itself is built on demand, the first time a caller asks
+for it (the quotient route, projection parity, the ``delta`` body).  The
+builder enters the cells of ``(s, t)`` and ``(t, s)`` together, each as the
+other's swap image, and the involution complex checks these images exactly
+instead of canonicalising every swapped cell again.
 
 The pair model is a faithful model of the identified-pair space only when
 identified vertices are combinatorially far apart: for every pair ``u, v`` of
@@ -24,40 +33,58 @@ depth, and are reported as unmodellable rather than silently mis-modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from itertools import combinations
+from typing import Dict, Iterator, List, Tuple
 
-from .complexes import InvolutionComplex, SimplicialComplex, Simplex
+from .complexes import InvolutionComplex, SimplicialComplex, Simplex, edge_components
 from .errors import DegenerateMap, ModelInvalid
 from .maps import SimplicialMap
 from .subdivision import barycentric_subdivide_map
 
 
-def identified_vertex_pairs(f: SimplicialMap) -> List[Tuple]:
-    """Ordered pairs (u, v), u != v, f(u) = f(v), sorted by source ranks."""
+def _vertex_fibres(f: SimplicialMap) -> List[list]:
+    """The groups of two or more source vertices with one image, each in
+    source order."""
     by_image: Dict = {}
     for v in f.source.vertices:
         by_image.setdefault(f.vertex_map[v], []).append(v)
-    pairs = []
-    for group in by_image.values():
-        for u in group:
-            for v in group:
-                if u != v:
-                    pairs.append((u, v))
+    return [group for group in by_image.values() if len(group) > 1]
+
+
+def identified_vertex_pairs(f: SimplicialMap) -> List[Tuple]:
+    """Ordered pairs (u, v), u != v, f(u) = f(v), sorted by source ranks."""
+    pairs = [(u, v) for group in _vertex_fibres(f) for u in group for v in group if u != v]
     rank = f.source.rank
     pairs.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
     return pairs
 
 
 def check_star_condition(f: SimplicialMap) -> List[Tuple]:
-    """Violating identified vertex pairs whose closed stars meet."""
+    """Violating identified vertex pairs whose closed stars meet, in both
+    orders and sorted as :func:`identified_vertex_pairs` sorts them.  Each
+    closed star is built once and each unordered pair tested once."""
+    source = f.source
     violations = []
-    for u, v in identified_vertex_pairs(f):
-        star_u = f.source.closed_star_vertices(u)
-        star_v = f.source.closed_star_vertices(v)
-        if star_u & star_v:
-            violations.append((u, v))
+    for group in _vertex_fibres(f):
+        stars = [source.closed_star_vertices(v) for v in group]
+        for i, u in enumerate(group):
+            for j in range(i + 1, len(group)):
+                if not stars[i].isdisjoint(stars[j]):
+                    violations += [(u, group[j]), (group[j], u)]
+    rank = source.rank
+    violations.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
     return violations
+
+
+def _simplex_fibres(f: SimplicialMap) -> List[list]:
+    """The fibres of two or more same-image source simplices.  Cells are
+    keyed by content, so the fibres need not be sorted as ``f.fibers()``
+    sorts them."""
+    fibres: Dict = {}
+    for s, img in f.simplex_images().items():
+        fibres.setdefault(img, []).append(s)
+    return [fibre for fibre in fibres.values() if len(fibre) > 1]
 
 
 def swap_paired_cells(
@@ -78,15 +105,8 @@ def swap_paired_cells(
     so every off-diagonal pair vertex appears as a cell."""
     pair = {p: p for p in vertices}
     vm = f.vertex_map
-    # Cells are keyed by content, so the fibres need not be sorted as
-    # ``f.fibers()`` sorts them.
-    fibres: Dict = {}
-    for s, img in f.simplex_images().items():
-        fibres.setdefault(img, []).append(s)
     images: Dict = {}
-    for fibre in fibres.values():
-        if len(fibre) < 2:
-            continue
+    for fibre in _simplex_fibres(f):
         members = []
         for s in fibre:
             s_targets = tuple(map(vm.__getitem__, s))
@@ -103,34 +123,72 @@ def swap_paired_cells(
     return images
 
 
-def _pair_complex(f: SimplicialMap) -> InvolutionComplex:
-    """The pair model itself, for a map already checked to be non-degenerate
-    and to satisfy the star condition."""
-    vertices = identified_vertex_pairs(f)
-    images = swap_paired_cells(f, vertices)
-    complex_ = SimplicialComplex.from_canonical(vertices, images)
-    involution = {(u, v): (v, u) for (u, v) in vertices}
-    return InvolutionComplex(complex_, involution, images=images)
-
-
 # Barycentric subdivisions of a map after which a star violation that
 # remains is reported as unmodellable.
 SUBDIVISION_ROUNDS = 2
 
 
-@dataclass
 class DoublePointModel:
-    pair_complex: InvolutionComplex
-    map: SimplicialMap  # the (possibly subdivided) map actually modelled
-    subdivision_rounds: int
+    """The pair model of a non-degenerate map that satisfies the star
+    condition, read off one walk over the fibres of its image index, which
+    meets every unordered same-image pair once: ``dim`` (-1 when no two
+    vertices share an image), ``cell_counts`` (the unordered pairs per
+    dimension, which is the f-vector of the quotient by the swap), and
+    ``components`` (pair-vertex sets, ordered by their earliest pair vertex)
+    with ``invariant_flags``.  ``pair_complex`` is built on first access and
+    then kept.  The fibres of the image index, source simplices grouped by
+    image, are kept for the walks; the cells are not.
+
+    Under the star condition two distinct simplices with one image are
+    disjoint: a shared vertex ``u`` would make the two lifts ``v != w`` of
+    some image vertex neighbours of ``u``, so the stars of ``v`` and ``w``
+    would meet.  So every same-image pair of a fibre is a cell pair."""
+
+    def __init__(self, f: SimplicialMap, subdivision_rounds: int = 0):
+        self.map = f  # the (possibly subdivided) map actually modelled
+        self.subdivision_rounds = subdivision_rounds
+        self.vertices = identified_vertex_pairs(f)
+        t = self.involution = {(u, v): (v, u) for (u, v) in self.vertices}
+        vm = f.vertex_map
+        self._fibres = _simplex_fibres(f)
+        counts: List[int] = []
+        edges = []
+        for fibre in self._fibres:
+            n = len(fibre[0])
+            if n > len(counts):
+                counts += [0] * (n - len(counts))
+            counts[n - 1] += len(fibre) * (len(fibre) - 1) // 2
+            if n == 2:
+                for (a, b), (c, d) in combinations(fibre, 2):
+                    if vm[a] != vm[c]:
+                        c, d = d, c
+                    edges += [((a, c), (b, d)), ((c, a), (d, b))]
+        self.cell_counts = tuple(counts)
+        self.dim = len(counts) - 1
+        self.components = edge_components(self.vertices, edges)
+        # The swap maps components onto components, so one vertex tells.
+        self.invariant_flags = [t[next(iter(comp))] in comp for comp in self.components]
+
+    def cells(self) -> Iterator[Simplex]:
+        """The cell of ``(s, t)`` for every unordered same-image pair
+        ``{s, t}``, its vertex pairs listed in the order of their images, on
+        a fresh walk per call.  The cell of ``(t, s)``, its swap image, is not
+        generated."""
+        rank = self.map.target.rank
+        order = {v: rank[x] for v, x in self.map.vertex_map.items()}.__getitem__
+        for fibre in self._fibres:
+            for s, t in combinations([sorted(s, key=order) for s in fibre], 2):
+                yield tuple(zip(s, t))
+
+    @cached_property
+    def pair_complex(self) -> InvolutionComplex:
+        images = swap_paired_cells(self.map, self.vertices)
+        complex_ = SimplicialComplex.from_canonical(self.vertices, images)
+        return InvolutionComplex(complex_, self.involution, images=images)
 
     @property
     def complex(self) -> SimplicialComplex:
         return self.pair_complex.complex
-
-    @property
-    def involution(self) -> Dict:
-        return self.pair_complex.involution
 
 
 def double_point_model(f: SimplicialMap) -> DoublePointModel:
@@ -143,7 +201,7 @@ def double_point_model(f: SimplicialMap) -> DoublePointModel:
     while True:
         violations = check_star_condition(current)
         if not violations:
-            return DoublePointModel(_pair_complex(current), current, rounds)
+            return DoublePointModel(current, rounds)
         if rounds == SUBDIVISION_ROUNDS:
             raise ModelInvalid(
                 "identified vertices stay star-adjacent after "

@@ -201,7 +201,7 @@ def _raise_if_obstructed(f: SimplicialMap, k: int) -> None:
     """Raise :class:`NotKPrem` when the equivariant verdict on the pair model
     is a definite no; consulted only after the witness search has failed."""
     try:
-        verdict = equivariant_map_exists(double_point_model(f).pair_complex, k)
+        verdict = equivariant_map_exists(double_point_model(f), k)
     except PreconditionError:
         return
     if verdict.answer == NOT_EXISTS:

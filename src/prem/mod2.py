@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
@@ -306,40 +306,20 @@ def yang_index(quotient: SimplicialComplex, w_edges: Dict[Simplex, int]) -> int:
     return k
 
 
-# -- component analysis of an involution complex -----------------------------
-
-
-@dataclass
-class ComponentReport:
-    components: List[set]
-    invariant_flags: List[bool]
-
-    @property
-    def invariant_count(self) -> int:
-        return sum(self.invariant_flags)
-
-
-def component_report(ic: InvolutionComplex) -> ComponentReport:
-    comps = ic.complex.connected_components()
-    t = ic.involution
-    flags = [{t[v] for v in comp} == comp for comp in comps]
-    return ComponentReport(components=comps, invariant_flags=flags)
-
-
 # -- trivial double covers ---------------------------------------------------
 
 
-def sheet_split(ic: InvolutionComplex) -> Optional[set]:
+def sheet_split(components: Sequence[set], involution: Dict) -> Optional[set]:
     """One sheet of a trivial double cover: the union of one component from
-    each pair that the involution swaps, the earlier of the two in component
-    order.  ``None`` when some component is mapped onto itself.  The
-    involution maps components onto components, so one vertex per component
-    tells whether it is invariant; with no invariant component the
-    involution is free, R1 and R2 hold, and the sheet is a copy of the
-    quotient."""
-    t = ic.involution
+    each pair that the involution swaps, the earlier of the two in the order
+    of ``components`` (the vertex sets of the connected components).
+    ``None`` when some component is mapped onto itself.  The involution maps
+    components onto components, so one vertex per component tells whether it
+    is invariant; with no invariant component the involution is free, R1 and
+    R2 hold, and the sheet is a copy of the quotient."""
+    t = involution
     sheet: set = set()
-    for comp in ic.complex.connected_components():
+    for comp in components:
         v = next(iter(comp))
         if t[v] in comp:
             return None
@@ -348,11 +328,15 @@ def sheet_split(ic: InvolutionComplex) -> Optional[set]:
     return sheet
 
 
-def is_sheet_split(ic: InvolutionComplex, sheet: set) -> bool:
+def is_sheet_split(involution: Dict, vertices: Iterable, cells: Iterable, sheet: set) -> bool:
     """Whether ``sheet`` holds exactly one vertex of every orbit and, for
-    every simplex, either all of its vertices or none: the certificate that
-    the double cover is trivial, checked in one pass over the simplices."""
-    t = ic.involution
-    if any((v in sheet) == (t[v] in sheet) for v in ic.complex.vertices):
+    every cell, either all of its vertices or none: the certificate that the
+    double cover is trivial, checked in one pass over the cells.  Once every
+    orbit is split, the swap image of a cell inside the sheet lies outside
+    it and the other way round, so the answer for a cell's image is the
+    complement of its own: ``cells`` may hold every simplex of a complex or
+    just one cell of each swap orbit."""
+    t = involution
+    if any((v in sheet) == (t[v] in sheet) for v in vertices):
         return False
-    return all(sheet.issuperset(s) or sheet.isdisjoint(s) for s in ic.complex.simplices)
+    return all(sheet.issuperset(s) or sheet.isdisjoint(s) for s in cells)

@@ -10,8 +10,8 @@ Verdict logic, in order:
 2. No connected component is mapped onto itself (``trivial-cover``): the
    double cover is trivial, so ``+e`` on one sheet and ``-e`` on the other
    is an equivariant map to every sphere, a definite yes with Yang index 0.
-   The certificate is the sheet split, checked in one pass; the quotient is
-   never built.
+   The certificate is the sheet split, checked in one pass over the cells;
+   neither the quotient nor, for a pair model, the pair complex is built.
 3. k-th cup power of the classifying class nonzero: definite no.
 4. ``dim == k``, power vanishes, and the quotient is a closed mod-2 homology
    k-manifold (pure, ridges in two facets, strongly connected per component,
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2, linalg, lp, mod2
 from .complexes import InvolutionComplex
@@ -74,18 +74,38 @@ def quotient_is_homology_manifold(q, k: int) -> bool:
     return _links_look_like_sphere(q, k)
 
 
-def equivariant_map_exists(model: InvolutionComplex, k: int) -> Verdict:
-    """Decide (when possible) whether an equivariant map from the free
-    involution complex to the (k-1)-sphere exists."""
+class _StoredCells:
+    """A stored involution complex, read as the verdict reads a pair model:
+    its cells are all of its simplices, both members of every swap orbit."""
+
+    def __init__(self, ic: InvolutionComplex):
+        cx = ic.complex
+        self.pair_complex = ic
+        self.involution = ic.involution
+        self.vertices = cx.vertices
+        self.dim = cx.dim if cx.simplices else -1
+        self.cell_counts = tuple(n // 2 for n in cx.f_vector())
+        self.components = cx.connected_components()
+
+    def cells(self):
+        return self.pair_complex.complex.simplices
+
+
+def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k: int) -> Verdict:
+    """Decide (when possible) whether an equivariant map from the pair
+    model, or from any free involution complex, to the (k-1)-sphere exists.
+    A pair model builds its complex only for the quotient route, when some
+    component is invariant."""
     if k < 1:
         raise ValueError("sphere dimension parameter k must be >= 1")
-    cx = model.complex
-    dim = cx.dim if cx.simplices else -1
+    if isinstance(model, InvolutionComplex):
+        model = _StoredCells(model)
+    dim = model.dim
     if dim < k:
         return Verdict(answer=EXISTS, reason="dimension-below-k", k=k, dim=dim)
-    sheet = mod2.sheet_split(model)
+    sheet = mod2.sheet_split(model.components, model.involution)
     if sheet is not None:
-        if not mod2.is_sheet_split(model, sheet):
+        if not mod2.is_sheet_split(model.involution, model.vertices, model.cells(), sheet):
             raise InternalError("the sheet split of a trivial double cover fails its check")
         # The sheet is a copy of the quotient, which needs no subdivision.
         return Verdict(
@@ -94,9 +114,9 @@ def equivariant_map_exists(model: InvolutionComplex, k: int) -> Verdict:
             k=k,
             dim=dim,
             yang=0,
-            quotient_f_vector=tuple(n // 2 for n in cx.f_vector()),
+            quotient_f_vector=model.cell_counts,
         )
-    qr = mod2.quotient_by_free_involution(model)
+    qr = mod2.quotient_by_free_involution(model.pair_complex)
     w = mod2.w1_cocycle(qr)
     yang = mod2.yang_index(qr.quotient, w)
     fv = qr.quotient.f_vector()
@@ -219,10 +239,7 @@ def sheet_split_witness(model: InvolutionComplex, k: int) -> Optional[Dict]:
     confirms."""
     t = model.involution
     free = [v for v in model.complex.vertices if t[v] != v]
-    part = InvolutionComplex(
-        model.complex.full_subcomplex(free), {v: t[v] for v in free}, check=False
-    )
-    sheet = mod2.sheet_split(part)
+    sheet = mod2.sheet_split(model.complex.full_subcomplex(free).connected_components(), t)
     if sheet is None:
         return None
     e1 = (Fraction(1),) + (Fraction(0),) * (k - 1)
@@ -321,8 +338,7 @@ def prem_report(
         model = double_point_model(f)
     n = f.source.dim
     m = f.target.dim
-    verdict = equivariant_map_exists(model.pair_complex, k)
-    comp = mod2.component_report(model.pair_complex)
+    verdict = equivariant_map_exists(model, k)
     hyp_codim = m >= n
     hyp_meta = 2 * (m + k) >= 3 * (n + 1)
     notes: List[str] = []
@@ -330,7 +346,7 @@ def prem_report(
     try:
         parities = [
             projection_degree_parity(model, c)
-            for c, flag in zip(comp.components, comp.invariant_flags)
+            for c, flag in zip(model.components, model.invariant_flags)
             if flag
         ]
     except PreconditionError as exc:
@@ -383,8 +399,8 @@ def prem_report(
         source_dim=n,
         target_dim=m,
         verdict=verdict,
-        components=len(comp.components),
-        invariant_components=comp.invariant_count,
+        components=len(model.components),
+        invariant_components=sum(model.invariant_flags),
         invariant_parities=parities,
         parity_reading=reading,
         hyp_codim=hyp_codim,

@@ -1,6 +1,6 @@
 import pytest
 
-from prem import complexes
+from prem import complexes, mod2
 from prem.complexes import SimplicialComplex
 from prem.double_points import (
     check_star_condition,
@@ -11,7 +11,6 @@ from prem.errors import DegenerateMap, ModelInvalid
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
-from prem.mod2 import component_report
 
 
 def test_identified_pairs_triple_cover():
@@ -41,18 +40,16 @@ def test_pair_model_triple_cover():
     model = double_point_model(cycle_cover(3, 3))
     assert model.subdivision_rounds == 0
     assert model.complex.f_vector() == (18, 18)
-    rep = component_report(model.pair_complex)
-    assert len(rep.components) == 2
-    assert rep.invariant_count == 0
+    assert model.cell_counts == (9, 9)
+    assert model.invariant_flags == [False, False]
 
 
 def test_pair_model_double_cover():
     model = double_point_model(cycle_cover(2, 4))
     assert model.subdivision_rounds == 0
     assert model.complex.f_vector() == (8, 8)
-    rep = component_report(model.pair_complex)
-    assert len(rep.components) == 1
-    assert rep.invariant_count == 1
+    assert model.cell_counts == (4, 4)
+    assert model.invariant_flags == [True]
 
 
 def test_pair_model_cells_are_disjoint_pairs():
@@ -96,9 +93,8 @@ def test_figure_eight_single_double_point():
     model = double_point_model(figure_eight_map())
     assert model.subdivision_rounds == 0
     assert model.complex.f_vector() == (2,)
-    rep = component_report(model.pair_complex)
-    assert len(rep.components) == 2
-    assert rep.invariant_count == 0
+    assert model.dim == 0
+    assert model.invariant_flags == [False, False]
 
 
 def test_swap_images_come_from_the_builder(monkeypatch):
@@ -115,3 +111,27 @@ def test_swap_images_come_from_the_builder(monkeypatch):
     closure = build_closure_model(f)
     assert closure.complex == model.complex
     assert closure.pair_complex.simplex_images() == model.pair_complex.simplex_images()
+
+
+def test_streamed_sheet_check_rejects_damaged_sheets():
+    # Two circles that the swap exchanges; the check walks one cell of each
+    # swap orbit, the cell of (s, t) but not that of (t, s).
+    model = double_point_model(cycle_cover(3, 3))
+    t = model.involution
+    sheet = mod2.sheet_split(model.components, t)
+
+    def passes(candidate):
+        return mod2.is_sheet_split(t, model.vertices, model.cells(), candidate)
+
+    assert passes(sheet)
+    for v in model.vertices:
+        # One orbit flipped: every orbit is still split, but each edge at
+        # ``v`` now has one end on either side.
+        assert not passes(sheet ^ {v, t[v]})
+    for cell in model.cells():
+        # A whole cell moved across: the edges next to it are split.
+        moved = {w for v in cell for w in (v, t[v])}
+        assert not passes(sheet ^ moved)
+    v = model.vertices[0]
+    assert not passes(sheet | {t[v]})
+    assert not passes(sheet - {v, t[v]})

@@ -7,9 +7,10 @@ from prem.errors import PreconditionError
 from prem.generators import cross_polytope_boundary, cycle_complex
 from prem.mod2 import (
     CochainSpace,
-    component_report,
+    is_sheet_split,
     quotient_by_free_involution,
     regularity_failures,
+    sheet_split,
     w1_cocycle,
     yang_index,
 )
@@ -144,14 +145,19 @@ def test_cup_square_matches_direct_power():
     assert not space.is_coboundary(space.one_cocycle_power(w_bits, 2), 2)
 
 
-def test_component_report():
-    rep = component_report(antipodal_cycle(6))
-    assert len(rep.components) == 1
-    assert rep.invariant_flags == [True]
-    assert rep.invariant_count == 1
+def test_sheet_split_of_invariant_and_swapped_components():
+    ic = antipodal_cycle(6)
+    assert len(ic.complex.connected_components()) == 1
+    assert sheet_split(ic.complex.connected_components(), ic.involution) is None
 
     c = complex_from_facets([("a", "b"), ("x", "y")])
     t = {"a": "x", "b": "y", "x": "a", "y": "b"}
-    rep = component_report(InvolutionComplex(c, t))
-    assert len(rep.components) == 2
-    assert rep.invariant_count == 0
+    ic = InvolutionComplex(c, t)
+    comps = ic.complex.connected_components()
+    assert len(comps) == 2
+    sheet = sheet_split(comps, t)
+    assert sheet == {"a", "b"}
+    assert is_sheet_split(t, c.vertices, c.simplices, sheet)
+    # One cell of each swap orbit decides as much as every cell.
+    assert is_sheet_split(t, c.vertices, [("a",), ("b",), ("a", "b")], sheet)
+    assert not is_sheet_split(t, c.vertices, [("a", "b")], {"a", "y"})

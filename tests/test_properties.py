@@ -8,7 +8,8 @@ flag of a barycentric subdivision, slicing out codimension-one faces to find
 the maximal simplices, sorting every matched pair cell, scanning the fibres
 for pair cells and then canonicalising each cell's swap image, rebuilding
 each link through ``subcomplex``, union-find over every simplex, the
-separate witness certifiers of the pair model and of the closure model, and
+stored pair complex in place of the walked pair model, the separate witness
+certifiers of the pair model and of the closure model, and
 the separate regularity checks and projections of the order-2 and order-p
 quotients.
 """
@@ -24,12 +25,12 @@ from hypothesis import strategies as st
 from prem import gf2, linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex, _simplex_involution
 from prem.double_points import (
-    _pair_complex,
     check_star_condition,
     double_point_model,
     identified_vertex_pairs,
+    swap_paired_cells,
 )
-from prem.errors import CertificationError, NotKPrem, PreconditionError
+from prem.errors import CertificationError, ModelInvalid, NotKPrem, PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
     cross_polytope_boundary,
@@ -286,6 +287,15 @@ def old_matched_pair_cells(f: SimplicialMap, vertices: list, overlapping: bool):
                 yield tuple(map(pair.__getitem__, zip(s, map(by_image.__getitem__, images))))
 
 
+def unchecked_pair_complex(f: SimplicialMap) -> InvolutionComplex:
+    """The stored pair complex of a non-degenerate map, built as the pair
+    model builds it but also where the star condition fails."""
+    vertices = identified_vertex_pairs(f)
+    images = swap_paired_cells(f, vertices)
+    return InvolutionComplex(SimplicialComplex.from_canonical(vertices, images),
+                             {(u, v): (v, u) for (u, v) in vertices}, images=images)
+
+
 def old_swap_model(f: SimplicialMap, closure: bool) -> tuple:
     """``(vertices, simplices, simplex images)`` of the pair model, or of the
     closure model, with the images found by canonicalising every cell's
@@ -419,7 +429,12 @@ def test_betti_numbers_satisfy_euler_relation(c):
 @PROPERTY
 @given(st.one_of(closed_complexes(), raw_complexes()))
 def test_connected_components_unchanged(c):
-    assert c.connected_components() == old_components(c)
+    """Components come from the 1-simplices only; on a complex closed under
+    faces that is the same as a union over every simplex."""
+    skeleton = SimplicialComplex(c.vertices, [s for s in c.simplices if len(s) <= 2])
+    assert c.connected_components() == old_components(skeleton)
+    if all(c.simplices.issuperset(combinations(s, len(s) - 1)) for s in c.simplices if len(s) > 1):
+        assert c.connected_components() == old_components(c)
 
 
 @PROPERTY
@@ -497,7 +512,7 @@ def test_orbit_quotient_rejects_a_non_simplicial_action():
 @PROPERTY
 @given(covering_pieces())
 def test_pair_cells_match_matched_bijection_route(f):
-    model = _pair_complex(f)
+    model = double_point_model(f).pair_complex
     cells = {s for s in model.complex.simplices if len(s) > 1}
     assert cells == {s for s in old_pair_cells(f, False) if len(s) > 1}
     assert model.complex == SimplicialComplex(model.complex.vertices, model.complex.simplices)
@@ -526,13 +541,51 @@ def small_non_degenerate_maps(draw):
 @PROPERTY
 @given(small_non_degenerate_maps())
 def test_one_pass_swap_models_match_rescan_oracle(f):
-    for closure, ic in ((False, _pair_complex(f)), (True, build_closure_model(f).pair_complex)):
+    pairs = unchecked_pair_complex(f)
+    if not check_star_condition(f):
+        assert double_point_model(f).pair_complex.simplex_images() == pairs.simplex_images()
+    for closure, ic in ((False, pairs), (True, build_closure_model(f).pair_complex)):
         vertices, simplices, images = old_swap_model(f, closure)
         assert ic.complex.vertices == vertices
         assert ic.complex.simplices == simplices
         assert ic.simplex_images() == images
         for s, img in ic.simplex_images().items():
             assert ic.simplex_images()[img] is s
+
+
+@PROPERTY
+@given(st.one_of(covering_pieces(), small_non_degenerate_maps()), st.integers(0, 99))
+def test_walked_pair_model_matches_its_stored_complex(f, pick):
+    """What the pair model reads off its walk, and the verdict it reaches
+    from it, equal what the built pair complex gives: dimension, pair counts,
+    components, invariant flags, the cells up to their swap, the sheet split
+    and its check, also on a sheet with one orbit flipped."""
+    try:
+        model = double_point_model(f)
+    except ModelInvalid:
+        assume(False)
+    walked = [equivariant_map_exists(model, j) for j in (1, 2, 3)]
+    ic = model.pair_complex
+    cx, t, images = ic.complex, ic.involution, ic.simplex_images()
+    assert model.dim == (cx.dim if cx.simplices else -1)
+    assert tuple(2 * n for n in model.cell_counts) == cx.f_vector()
+    assert model.components == cx.connected_components()
+    assert model.invariant_flags == [{t[v] for v in c} == c for c in model.components]
+    cells = [cx.canon(c) for c in model.cells()]
+    assert len(cells) == len(cx.simplices) // 2
+    assert set(cells) | {images[c] for c in cells} == cx.simplices
+    for j, verdict in zip((1, 2, 3), walked):
+        assert verdict == equivariant_map_exists(ic, j)
+    sheet = mod2.sheet_split(model.components, t)
+    assert sheet == mod2.sheet_split(cx.connected_components(), t)
+    assert (sheet is None) == any(model.invariant_flags)
+    if sheet is None or not cx.simplices:
+        return
+    v = cx.vertices[pick % len(cx.vertices)]
+    for candidate in (sheet, sheet ^ {v, t[v]}):
+        streamed = mod2.is_sheet_split(t, model.vertices, model.cells(), candidate)
+        assert streamed == mod2.is_sheet_split(t, cx.vertices, cx.simplices, candidate)
+    assert mod2.is_sheet_split(t, model.vertices, model.cells(), sheet)
 
 
 def test_map_images_and_fibres_match_canonicalising_oracle():
@@ -567,9 +620,9 @@ def test_yang_index_invariant_under_subdivision(f):
         assume(False)
     finer = barycentric_subdivide_map(f)[0]
     assert before == _yang(finer)
-    models = [double_point_model(g).pair_complex for g in (f, finer)]
+    models = [double_point_model(g) for g in (f, finer)]
     for k in (1, 2, 3):
-        old, new = (equivariant_map_exists(ic, k) for ic in models)
+        old, new = (equivariant_map_exists(model, k) for model in models)
         assert (old.answer, old.reason, old.yang) == (new.answer, new.reason, new.yang)
 
 
@@ -591,18 +644,22 @@ def test_trivial_cover_route_matches_yang_zero(ic, k, pick):
     qr = mod2.quotient_by_free_involution(ic)
     yang = mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
     assert (verdict.reason == "trivial-cover") == (ic.complex.dim >= k and yang == 0)
-    sheet = mod2.sheet_split(ic)
+    t = ic.involution
+    sheet = mod2.sheet_split(ic.complex.connected_components(), t)
     assert (sheet is not None) == (yang == 0)
     if verdict.reason != "trivial-cover":
         return
     assert verdict.quotient_f_vector == qr.quotient.f_vector()
     assert qr.subdivision_rounds == 0
-    assert mod2.is_sheet_split(ic, sheet)
-    t = ic.involution
+
+    def passes(candidate):
+        return mod2.is_sheet_split(t, ic.complex.vertices, ic.complex.simplices, candidate)
+
+    assert passes(sheet)
     v = ic.complex.vertices[pick % len(ic.complex.vertices)]
     moved = sheet ^ {v, t[v]}
-    assert mod2.is_sheet_split(ic, moved) == (not ic.complex.neighbors(v))
-    assert not mod2.is_sheet_split(ic, sheet | {v, t[v]})
+    assert passes(moved) == (not ic.complex.neighbors(v))
+    assert not passes(sheet | {v, t[v]})
 
 
 def test_full_covers_keep_their_yang_index_under_subdivision():
@@ -674,7 +731,7 @@ def _witness_cases():
     (its identified stars meet), so every pair model is built unchecked."""
     maps = [fold_path_map(), figure_eight_map()] + [cycle_cover(2, n) for n in range(3, 7)]
     for f in maps:
-        ic = _pair_complex(f)
+        ic = unchecked_pair_complex(f)
         yield ic, old_certify_pair, ic
         closure = build_closure_model(f)
         yield closure.pair_complex, old_certify_closure, closure
@@ -754,7 +811,7 @@ def test_constructed_lifts_verify(f, k):
         # Neither the moment curve nor a sheet split certified, and the
         # verdict has no route to a certificate either way: 0 < Yang < k.
         # A known gap of the verdict, not a bad lift.
-        verdict = equivariant_map_exists(double_point_model(f).pair_complex, k)
+        verdict = equivariant_map_exists(double_point_model(f), k)
         assert verdict.answer == INCONCLUSIVE
         assert verdict.yang > 0
         return
