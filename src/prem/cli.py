@@ -529,6 +529,9 @@ def _cmd_gen(args) -> int:
         )
     elif name == "join-lens":
         p, q = params
+        if p < 2:
+            raise PreconditionError(
+                "join-lens needs p = 2 with q = 1, or p >= 3 with q a unit modulo p")
         if p == 2:
             # L(2, 1) is real projective 3-space, the antipodal quotient.
             if q != 1:

@@ -104,6 +104,13 @@ class SimplicialComplex:
             closed.update(_subsets(tmp.canon(s)))
         return cls.from_canonical(tmp.vertices, closed)
 
+    def renamed(self, names) -> "SimplicialComplex":
+        """The same complex with every vertex ``v`` renamed ``names[v]``,
+        keeping the vertex order; the names must be distinct."""
+        name = names.__getitem__
+        return SimplicialComplex.from_canonical(
+            list(map(name, self.vertices)), (tuple(map(name, s)) for s in self.simplices))
+
     def canon(self, s: Iterable) -> Simplex:
         try:
             simplex = tuple(sorted(set(s), key=self.rank.__getitem__))

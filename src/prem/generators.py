@@ -16,7 +16,8 @@ from .complexes import InvolutionComplex, SimplicialComplex
 from .double_points import check_star_condition
 from .errors import InternalError, PreconditionError
 from .maps import SemiLinearMap, SimplicialMap
-from .mod2 import orbit_quotient
+from .formats import id_token
+from .mod2 import rank_orbit_quotient
 
 
 def cycle_complex(n: int, prefix: str = "n") -> SimplicialComplex:
@@ -148,11 +149,11 @@ def cross_polytope_boundary(m: int) -> InvolutionComplex:
 # -- cyclic group actions and their quotients ----------------------------------
 #
 # A covering is the orbit projection of a free cyclic action, built by
-# :func:`mod2.orbit_quotient` after the barycentric subdivisions that make the
-# action regular.  Regularity implies the disjoint-closed-stars condition of
-# the pair model: adjacent vertices of one orbit break R1, and a common
-# neighbour of two vertices of one orbit puts two edges of different orbits
-# into one fibre, which breaks R2.
+# :func:`mod2.rank_orbit_quotient` after the barycentric subdivisions that
+# make the action regular.  Regularity implies the disjoint-closed-stars
+# condition of the pair model: adjacent vertices of one orbit break R1, and a
+# common neighbour of two vertices of one orbit puts two edges of different
+# orbits into one fibre, which breaks R2.
 
 
 def join_sphere(p: int) -> SimplicialComplex:
@@ -172,12 +173,20 @@ def join_sphere(p: int) -> SimplicialComplex:
 
 def _orbit_covering(c: SimplicialComplex, gamma: Dict, order: int) -> Tuple[SimplicialMap, int]:
     """The orbit projection of a free cyclic action and the number of
-    subdivision rounds it took."""
-    qr = orbit_quotient(c, gamma, order)
-    projection = SimplicialMap(qr.upstairs, qr.quotient, qr.projection)
+    subdivision rounds it took.  Each vertex is named once, by the file
+    token of its barycentric id, so the map is the one that writing it and
+    reading it back gives."""
+    rq = rank_orbit_quotient(c, gamma, order)
+    tokens = [id_token(v) for v in rq.labels]
+    upstairs = rq.upstairs.renamed(tokens)
+    quotient = rq.quotient.renamed(tokens)
+    vertex_map = dict(zip(tokens, map(tokens.__getitem__, rq.projection)))
+    rounds = rq.subdivision_rounds
+    del rq  # the rank complexes would raise the peak memory of the map check
+    projection = SimplicialMap(upstairs, quotient, vertex_map)
     if check_star_condition(projection):
         raise InternalError("a regular orbit map breaks the disjoint-closed-stars condition")
-    return projection, qr.subdivision_rounds
+    return projection, rounds
 
 
 def lens_covering(p: int, q: int) -> Tuple[SimplicialMap, int]:
@@ -185,7 +194,8 @@ def lens_covering(p: int, q: int) -> Tuple[SimplicialMap, int]:
     3-sphere by the rotation pair (advance the first circle by one, the
     second by ``q``): subdivides barycentrically until the orbit map is a
     simplicial quotient, then returns the projection and the number of
-    rounds used."""
+    rounds used.  Its vertex ids are the tokens that ``write_map`` prints,
+    such as ``a0+a1``."""
     if p < 3:
         raise PreconditionError("the cyclic quotient of the join sphere needs p >= 3")
     if not (1 <= q < p) or gcd(p, q) != 1:
@@ -200,6 +210,7 @@ def lens_covering(p: int, q: int) -> Tuple[SimplicialMap, int]:
 
 def antipodal_sphere_covering(m: int) -> Tuple[SimplicialMap, int]:
     """The two-fold covering of real projective m-space by the cross-polytope
-    m-sphere, subdivided until the antipodal orbit map is simplicial."""
+    m-sphere, subdivided until the antipodal orbit map is simplicial.  Its
+    vertex ids are the tokens that ``write_map`` prints."""
     ic = cross_polytope_boundary(m)
     return _orbit_covering(ic.complex, ic.involution, 2)

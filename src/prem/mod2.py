@@ -13,6 +13,13 @@ to Compact Transformation Groups*, III.1).  The quotient of the pair model
 by its swap and the lens-space quotients of the join sphere are both built
 this way.
 
+The rounds run on vertex ranks.  The complex and the action are translated
+to ranks once; a round renumbers the refined vertices, vertex i being the
+i-th base simplex in ``sort_key`` order, so that every flag is an increasing
+rank tuple and every simplex image is a sorted rank tuple.  The vertex
+labels, the nested base simplices that :func:`subdivision.barycentric_subdivide`
+gives as ids, ride along as a list and are attached once, at the end.
+
 The double cover upstairs is classified by a 1-cocycle on the quotient: fix
 in each vertex orbit a preferred representative (the one earlier in the
 vertex order); an edge of the quotient gets value 0 when the unique upstairs
@@ -31,7 +38,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from . import gf2
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .errors import InternalError, PreconditionError
-from .subdivision import barycentric_subdivide
+from .subdivision import rank_subdivide
 
 # Barycentric subdivisions after which an action free on simplices is regular.
 SUBDIVISION_ROUNDS = 2
@@ -49,40 +56,80 @@ class QuotientResult:
     subdivision_rounds: int
 
 
-def _regularity(
-    cx: SimplicialComplex, action: Dict, order: int
-) -> Tuple[List[str], Dict, Dict, Dict[FrozenSet[int], list]]:
-    """The failures of R1 and R2; every vertex mapped to the rank of the
-    earliest vertex of its orbit; every simplex mapped to its image; and
-    the simplices grouped by the set of orbits they meet."""
+@dataclass
+class RankQuotient:
+    """An orbit quotient on vertex ranks.  The upstairs vertices are the
+    ranks ``0 .. n-1``, the quotient vertices are the ranks of the orbit
+    representatives, and ``labels`` names each rank by its vertex id: an
+    input vertex, or after a round the nested base simplex that
+    barycentric subdivision gives as id."""
+
+    upstairs: SimplicialComplex
+    action: List[int]  # rank -> rank of its image
+    quotient: SimplicialComplex
+    projection: List[int]  # rank -> rank of its orbit's earliest vertex
+    labels: Sequence
+    subdivision_rounds: int
+
+
+def _ranked(cx: SimplicialComplex, action: Dict) -> Tuple[SimplicialComplex, List[int]]:
+    """The complex and the action translated to vertex ranks."""
     rank = cx.rank
-    orbit: Dict = {}
+    act = []
+    for v in cx.vertices:
+        if v not in action:
+            raise PreconditionError(f"the action is not defined at vertex {v!r}")
+        w = rank.get(action[v])
+        if w is None:
+            raise PreconditionError(f"the action sends vertex {v!r} to {action[v]!r}, not a vertex")
+        act.append(w)
+    simplices = (tuple(map(rank.__getitem__, s)) for s in cx.simplices)
+    return SimplicialComplex.from_canonical(range(len(act)), simplices), act
+
+
+def _regularity(
+    cx: SimplicialComplex, act: List[int], order: int, labels: Sequence
+) -> Tuple[List[str], List[int], Dict, Dict[FrozenSet[int], list]]:
+    """On a complex whose vertices are the ranks ``0 .. n-1``: the failures
+    of R1 and R2, naming vertices by ``labels``; every vertex mapped to the
+    earliest vertex of its orbit; every simplex mapped to its image; and the
+    simplices grouped by the set of orbits they meet."""
+    orbit = [-1] * len(act)
     short: set = set()
     for v in cx.vertices:  # in rank order, so ``v`` is the earliest of a new orbit
-        if v in orbit:
+        if orbit[v] >= 0:
             continue
         members = [v]
-        w = action[v]
+        w = act[v]
         while w != v and len(members) < order:
             members.append(w)
-            w = action[w]
+            w = act[w]
         if w != v or order % len(members):
-            raise PreconditionError(f"the action does not have order {order} at vertex {v!r}")
+            raise PreconditionError(
+                f"the action does not have order {order} at vertex {labels[v]!r}")
         for u in members:
-            orbit[u] = rank[v]
+            orbit[u] = v
         if len(members) < order:
             short.update(members)
+    simplices = cx.simplices
     image: Dict = {}
     fibres: Dict[FrozenSet[int], list] = {}
-    for s in cx.simplices:
-        img = cx.canon(map(action.__getitem__, s))
-        if img not in cx.simplices:
-            raise PreconditionError(f"the action does not map simplex {s} to a simplex")
+    own = []
+    for s in simplices:
+        img = tuple(sorted(map(act.__getitem__, s)))
+        if img not in simplices:
+            raise PreconditionError(
+                f"the action does not map simplex {tuple(map(labels.__getitem__, s))} to a simplex")
         image[s] = img
-        fibres.setdefault(frozenset(map(orbit.__getitem__, s)), []).append(s)
-    own = [s for key, fibre in fibres.items() for s in fibre
-           if len(s) > len(key) or not short.isdisjoint(s)]
-    failures = [f"simplex {s} meets its own orbit" for s in sorted(own, key=cx.sort_key)]
+        key = frozenset(map(orbit.__getitem__, s))
+        fibres.setdefault(key, []).append(s)
+        if len(key) < len(s) or short and not short.isdisjoint(s):
+            own.append(s)
+
+    def named(group: list) -> list:
+        return [tuple(map(labels.__getitem__, s)) for s in sorted(group, key=cx.sort_key)]
+
+    failures = [f"simplex {s} meets its own orbit" for s in named(own)]
     # A fibre is a union of simplex orbits, so it is one orbit exactly when
     # it is no larger than the orbit of its first simplex.
     for fibre in fibres.values():
@@ -93,43 +140,57 @@ def _regularity(
             size += 1
             s = image[s]
         if len(fibre) > size:
-            failures.append(f"fibre {sorted(fibre, key=cx.sort_key)} is not one orbit of simplices")
+            failures.append(f"fibre {named(fibre)} is not one orbit of simplices")
     return failures, orbit, image, fibres
 
 
 def regularity_failures(cx: SimplicialComplex, action: Dict, order: int) -> List[str]:
     """Empty when the orbit map of simplices yields a simplicial complex."""
-    return _regularity(cx, action, order)[0]
+    return _regularity(*_ranked(cx, action), order, cx.vertices)[0]
 
 
-def orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
+def rank_orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> RankQuotient:
     """Quotient by a cyclic action of the given order that is free on
-    simplices, subdividing until the action is regular."""
+    simplices, subdividing until the action is regular, on vertex ranks."""
+    labels = cx.vertices
+    cx, act = _ranked(cx, action)
     rounds = 0
     while True:
-        failures, orbit, image, fibres = _regularity(cx, action, order)
+        failures, orbit, image, fibres = _regularity(cx, act, order, labels)
         if not failures:
             break
         if rounds == SUBDIVISION_ROUNDS:
             raise InternalError(f"quotient not regular after {rounds} subdivisions: {failures[0]}")
-        # Barycentric vertex ids are the base simplices, so the simplex
-        # images are the action on the refined vertices.
-        cx = barycentric_subdivide(cx).refined
-        action = {s: image[s] for s in cx.vertices}
+        # Refined vertex i is the i-th base simplex, so the simplex images
+        # are the action on the refined vertices.
+        index, cx = rank_subdivide(cx)
+        act = [index[image[s]] for s in index]
+        labels = [tuple(map(labels.__getitem__, s)) for s in index]
         rounds += 1
 
     # Each orbit is named by its earliest vertex, so a quotient simplex is
-    # the rank-sorted set of orbit ranks its fibre meets.
-    vertices = cx.vertices
-    projection = {v: vertices[orbit[v]] for v in vertices}
-    q_vertices = [v for v in vertices if projection[v] == v]
-    q_simplices = {tuple(map(vertices.__getitem__, sorted(key))) for key in fibres}
+    # the sorted set of orbit ranks its fibre meets.
+    quotient = SimplicialComplex.from_canonical(
+        [v for v in cx.vertices if orbit[v] == v], (tuple(sorted(key)) for key in fibres))
+    return RankQuotient(cx, act, quotient, orbit, labels, rounds)
+
+
+def orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
+    """Quotient by a cyclic action of the given order that is free on
+    simplices, subdividing until the action is regular.  The rounds run on
+    vertex ranks; the labels are attached once, at the end, and when no
+    round ran the upstairs complex is the input itself."""
+    rq = rank_orbit_quotient(cx, action, order)
+    labels = rq.labels
+    if rq.subdivision_rounds:
+        cx = rq.upstairs.renamed(labels)
+        action = dict(zip(labels, map(labels.__getitem__, rq.action)))
     return QuotientResult(
         upstairs=cx,
         action=action,
-        quotient=SimplicialComplex.from_canonical(q_vertices, q_simplices),
-        projection=projection,
-        subdivision_rounds=rounds,
+        quotient=rq.quotient.renamed(labels),
+        projection=dict(zip(labels, map(labels.__getitem__, rq.projection))),
+        subdivision_rounds=rq.subdivision_rounds,
     )
 
 

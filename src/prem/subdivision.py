@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .complexes import BarycentricPoint, SimplicialComplex, Simplex
@@ -62,20 +62,23 @@ class SubdivisionRecord:
         return SubdivisionRecord(c, c, {v: BarycentricPoint.at_vertex(v) for v in c.vertices})
 
 
-def _flags(c: SimplicialComplex) -> list:
-    """All nonempty chains of simplices ordered by inclusion."""
+def _flags(c: SimplicialComplex, index: Optional[Dict] = None) -> list:
+    """All nonempty chains of simplices ordered by inclusion, each listed
+    bottom-up; with ``index``, every simplex of a chain is written as its
+    entry there."""
     memo: Dict = {}
 
     def ending_at(s: Simplex) -> list:
         got = memo.get(s)
         if got is not None:
             return got
-        out = [(s,)]
+        top = (s if index is None else index[s],)
+        out = [top]
         for size in range(1, len(s)):
             for f in combinations(s, size):
                 if f in c.simplices:
                     for ch in ending_at(f):
-                        out.append(ch + (s,))
+                        out.append(ch + top)
         memo[s] = out
         return out
 
@@ -95,6 +98,16 @@ def barycentric_subdivide(c: SimplicialComplex) -> SubdivisionRecord:
         s: BarycentricPoint(s, tuple(Fraction(1, len(s)) for _ in s)) for s in new_vertices
     }
     return SubdivisionRecord(c, refined, positions)
+
+
+def rank_subdivide(c: SimplicialComplex) -> Tuple[Dict, SimplicialComplex]:
+    """Barycentric subdivision with integer vertex ids: refined vertex i is
+    the i-th base simplex in ``sort_key`` order, the vertex order of
+    :func:`barycentric_subdivide`, so every flag is an increasing tuple of
+    refined vertices.  Returns the base simplices mapped to their refined
+    vertices, in that order, and the refined complex."""
+    index = {s: i for i, s in enumerate(c.sorted_simplices())}
+    return index, SimplicialComplex.from_canonical(range(len(index)), _flags(c, index))
 
 
 def barycentric_subdivide_map(

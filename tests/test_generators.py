@@ -1,6 +1,7 @@
 import pytest
 
-from prem import mod2
+from prem import formats, generators, mod2, subdivision
+from prem.complexes import SimplicialComplex
 from prem.errors import PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
@@ -141,3 +142,31 @@ def test_lens_covering_checks_regularity_once_per_round(monkeypatch):
     monkeypatch.setattr(mod2, "_regularity", counted)
     _, rounds = lens_covering(3, 1)
     assert len(calls) == rounds + 1
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: lens_covering(3, 1), lambda: lens_covering(5, 2),
+              lambda: antipodal_sphere_covering(2)],
+    ids=["lens-3-1", "lens-5-2", "antipodal-2"],
+)
+def test_generated_coverings_are_named_by_their_file_tokens(build):
+    proj, _ = build()
+    back = formats.parse_map(formats.write_map(proj)).map
+    for mine, read in ((proj.source, back.source), (proj.target, back.target)):
+        assert mine.vertices == read.vertices
+        assert mine.simplices == read.simplices
+    assert proj.vertex_map == back.vertex_map
+
+
+def test_lens_covering_neither_canonicalises_nor_subdivides_labels(monkeypatch):
+    sphere = join_sphere(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("labels were canonicalised or subdivided")
+
+    monkeypatch.setattr(generators, "join_sphere", lambda p: sphere)
+    monkeypatch.setattr(subdivision, "barycentric_subdivide", refuse)
+    monkeypatch.setattr(SimplicialComplex, "canon", refuse)
+    proj, rounds = lens_covering(3, 1)
+    assert rounds == 2
+    assert proj.source.f_vector() == (960, 6144, 10368, 5184)

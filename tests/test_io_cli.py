@@ -262,6 +262,15 @@ def test_gen_join_lens_rejects_a_non_unit_rotation(capsys):
         )
 
 
+def test_gen_join_lens_rejects_fewer_than_two_sheets(capsys):
+    for p in ("1", "0", "-3"):
+        assert main(["gen", "join-lens", p, "1"]) == 65
+        assert capsys.readouterr().err == (
+            "error (PreconditionError): join-lens needs p = 2 with q = 1,"
+            " or p >= 3 with q a unit modulo p\n"
+        )
+
+
 def test_gen_outputs_reparse(capsys):
     for spec in (
         ["gen", "figure-eight"],

@@ -11,9 +11,11 @@ each link through ``subcomplex``, union-find over every simplex, the
 stored pair complex in place of the walked pair model, the separate witness
 certifiers of the pair model and of the closure model, and
 the separate regularity checks and projections of the order-2 and order-p
-quotients.
+quotients, and the labelled orbit quotient that canonicalised the nested
+barycentric ids in every round.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from prem import gf2, linalg, lp, mod2
+from prem import formats, gf2, linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex, _simplex_involution
 from prem.double_points import (
     check_star_condition,
@@ -30,7 +32,13 @@ from prem.double_points import (
     identified_vertex_pairs,
     swap_paired_cells,
 )
-from prem.errors import CertificationError, ModelInvalid, NotKPrem, PreconditionError
+from prem.errors import (
+    CertificationError,
+    InternalError,
+    ModelInvalid,
+    NotKPrem,
+    PreconditionError,
+)
 from prem.generators import (
     antipodal_sphere_covering,
     cross_polytope_boundary,
@@ -39,6 +47,7 @@ from prem.generators import (
     figure_eight_map,
     fold_path_map,
     join_sphere,
+    lens_covering,
 )
 from prem.lift import build_closure_model, construct_lift_3ptfree, fold_locus
 from prem.maps import SimplicialMap
@@ -381,6 +390,92 @@ def old_project_orbits(c: SimplicialComplex, gamma: dict, order: int) -> Simplic
     return SimplicialMap(c, quotient, rep)
 
 
+def old_regularity(cx: SimplicialComplex, action: dict, order: int) -> tuple:
+    rank = cx.rank
+    orbit = {}
+    short = set()
+    for v in cx.vertices:
+        if v in orbit:
+            continue
+        members = [v]
+        w = action[v]
+        while w != v and len(members) < order:
+            members.append(w)
+            w = action[w]
+        if w != v or order % len(members):
+            raise PreconditionError(f"the action does not have order {order} at vertex {v!r}")
+        for u in members:
+            orbit[u] = rank[v]
+        if len(members) < order:
+            short.update(members)
+    image = {}
+    fibres = {}
+    for s in cx.simplices:
+        img = cx.canon(map(action.__getitem__, s))
+        if img not in cx.simplices:
+            raise PreconditionError(f"the action does not map simplex {s} to a simplex")
+        image[s] = img
+        fibres.setdefault(frozenset(map(orbit.__getitem__, s)), []).append(s)
+    own = [s for key, fibre in fibres.items() for s in fibre
+           if len(s) > len(key) or not short.isdisjoint(s)]
+    failures = [f"simplex {s} meets its own orbit" for s in sorted(own, key=cx.sort_key)]
+    for fibre in fibres.values():
+        first = fibre[0]
+        size = 1
+        s = image[first]
+        while s != first:
+            size += 1
+            s = image[s]
+        if len(fibre) > size:
+            failures.append(f"fibre {sorted(fibre, key=cx.sort_key)} is not one orbit of simplices")
+    return failures, orbit, image, fibres
+
+
+def old_orbit_quotient(cx: SimplicialComplex, action: dict, order: int) -> mod2.QuotientResult:
+    """The labelled quotient: every round canonicalises the nested
+    barycentric ids of the subdivided complex."""
+    rounds = 0
+    while True:
+        failures, orbit, image, fibres = old_regularity(cx, action, order)
+        if not failures:
+            break
+        if rounds == mod2.SUBDIVISION_ROUNDS:
+            raise InternalError(f"quotient not regular after {rounds} subdivisions: {failures[0]}")
+        cx = barycentric_subdivide(cx).refined
+        action = {s: image[s] for s in cx.vertices}
+        rounds += 1
+    vertices = cx.vertices
+    projection = {v: vertices[orbit[v]] for v in vertices}
+    q_vertices = [v for v in vertices if projection[v] == v]
+    q_simplices = {tuple(map(vertices.__getitem__, sorted(key))) for key in fibres}
+    return mod2.QuotientResult(
+        upstairs=cx,
+        action=action,
+        quotient=SimplicialComplex.from_canonical(q_vertices, q_simplices),
+        projection=projection,
+        subdivision_rounds=rounds,
+    )
+
+
+def assert_same_quotient(qr: mod2.QuotientResult, old: mod2.QuotientResult) -> None:
+    assert qr.upstairs.vertices == old.upstairs.vertices
+    assert qr.upstairs.simplices == old.upstairs.simplices
+    assert qr.action == old.action
+    assert qr.quotient.vertices == old.quotient.vertices
+    assert qr.quotient.simplices == old.quotient.simplices
+    assert qr.projection == old.projection
+    assert qr.subdivision_rounds == old.subdivision_rounds
+
+
+def assert_same_failures(new: list, old: list) -> None:
+    """The own-orbit failures come first, in simplex order; the fibre
+    failures follow in the order of a hashed walk, so they are compared as a
+    multiset."""
+    own = [m for m in old if m.endswith("own orbit")]
+    assert new[:len(own)] == own
+    assert sorted(new) == sorted(old)
+
+
 # -- complexes ----------------------------------------------------------------------
 
 
@@ -504,6 +599,56 @@ def test_orbit_quotient_rejects_a_non_simplicial_action():
     path = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(PreconditionError, match="does not map simplex"):
         mod2.orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
+    # An action undefined at a vertex, or one that leaves the complex.
+    with pytest.raises(PreconditionError, match="not defined at vertex 'b'"):
+        mod2.orbit_quotient(path, {"a": "c", "c": "a"}, 2)
+    with pytest.raises(PreconditionError, match="sends vertex 'b' to 'z'"):
+        mod2.orbit_quotient(path, {"a": "c", "b": "z", "c": "a"}, 2)
+
+
+@PROPERTY
+@given(st.one_of(
+    cyclic_actions(), involution_complexes().map(lambda ic: (ic.complex, ic.involution, 2))))
+def test_rank_quotient_matches_the_labelled_oracle(case):
+    """Rounds on vertex ranks give the labelled result of rounds on nested
+    barycentric ids: the same upstairs complex, action, quotient,
+    projection, round count and regularity failures."""
+    cx, action, order = case
+    try:
+        old_failures = old_regularity(cx, action, order)[0]
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            mod2.regularity_failures(cx, action, order)
+        return
+    assert_same_failures(mod2.regularity_failures(cx, action, order), old_failures)
+    if old_failures and len(cx.simplices) > 60:
+        return  # the 3-spheres, subdivided twice more, are too large to test here
+    try:
+        old = old_orbit_quotient(cx, action, order)
+    except (PreconditionError, InternalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            mod2.orbit_quotient(cx, action, order)
+        return
+    assert_same_quotient(mod2.orbit_quotient(cx, action, order), old)
+
+
+def test_rank_quotient_of_the_lens_covering_matches_the_labelled_oracle():
+    cx = join_sphere(3)
+    gamma = {}
+    for i in range(3):
+        gamma[f"a{i}"] = f"a{(i + 1) % 3}"
+        gamma[f"b{i}"] = f"b{(i + 1) % 3}"
+    old = old_orbit_quotient(cx, gamma, 3)
+    assert old.subdivision_rounds == 2
+    assert_same_quotient(mod2.orbit_quotient(cx, gamma, 3), old)
+    # The covering names each vertex by the token of its barycentric id.
+    proj, rounds = lens_covering(3, 1)
+    assert rounds == 2
+    tok = formats.token_table(old.upstairs)
+    assert proj.source.vertices == tuple(map(tok.__getitem__, old.upstairs.vertices))
+    assert proj.source.simplices == {
+        tuple(map(tok.__getitem__, s)) for s in old.upstairs.simplices}
+    assert proj.vertex_map == {tok[v]: tok[w] for v, w in old.projection.items()}
 
 
 # -- maps ---------------------------------------------------------------------------
