@@ -168,10 +168,10 @@ def _cmd_delta(args) -> int:
 def _cmd_yang(args) -> int:
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
-    qr = mod2.quotient_by_free_involution(model.pair_complex)
-    y = mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
-    fvec = qr.quotient.f_vector()
-    betti = gf2.betti_mod2(qr.quotient)
+    quotient, w1 = model.swap_quotient
+    y = mod2.yang_index(quotient, w1)
+    fvec = quotient.f_vector()
+    betti = gf2.betti_mod2(quotient)
     if args.json:
         _print_json(
             {
@@ -555,7 +555,7 @@ def _cmd_gen(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    parser = _build_parser()
     args = None
     try:
         args = parser.parse_args(argv)

@@ -26,11 +26,6 @@ from .errors import ComplexError
 Simplex = Tuple  # tuple of vertex ids, sorted by vertex rank
 
 
-def _subsets(s: Simplex):
-    for size in range(1, len(s) + 1):
-        yield from combinations(s, size)
-
-
 def edge_components(vertices: Sequence, edges: Iterable[Tuple]) -> List[set]:
     """Vertex sets of the connected components of the graph on ``vertices``
     with the given edges, ordered by their earliest vertex in ``vertices``.
@@ -48,6 +43,18 @@ def edge_components(vertices: Sequence, edges: Iterable[Tuple]) -> List[set]:
         for v in moved:
             label[v] = i
     return [set(members[i]) for i in dict.fromkeys(map(label.__getitem__, vertices))]
+
+
+def groups_are_pure(groups: Sequence[list]) -> bool:
+    """Whether the simplices, grouped by dimension, are exactly the faces of
+    the top-dimensional ones.  Faces are taken as ``combinations``, so all
+    simplices must list their vertices in one shared order."""
+    faces = set(groups[-1]) if groups else set()
+    for d in range(len(groups) - 1, 0, -1):
+        faces = {f for s in faces for f in combinations(s, d)}
+        if len(faces) != len(groups[d - 1]) or not faces.issuperset(groups[d - 1]):
+            return False
+    return True
 
 
 class SimplicialComplex:
@@ -97,12 +104,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, vertices: Sequence, maximal: Iterable[Iterable]) -> "SimplicialComplex":
-        """Closure of the given simplices, with every vertex as a 0-simplex."""
-        tmp = cls(vertices, [])
-        closed = {(v,) for v in tmp.vertices}
-        for s in maximal:
-            closed.update(_subsets(tmp.canon(s)))
-        return cls.from_canonical(tmp.vertices, closed)
+        """Closure of the given simplices, with every vertex as a 0-simplex.
+        ``canon`` checks every vertex of a generator, so the faces need no
+        second check."""
+        c = cls(vertices, [])
+        closed = {(v,) for v in c.vertices}
+        for s in map(c.canon, maximal):
+            for size in range(2, len(s) + 1):
+                closed.update(combinations(s, size))
+        c.simplices = frozenset(closed)
+        return c
 
     def renamed(self, names) -> "SimplicialComplex":
         """The same complex with every vertex ``v`` renamed ``names[v]``,
@@ -177,12 +188,6 @@ class SimplicialComplex:
     def f_vector(self) -> tuple:
         return tuple(map(len, self.dimension_groups()))
 
-    def euler_characteristic(self) -> int:
-        chi = 0
-        for s in self.simplices:
-            chi += (-1) ** (len(s) - 1)
-        return chi
-
     def edges(self) -> list:
         return self.simplices_of_dim(1)
 
@@ -210,13 +215,6 @@ class SimplicialComplex:
                     index[u].append(s)
             self._star_index = index
         return self._star_index[v]
-
-    def star_subcomplex(self, v) -> "SimplicialComplex":
-        """Closed star: all simplices containing ``v`` together with their faces."""
-        star = set()
-        for s in self.star_simplices(v):
-            star.update(_subsets(s))
-        return self._canonical_subcomplex(star)
 
     def link_subcomplex(self, v) -> "SimplicialComplex":
         """All faces of star simplices that avoid ``v`` (closed complexes)."""
@@ -254,14 +252,8 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         """Whether the simplices are exactly the faces of the top-dimensional
-        ones, compared one dimension at a time."""
-        groups = self.dimension_groups()
-        faces = set(groups[-1]) if groups else set()
-        for d in range(len(groups) - 1, 0, -1):
-            faces = {f for s in faces for f in combinations(s, d)}
-            if len(faces) != len(groups[d - 1]) or not faces.issuperset(groups[d - 1]):
-                return False
-        return True
+        ones."""
+        return groups_are_pure(self.dimension_groups())
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two facets, and each connected
@@ -393,10 +385,6 @@ class InvolutionComplex:
         """Every simplex mapped to its image under the involution (computed
         or checked once, at construction; treat the dict as read-only)."""
         return self._image
-
-    def map_simplex(self, s: Simplex) -> Simplex:
-        """Image of a simplex of the complex under the involution."""
-        return self.simplex_images()[s]
 
     def free_part(self, s: Simplex) -> tuple:
         """The vertices of ``s`` that the involution moves, in order."""

@@ -12,15 +12,17 @@ index meets each unordered same-image pair ``{s, t}`` once and yields the
 cell of ``(s, t)``; the swap sends it to the cell of ``(t, s)``.  One walk
 gives the model its dimension, its pair count per dimension (the f-vector
 of the quotient by the swap), its 1-cells and from them its connected
-components, each flagged when the swap maps it onto itself.  A sheet split
-is checked on a second walk, so a map whose components the swap exchanges
-in pairs is decided without a stored cell.
+components, each flagged when the swap maps it onto itself.  A second walk
+gives the quotient by the swap with its ``w1`` cocycle.  It needs no
+subdivision: under the star condition no cell meets a swap orbit twice
+(R1), and cells containing ``(a, b), (c, d)`` and ``(a, b), (d, c)`` would
+make ``a`` adjacent to both ``c`` and ``d`` with ``f(c) = f(d)`` (R2).  So
+the quotient simplices are the walked pairs.
 
-The pair complex itself is built on demand, the first time a caller asks
-for it (the quotient route, projection parity, the ``delta`` body).  The
-builder enters the cells of ``(s, t)`` and ``(t, s)`` together, each as the
-other's swap image, and the involution complex checks these images exactly
-instead of canonicalising every swapped cell again.
+The pair complex itself is built only for the ``delta`` body.
+:func:`swap_paired_cells` enters the cells of ``(s, t)`` and ``(t, s)``
+together, each as the other's swap image, and the involution complex checks
+these images exactly.
 
 The pair model is a faithful model of the identified-pair space only when
 identified vertices are combinatorially far apart: for every pair ``u, v`` of
@@ -38,7 +40,7 @@ from itertools import combinations
 from typing import Dict, Iterator, List, Tuple
 
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex, edge_components
-from .errors import DegenerateMap, ModelInvalid
+from .errors import DegenerateMap, InternalError, ModelInvalid
 from .maps import SimplicialMap
 from .subdivision import barycentric_subdivide_map
 
@@ -135,9 +137,8 @@ class DoublePointModel:
     vertices share an image), ``cell_counts`` (the unordered pairs per
     dimension, which is the f-vector of the quotient by the swap), and
     ``components`` (pair-vertex sets, ordered by their earliest pair vertex)
-    with ``invariant_flags``.  ``pair_complex`` is built on first access and
-    then kept.  The fibres of the image index, source simplices grouped by
-    image, are kept for the walks; the cells are not.
+    with ``invariant_flags``.  ``swap_quotient`` and ``pair_complex`` are
+    built on first access and then kept; the cells are not.
 
     Under the star condition two distinct simplices with one image are
     disjoint: a shared vertex ``u`` would make the two lifts ``v != w`` of
@@ -149,36 +150,70 @@ class DoublePointModel:
         self.subdivision_rounds = subdivision_rounds
         self.vertices = identified_vertex_pairs(f)
         t = self.involution = {(u, v): (v, u) for (u, v) in self.vertices}
-        vm = f.vertex_map
         self._fibres = _simplex_fibres(f)
         counts: List[int] = []
-        edges = []
         for fibre in self._fibres:
             n = len(fibre[0])
             if n > len(counts):
                 counts += [0] * (n - len(counts))
             counts[n - 1] += len(fibre) * (len(fibre) - 1) // 2
-            if n == 2:
-                for (a, b), (c, d) in combinations(fibre, 2):
-                    if vm[a] != vm[c]:
-                        c, d = d, c
-                    edges += [((a, c), (b, d)), ((c, a), (d, b))]
         self.cell_counts = tuple(counts)
         self.dim = len(counts) - 1
-        self.components = edge_components(self.vertices, edges)
+        self.components = edge_components(self.vertices, self.edges())
         # The swap maps components onto components, so one vertex tells.
         self.invariant_flags = [t[next(iter(comp))] in comp for comp in self.components]
 
-    def cells(self) -> Iterator[Simplex]:
-        """The cell of ``(s, t)`` for every unordered same-image pair
-        ``{s, t}``, its vertex pairs listed in the order of their images, on
-        a fresh walk per call.  The cell of ``(t, s)``, its swap image, is not
-        generated."""
+    def edges(self) -> Iterator[Tuple]:
+        """The 1-cells, both members of every swap orbit, on a fresh walk."""
+        vm = self.map.vertex_map
+        for fibre in self._fibres:
+            if len(fibre[0]) == 2:
+                for (a, b), (c, d) in combinations(fibre, 2):
+                    if vm[a] != vm[c]:
+                        c, d = d, c
+                    yield (a, c), (b, d)
+                    yield (c, a), (d, b)
+
+    def aligned_pairs(self) -> Iterator[Tuple]:
+        """``(s, t, a, b)`` for every unordered same-image pair ``{s, t}``,
+        with ``a`` and ``b`` the vertices of ``s`` and ``t`` in the order of
+        their images: the cell of ``(s, t)`` is ``zip(a, b)``, that of
+        ``(t, s)`` is ``zip(b, a)``, and cells so listed have their faces as
+        ``combinations``."""
         rank = self.map.target.rank
         order = {v: rank[x] for v, x in self.map.vertex_map.items()}.__getitem__
         for fibre in self._fibres:
-            for s, t in combinations([sorted(s, key=order) for s in fibre], 2):
-                yield tuple(zip(s, t))
+            for (s, a), (t, b) in combinations([(s, sorted(s, key=order)) for s in fibre], 2):
+                yield s, t, a, b
+
+    @cached_property
+    def swap_quotient(self) -> Tuple[SimplicialComplex, Dict[Simplex, int]]:
+        """The quotient by the swap and its ``w1`` on edges.  Vertex ``i`` is
+        the ``i``-th representative ``(u, v)``, ``rank u < rank v``; ``w1`` is
+        1 on an edge with exactly one end not a representative.  R1 fails on
+        a 1-cell if anywhere, R2 shows in the f-vector."""
+        rank = self.map.source.rank
+        ids: Dict = {u: {} for u, _ in self.vertices}  # the quotient vertex of (u, v) at [u][v]
+        n = 0
+        for u, v in self.vertices:
+            if rank[u] < rank[v]:
+                ids[u][v] = ids[v][u] = n
+                n += 1
+        simplices = []
+        w1: Dict[Simplex, int] = {}
+        for _, _, a, b in self.aligned_pairs():
+            q = tuple(sorted([ids[u][v] for u, v in zip(a, b)]))
+            simplices.append(q)
+            if len(q) == 2:
+                if q[0] == q[1]:
+                    raise InternalError(f"pair cell {tuple(zip(a, b))} meets one swap orbit twice")
+                w1[q] = int((rank[a[0]] > rank[b[0]]) != (rank[a[1]] > rank[b[1]]))
+        quotient = SimplicialComplex.from_canonical(range(n), simplices)
+        if quotient.f_vector() != self.cell_counts:
+            raise InternalError(
+                f"the swap quotient has f-vector {quotient.f_vector()}, not {self.cell_counts}:"
+                " two pair cells lie over one quotient simplex")
+        return quotient, w1
 
     @cached_property
     def pair_complex(self) -> InvolutionComplex:

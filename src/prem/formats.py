@@ -284,18 +284,6 @@ def parse_star_boundary(text: str, source: SimplicialComplex) -> StarBoundaryDoc
     return StarBoundaryDocument(simplices=simplices, values=values)
 
 
-def parse_complex_and_lift(text: str) -> Tuple[ComplexDocument, SemiLinearMap]:
-    """A complex document with interleaved ``g`` lift lines in one stream."""
-    complex_lines = []
-    lift_lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        (lift_lines if body.startswith("g ") else complex_lines).append(raw)
-    doc = parse_complex("\n".join(complex_lines))
-    lift = parse_lift("\n".join(lift_lines), doc.complex)
-    return doc, lift
-
-
 # -- writers ---------------------------------------------------------------------
 
 

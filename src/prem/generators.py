@@ -20,12 +20,12 @@ from .formats import id_token
 from .mod2 import rank_orbit_quotient
 
 
-def cycle_complex(n: int, prefix: str = "n") -> SimplicialComplex:
+def _cycle_complex(n: int, prefix: str = "n") -> SimplicialComplex:
     """Simplicial circle with ``n`` vertices ``<prefix>0 .. <prefix>{n-1}``."""
-    return cycle_complex_from_listing([f"{prefix}{i}" for i in range(n)])
+    return _cycle_complex_from_listing([f"{prefix}{i}" for i in range(n)])
 
 
-def path_complex(ids: List) -> SimplicialComplex:
+def _path_complex(ids: List) -> SimplicialComplex:
     edges = {tuple(ids[i : i + 2]) for i in range(len(ids) - 1)}
     return SimplicialComplex(list(ids), edges | {(v,) for v in ids})
 
@@ -35,15 +35,15 @@ def cycle_cover(fold: int, base: int) -> SimplicialMap:
     sending vertex i to vertex i mod base."""
     if fold < 1:
         raise PreconditionError("fold must be at least 1")
-    src = cycle_complex(fold * base, "n")
-    tgt = cycle_complex(base, "b")
+    src = _cycle_complex(fold * base, "n")
+    tgt = _cycle_complex(base, "b")
     return SimplicialMap(src, tgt, {f"n{i}": f"b{i % base}" for i in range(fold * base)})
 
 
 def figure_eight_map() -> SimplicialMap:
     """An eight-cycle mapped onto a wedge of two four-cycles, two-to-one only
     at the wedge point."""
-    src = cycle_complex(8, "n")
+    src = _cycle_complex(8, "n")
     tv = ["w", "p1", "p2", "p3", "q1", "q2", "q3"]
     tedges = {
         ("w", "p1"), ("p1", "p2"), ("p2", "p3"), ("w", "p3"),
@@ -57,8 +57,8 @@ def figure_eight_map() -> SimplicialMap:
 
 def fold_path_map() -> SimplicialMap:
     """A three-vertex path folded onto a single edge at its middle vertex."""
-    src = path_complex(["a", "b", "c"])
-    tgt = path_complex(["x", "y"])
+    src = _path_complex(["a", "b", "c"])
+    tgt = _path_complex(["x", "y"])
     return SimplicialMap(src, tgt, {"a": "x", "b": "y", "c": "x"})
 
 
@@ -72,7 +72,7 @@ def wiggly_figure_eight() -> Tuple[SimplicialMap, SemiLinearMap]:
     for i in range(8):
         src_ids.append(k_ids[i])
         src_ids.extend(("kc", i, j) for j in (1, 2, 3))
-    src = cycle_complex_from_listing(src_ids)
+    src = _cycle_complex_from_listing(src_ids)
 
     loop_paths = []
     seen: List = []
@@ -115,7 +115,7 @@ def wiggly_figure_eight() -> Tuple[SimplicialMap, SemiLinearMap]:
     return f, SemiLinearMap(src, values, out_dim=1)
 
 
-def cycle_complex_from_listing(ids: List) -> SimplicialComplex:
+def _cycle_complex_from_listing(ids: List) -> SimplicialComplex:
     """Simplicial circle through the given distinct vertex ids in order."""
     if len(ids) < 3:
         raise PreconditionError("a simplicial circle needs at least 3 vertices")
@@ -156,7 +156,7 @@ def cross_polytope_boundary(m: int) -> InvolutionComplex:
 # orbits into one fibre, which breaks R2.
 
 
-def join_sphere(p: int) -> SimplicialComplex:
+def _join_sphere(p: int) -> SimplicialComplex:
     """The join of two ``p``-gons: a simplicial 3-sphere whose facets pair an
     edge of the first circle with an edge of the second."""
     if p < 3:
@@ -200,7 +200,7 @@ def lens_covering(p: int, q: int) -> Tuple[SimplicialMap, int]:
         raise PreconditionError("the cyclic quotient of the join sphere needs p >= 3")
     if not (1 <= q < p) or gcd(p, q) != 1:
         raise PreconditionError("the rotation parameter must be a unit modulo p")
-    c = join_sphere(p)
+    c = _join_sphere(p)
     gamma = {}
     for i in range(p):
         gamma[f"a{i}"] = f"a{(i + 1) % p}"

@@ -5,24 +5,12 @@ mod-2 Betti numbers of a simplicial complex computed from boundary ranks.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .complexes import SimplicialComplex
 
 
-def pack(bits: Iterable[int]) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            out |= 1 << i
-    return out
-
-
-def unpack(x: int, ncols: int) -> List[int]:
-    return [(x >> i) & 1 for i in range(ncols)]
-
-
-def rank_gf2(rows: Sequence[int]) -> int:
+def _rank_gf2(rows: Sequence[int]) -> int:
     """Rank of the matrix whose rows are the given packed vectors."""
     basis: Dict[int, int] = {}
     for row in rows:
@@ -65,7 +53,7 @@ def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[i
     return x
 
 
-def boundary_rank(c: SimplicialComplex, q: int) -> int:
+def _boundary_rank(c: SimplicialComplex, q: int) -> int:
     """Rank over GF(2) of the boundary map from q-chains to (q-1)-chains.
     The rank does not depend on the order of rows or columns, so simplices
     are indexed in the order of the complex's dimension groups."""
@@ -79,7 +67,7 @@ def boundary_rank(c: SimplicialComplex, q: int) -> int:
         for f in combinations(s, q):
             bits |= 1 << faces[f]
         rows.append(bits)
-    return rank_gf2(rows)
+    return _rank_gf2(rows)
 
 
 def betti_mod2(c: SimplicialComplex) -> List[int]:
@@ -87,5 +75,5 @@ def betti_mod2(c: SimplicialComplex) -> List[int]:
     if not c.simplices:
         return []
     fv = c.f_vector()
-    ranks = [boundary_rank(c, q) for q in range(len(fv) + 1)]
+    ranks = [_boundary_rank(c, q) for q in range(len(fv) + 1)]
     return [fv[q] - ranks[q] - ranks[q + 1] for q in range(len(fv))]

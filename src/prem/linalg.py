@@ -2,7 +2,7 @@
 
 Inputs are sequences of ``int`` and :class:`fractions.Fraction` entries;
 the eliminations read anything else through ``Fraction``, the distance
-helpers take their entries as they are.  ``rank`` eliminates
+helpers take their entries as they are.  ``_rank`` eliminates
 fraction-free: each row is scaled to integers once, and elimination replaces
 a row by ``p * row - f * pivot_row`` divided by the gcd of its entries, so no
 ``Fraction`` is built.  ``rref`` and ``solve`` do plain Gaussian elimination
@@ -98,7 +98,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list, list[int], int]:
     return a, pivots, r
 
 
-def rank(m: Sequence[Sequence]) -> int:
+def _rank(m: Sequence[Sequence]) -> int:
     """Rank of the matrix with rows ``m``, by fraction-free elimination on
     integer rows."""
     rows = [_int_row(row)[0] for row in m]
@@ -147,11 +147,11 @@ def affinely_independent(points: Sequence[Sequence]) -> bool:
     if len(pts) <= 1:
         return True
     diffs = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    return rank(diffs) == len(pts) - 1
+    return _rank(diffs) == len(pts) - 1
 
 
 def linearly_independent(vectors: Sequence[Sequence]) -> bool:
-    return rank(vectors) == len(vectors)
+    return _rank(vectors) == len(vectors)
 
 
 def point_to_affine_hull_dist_sq(p: Sequence, hull_points: Sequence[Sequence]) -> Fraction:

@@ -214,7 +214,7 @@ def zero_in_hull(points: Sequence[Sequence]):
     return False, (normal, -alpha)
 
 
-def hulls_intersect(ps: Sequence[Sequence], qs: Sequence[Sequence]):
+def _hulls_intersect(ps: Sequence[Sequence], qs: Sequence[Sequence]):
     """Whether two convex hulls meet.  Returns ``(True, (lams, mus))`` with
     convex combinations witnessing a common point, or ``(False, (normal, lo,
     hi))`` with ``normal . p <= lo < hi <= normal . q`` for all p, q."""
@@ -239,7 +239,7 @@ def hulls_intersect(ps: Sequence[Sequence], qs: Sequence[Sequence]):
 def separate_hulls(ps: Sequence[Sequence], qs: Sequence[Sequence]):
     """Strictly separating functional for two disjoint hulls, or ``None``
     when they intersect."""
-    hit, data = hulls_intersect(ps, qs)
+    hit, data = _hulls_intersect(ps, qs)
     return None if hit else data
 
 

@@ -9,9 +9,9 @@ orbit twice or contains a vertex whose orbit is shorter than the order, and
 When either fails, the complex is barycentrically subdivided (the action
 lifts to barycenters) and the check is retried; two rounds always suffice
 for an action of any order that is free on simplices (Bredon, *Introduction
-to Compact Transformation Groups*, III.1).  The quotient of the pair model
-by its swap and the lens-space quotients of the join sphere are both built
-this way.
+to Compact Transformation Groups*, III.1).  The quotient of a stored free
+involution complex and the lens-space quotients of the join sphere are both
+built this way; a pair model reads its swap quotient off its walk.
 
 The rounds run on vertex ranks.  The complex and the action are translated
 to ranks once; a round renumbers the refined vertices, vertex i being the
@@ -132,6 +132,7 @@ def _regularity(
     failures = [f"simplex {s} meets its own orbit" for s in named(own)]
     # A fibre is a union of simplex orbits, so it is one orbit exactly when
     # it is no larger than the orbit of its first simplex.
+    split = []
     for fibre in fibres.values():
         first = fibre[0]
         size = 1
@@ -140,13 +141,12 @@ def _regularity(
             size += 1
             s = image[s]
         if len(fibre) > size:
-            failures.append(f"fibre {named(fibre)} is not one orbit of simplices")
+            split.append(fibre)
+    # The fibres come in the order of a hashed walk; report them by their
+    # least simplex instead.
+    split.sort(key=lambda fibre: min(map(cx.sort_key, fibre)))
+    failures += [f"fibre {named(fibre)} is not one orbit of simplices" for fibre in split]
     return failures, orbit, image, fibres
-
-
-def regularity_failures(cx: SimplicialComplex, action: Dict, order: int) -> List[str]:
-    """Empty when the orbit map of simplices yields a simplicial complex."""
-    return _regularity(*_ranked(cx, action), order, cx.vertices)[0]
 
 
 def rank_orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> RankQuotient:
@@ -175,7 +175,7 @@ def rank_orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> Rank
     return RankQuotient(cx, act, quotient, orbit, labels, rounds)
 
 
-def orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
+def _orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
     """Quotient by a cyclic action of the given order that is free on
     simplices, subdividing until the action is regular.  The rounds run on
     vertex ranks; the labels are attached once, at the end, and when no
@@ -200,7 +200,7 @@ def quotient_by_free_involution(ic: InvolutionComplex) -> QuotientResult:
         raise PreconditionError(
             f"involution is not free: fixed simplices {ic.fixed_simplices()[:3]}"
         )
-    return orbit_quotient(ic.complex, ic.involution, 2)
+    return _orbit_quotient(ic.complex, ic.involution, 2)
 
 
 def w1_cocycle(qr: QuotientResult) -> Dict[Simplex, int]:

@@ -10,9 +10,11 @@ Verdict logic, in order:
 2. No connected component is mapped onto itself (``trivial-cover``): the
    double cover is trivial, so ``+e`` on one sheet and ``-e`` on the other
    is an equivariant map to every sphere, a definite yes with Yang index 0.
-   The certificate is the sheet split, checked in one pass over the cells;
-   neither the quotient nor, for a pair model, the pair complex is built.
-3. k-th cup power of the classifying class nonzero: definite no.
+   The certificate is the sheet split, checked on the orbit vertices and
+   the 1-cells only: in a face-closed complex a cell lies in the sheet
+   exactly when each of its edges does.  No quotient is built.
+3. k-th cup power of the classifying class nonzero: definite no.  A pair
+   model reads the quotient by the swap and its ``w1`` off its walk.
 4. ``dim == k``, power vanishes, and the quotient is a closed mod-2 homology
    k-manifold (pure, ridges in two facets, strongly connected per component,
    vertex links with the mod-2 homology of the (k-1)-sphere): the top
@@ -28,7 +30,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2, linalg, lp, mod2
-from .complexes import InvolutionComplex
+from .complexes import InvolutionComplex, groups_are_pure
 from .double_points import DoublePointModel, double_point_model
 from .errors import CertificationError, InternalError, PreconditionError
 from .maps import SimplicialMap
@@ -74,38 +76,29 @@ def quotient_is_homology_manifold(q, k: int) -> bool:
     return _links_look_like_sphere(q, k)
 
 
-class _StoredCells:
-    """A stored involution complex, read as the verdict reads a pair model:
-    its cells are all of its simplices, both members of every swap orbit."""
-
-    def __init__(self, ic: InvolutionComplex):
-        cx = ic.complex
-        self.pair_complex = ic
-        self.involution = ic.involution
-        self.vertices = cx.vertices
-        self.dim = cx.dim if cx.simplices else -1
-        self.cell_counts = tuple(n // 2 for n in cx.f_vector())
-        self.components = cx.connected_components()
-
-    def cells(self):
-        return self.pair_complex.complex.simplices
-
-
 def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k: int) -> Verdict:
     """Decide (when possible) whether an equivariant map from the pair
     model, or from any free involution complex, to the (k-1)-sphere exists.
-    A pair model builds its complex only for the quotient route, when some
-    component is invariant."""
+    A pair model supplies its cells, quotient and ``w1`` from its walk, a
+    stored complex from its simplices and :func:`mod2.quotient_by_free_involution`."""
     if k < 1:
         raise ValueError("sphere dimension parameter k must be >= 1")
-    if isinstance(model, InvolutionComplex):
-        model = _StoredCells(model)
-    dim = model.dim
+    stored = isinstance(model, InvolutionComplex)
+    if stored:
+        cx = model.complex
+        groups = cx.dimension_groups()
+        dim, counts = len(groups) - 1, tuple(len(g) // 2 for g in groups)
+        edges = groups[1] if dim > 0 else ()
+        vertices, components = cx.vertices, cx.connected_components()
+    else:
+        dim, counts, edges = model.dim, model.cell_counts, model.edges()
+        vertices, components = model.vertices, model.components
     if dim < k:
         return Verdict(answer=EXISTS, reason="dimension-below-k", k=k, dim=dim)
-    sheet = mod2.sheet_split(model.components, model.involution)
+    t = model.involution
+    sheet = mod2.sheet_split(components, t)
     if sheet is not None:
-        if not mod2.is_sheet_split(model.involution, model.vertices, model.cells(), sheet):
+        if not mod2.is_sheet_split(t, vertices, edges, sheet):
             raise InternalError("the sheet split of a trivial double cover fails its check")
         # The sheet is a copy of the quotient, which needs no subdivision.
         return Verdict(
@@ -114,12 +107,15 @@ def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k:
             k=k,
             dim=dim,
             yang=0,
-            quotient_f_vector=model.cell_counts,
+            quotient_f_vector=counts,
         )
-    qr = mod2.quotient_by_free_involution(model.pair_complex)
-    w = mod2.w1_cocycle(qr)
-    yang = mod2.yang_index(qr.quotient, w)
-    fv = qr.quotient.f_vector()
+    if stored:
+        qr = mod2.quotient_by_free_involution(model)
+        quotient, w = qr.quotient, mod2.w1_cocycle(qr)
+    else:
+        quotient, w = model.swap_quotient
+    yang = mod2.yang_index(quotient, w)
+    fv = quotient.f_vector()
     if yang >= k:
         return Verdict(
             answer=NOT_EXISTS,
@@ -130,7 +126,7 @@ def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k:
             quotient_f_vector=fv,
         )
     if dim == k:
-        manifold = quotient_is_homology_manifold(qr.quotient, k)
+        manifold = quotient_is_homology_manifold(quotient, k)
         return Verdict(
             answer=EXISTS if manifold else INCONCLUSIVE,
             reason="manifold-complete-obstruction" if manifold else "mod2-only",
@@ -156,7 +152,7 @@ def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k:
 WITNESS_SHIFTS = 8
 
 
-def moment_vector(j: int, k: int, shift: int = 0) -> tuple:
+def _moment_vector(j: int, k: int, shift: int = 0) -> tuple:
     base = j + 1 + shift
     return tuple(Fraction(base) ** i for i in range(1, k + 1))
 
@@ -218,7 +214,7 @@ def equivariant_witness(model: InvolutionComplex, k: int) -> Dict:
     for shift in range(WITNESS_SHIFTS):
         values: Dict = {}
         for j, v in enumerate(reps):
-            mv = moment_vector(j, k, shift)
+            mv = _moment_vector(j, k, shift)
             values[v] = mv
             values[t[v]] = tuple(-x for x in mv)
         ok, evidence = certify_witness(model, k, values)
@@ -261,6 +257,8 @@ def projection_degree_parity(model: DoublePointModel, component) -> int:
     component to be pure of the same dimension with mod-2-cycle top cells.
     On an invariant component the swap permutes the top cells and exchanges
     the two projections, so the second projection has the same degree.
+    The cells are walked: a pair ``{s, t}`` gives the cells of ``(s, t)``
+    over ``s`` and of ``(t, s)`` over ``t``.
     """
     source = model.map.source
     n = source.dim
@@ -269,15 +267,32 @@ def projection_degree_parity(model: DoublePointModel, component) -> int:
             "projection degree parity needs a closed pseudomanifold source"
         )
     comp = set(component)
-    piece = model.complex.full_subcomplex(comp)
-    if piece.dim != n or not piece.is_pure():
+    counts = {s: 0 for s in source.simplices_of_dim(n)}
+    groups: List[list] = []  # the component's cells by dimension
+    for s, t, a, b in model.aligned_pairs():
+        for x, y, under in ((a, b, s), (b, a, t)):
+            if (x[0], y[0]) not in comp:
+                continue
+            cell = tuple(zip(x, y))
+            if not comp.issuperset(cell):
+                continue
+            while len(groups) < len(cell):
+                groups.append([])
+            groups[len(cell) - 1].append(cell)
+            if len(cell) == n + 1:
+                if under not in counts:
+                    raise InternalError(f"pair cell {cell} projects outside the source")
+                counts[under] += 1
+    if len(groups) != n + 1 or not groups_are_pure(groups):
         raise PreconditionError(
-            f"component is not pure of dimension {n}: dim {piece.dim}"
+            f"component is not pure of dimension {n}: dim {len(groups) - 1}"
         )
-    cells = piece.simplices_of_dim(n)
     if n >= 1:
+        # Count in the pair complex's order, which names the first odd ridge.
+        rank = {p: i for i, p in enumerate(model.vertices)}.__getitem__
+        top = sorted((tuple(sorted(c, key=rank)) for c in groups[n]), key=lambda c: [*map(rank, c)])
         ridge_count: Dict = {}
-        for s in cells:
+        for s in top:
             for r in combinations(s, n):
                 ridge_count[r] = ridge_count.get(r, 0) + 1
         odd = [r for r, c in ridge_count.items() if c % 2]
@@ -286,15 +301,6 @@ def projection_degree_parity(model: DoublePointModel, component) -> int:
                 f"component top cells are not a mod-2 cycle: ridge {odd[0]}"
                 f" lies in {ridge_count[odd[0]]} cells"
             )
-    counts = {s: 0 for s in source.simplices_of_dim(n)}
-    for cell in cells:
-        proj = {v[0] for v in cell}
-        if len(proj) != n + 1:
-            raise InternalError(f"pair cell {cell} does not project bijectively")
-        key = source.canon(proj)
-        if key not in counts:
-            raise InternalError(f"pair cell {cell} projects outside the source")
-        counts[key] += 1
     parities = {s: c % 2 for s, c in counts.items()}
     values = set(parities.values())
     if len(values) > 1:

@@ -4,11 +4,28 @@ from fractions import Fraction
 
 import pytest
 
+from prem import mod2
 from prem.complexes import SimplicialComplex
 
 
 def F(x) -> Fraction:
     return Fraction(x)
+
+
+def euler_characteristic(c: SimplicialComplex) -> int:
+    return sum((-1) ** (len(s) - 1) for s in c.simplices)
+
+
+def regularity_failures(cx: SimplicialComplex, action: dict, order: int) -> list:
+    """The R1/R2 failures of the orbit map of a cyclic action; empty when
+    the orbit map of simplices yields a simplicial complex."""
+    return mod2._regularity(*mod2._ranked(cx, action), order, cx.vertices)[0]
+
+
+def walked_cells(model) -> list:
+    """The cell of ``(s, t)`` for every pair ``{s, t}`` a pair model walks;
+    the cell of ``(t, s)``, its swap image, is not listed."""
+    return [tuple(zip(a, b)) for _, _, a, b in model.aligned_pairs()]
 
 
 def complex_from_facets(facets):

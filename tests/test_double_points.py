@@ -12,6 +12,8 @@ from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
 
+from conftest import walked_cells
+
 
 def test_identified_pairs_triple_cover():
     f = cycle_cover(3, 3)
@@ -114,21 +116,21 @@ def test_swap_images_come_from_the_builder(monkeypatch):
 
 
 def test_streamed_sheet_check_rejects_damaged_sheets():
-    # Two circles that the swap exchanges; the check walks one cell of each
-    # swap orbit, the cell of (s, t) but not that of (t, s).
+    # Two circles that the swap exchanges; the check reads the walked
+    # 1-cells, as the verdict does.
     model = double_point_model(cycle_cover(3, 3))
     t = model.involution
     sheet = mod2.sheet_split(model.components, t)
 
     def passes(candidate):
-        return mod2.is_sheet_split(t, model.vertices, model.cells(), candidate)
+        return mod2.is_sheet_split(t, model.vertices, model.edges(), candidate)
 
     assert passes(sheet)
     for v in model.vertices:
         # One orbit flipped: every orbit is still split, but each edge at
         # ``v`` now has one end on either side.
         assert not passes(sheet ^ {v, t[v]})
-    for cell in model.cells():
+    for cell in walked_cells(model):
         # A whole cell moved across: the edges next to it are split.
         moved = {w for v in cell for w in (v, t[v])}
         assert not passes(sheet ^ moved)

@@ -6,31 +6,33 @@ from prem.errors import PreconditionError
 from prem.generators import (
     antipodal_sphere_covering,
     cross_polytope_boundary,
-    cycle_complex,
-    cycle_complex_from_listing,
+    _cycle_complex,
+    _cycle_complex_from_listing,
     cycle_cover,
     figure_eight_map,
     fold_path_map,
-    join_sphere,
+    _join_sphere,
     lens_covering,
-    path_complex,
+    _path_complex,
     wiggly_figure_eight,
 )
 from prem.gf2 import betti_mod2
 
+from conftest import regularity_failures
+
 
 def test_cycle_complex():
-    c = cycle_complex(5)
+    c = _cycle_complex(5)
     assert c.f_vector() == (5, 5)
     assert c.is_closed_pseudomanifold()
     with pytest.raises(PreconditionError):
-        cycle_complex(2)
+        _cycle_complex(2)
     with pytest.raises(PreconditionError):
-        cycle_complex_from_listing(["a", "b"])
+        _cycle_complex_from_listing(["a", "b"])
 
 
 def test_path_complex():
-    p = path_complex(["a", "b", "c"])
+    p = _path_complex(["a", "b", "c"])
     assert p.f_vector() == (3, 2)
     assert not p.is_closed_pseudomanifold()
 
@@ -103,22 +105,22 @@ def test_antipodal_sphere_covering_rounds():
 
 
 def test_join_sphere():
-    js = join_sphere(3)
+    js = _join_sphere(3)
     assert js.f_vector() == (6, 15, 18, 9)
     assert js.is_closed_pseudomanifold()
     assert betti_mod2(js) == [1, 0, 0, 1]
     with pytest.raises(PreconditionError):
-        join_sphere(2)
+        _join_sphere(2)
 
 
 def test_cyclic_quotient_regularity_gate():
     # The raw rotation action on the join sphere is not yet regular.
-    js = join_sphere(3)
+    js = _join_sphere(3)
     gamma = {}
     for i in range(3):
         gamma[f"a{i}"] = f"a{(i + 1) % 3}"
         gamma[f"b{i}"] = f"b{(i + 1) % 3}"
-    assert mod2.regularity_failures(js, gamma, 3) != []
+    assert regularity_failures(js, gamma, 3) != []
 
 
 def test_lens_covering_3_1():
@@ -159,12 +161,12 @@ def test_generated_coverings_are_named_by_their_file_tokens(build):
 
 
 def test_lens_covering_neither_canonicalises_nor_subdivides_labels(monkeypatch):
-    sphere = join_sphere(3)
+    sphere = _join_sphere(3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("labels were canonicalised or subdivided")
 
-    monkeypatch.setattr(generators, "join_sphere", lambda p: sphere)
+    monkeypatch.setattr(generators, "_join_sphere", lambda p: sphere)
     monkeypatch.setattr(subdivision, "barycentric_subdivide", refuse)
     monkeypatch.setattr(SimplicialComplex, "canon", refuse)
     proj, rounds = lens_covering(3, 1)

@@ -1,9 +1,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prem.gf2 import betti_mod2, boundary_rank, pack, rank_gf2, solve_gf2, unpack
+from prem.gf2 import betti_mod2, _boundary_rank, _rank_gf2, solve_gf2
 
 from conftest import complex_from_facets, octahedron, projective_plane_6, torus_7
+
+
+def pack(bits) -> int:
+    return sum(1 << i for i, b in enumerate(bits) if b & 1)
+
+
+def unpack(x: int, ncols: int) -> list:
+    return [(x >> i) & 1 for i in range(ncols)]
 
 
 def test_pack_unpack_roundtrip():
@@ -16,10 +24,10 @@ def test_pack_unpack_roundtrip():
 def test_rank_examples():
     # Rows 101, 011, 110: third is the sum of the first two.
     rows = [pack([1, 0, 1]), pack([0, 1, 1]), pack([1, 1, 0])]
-    assert rank_gf2(rows) == 2
-    assert rank_gf2([]) == 0
-    assert rank_gf2([0, 0]) == 0
-    assert rank_gf2([pack([1, 1]), pack([0, 1])]) == 2
+    assert _rank_gf2(rows) == 2
+    assert _rank_gf2([]) == 0
+    assert _rank_gf2([0, 0]) == 0
+    assert _rank_gf2([pack([1, 1]), pack([0, 1])]) == 2
 
 
 def test_solve_consistent():
@@ -51,7 +59,7 @@ def test_solve_gf2_solves_or_is_inconsistent(system):
     rows, rhs, ncols = system
     sol = solve_gf2(rows, rhs, ncols)
     augmented = [mask | (bit << ncols) for mask, bit in zip(rows, rhs)]
-    inconsistent = rank_gf2(augmented) > rank_gf2(rows)
+    inconsistent = _rank_gf2(augmented) > _rank_gf2(rows)
     assert (sol is None) == inconsistent
     if sol is not None:
         assert 0 <= sol < 1 << ncols
@@ -62,10 +70,10 @@ def test_solve_gf2_solves_or_is_inconsistent(system):
 def test_boundary_ranks_triangle():
     c = complex_from_facets([("a", "b", "c")])
     # Three edges map onto a 2-dimensional cycle space complement.
-    assert boundary_rank(c, 1) == 2
-    assert boundary_rank(c, 2) == 1
-    assert boundary_rank(c, 0) == 0
-    assert boundary_rank(c, 3) == 0
+    assert _boundary_rank(c, 1) == 2
+    assert _boundary_rank(c, 2) == 1
+    assert _boundary_rank(c, 0) == 0
+    assert _boundary_rank(c, 3) == 0
 
 
 def test_betti_sphere():

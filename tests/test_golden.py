@@ -47,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from prem import complexes
+from prem import complexes, mod2
 from prem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,21 +227,24 @@ def test_cli_output_matches_golden(case, inputs, manifest):
 
 
 def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, monkeypatch):
-    """No component of the ``join-lens 3 1`` pair model is invariant, so
-    ``report-thm3`` and ``obstruct -k 3`` decide it from the walked cells
-    and build no involution complex.  ``join-lens 2 1`` has an invariant
-    component and needs the stored complex for its quotient."""
+    """No verdict command builds the pair complex or runs the orbit
+    quotient's regularity rounds.  ``join-lens 3 1`` has no invariant
+    component and is decided from the walked 1-cells; ``join-lens 2 1`` has
+    one, and it and every ``yang`` case read the quotient by the swap off
+    the model's walk."""
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("an involution complex was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an involution complex or orbit quotient was built")
 
     monkeypatch.setattr(complexes.InvolutionComplex, "__init__", refuse)
-    for case in ("lens3-thm3-json", "lens3-obstruct3-json"):
+    monkeypatch.setattr(mod2, "_regularity", refuse)
+    cases = ["lens3-thm3-json", "lens3-obstruct3-json", "lens2-thm3-json"]
+    cases += [c for c in CASES if c.startswith("lens2-obstruct") or "-yang-" in c]
+    assert len(cases) == 3 + 6 + 10
+    for case in cases:
         rc, out, err = _run(_argv(case, inputs))
         assert _record(case, rc, out, err) == manifest[case]
         assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
-    with pytest.raises(AssertionError, match="involution complex was built"):
-        _run(_argv("lens2-thm3-json", inputs))
 
 
 def test_golden_digests_cover_every_gen_input():

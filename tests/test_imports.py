@@ -1,20 +1,27 @@
-"""Every name a library or test module imports is used in that module, and
+"""Every name a library or test module imports is used in that module,
 every private module-level function or class of the library is named in its
-own module.
+own module, and every public module-level function of the library is named
+in another library module or in the benchmark harness.
 
 The package ``__init__`` re-exports names it never uses itself, and
-``from __future__`` imports are directives, so both are exempt.
+``from __future__`` imports are directives, so both are exempt from the
+first check.  A re-export in ``__init__`` declares a function public API, so
+it counts as a name in another module.  The harness names the functions it
+traces by dotted strings, so any word of its text counts there.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import prem
 
-MODULES = sorted(p for p in Path(prem.__file__).parent.glob("*.py") if p.name != "__init__.py")
+LIBRARY = Path(prem.__file__).parent
+MODULES = sorted(p for p in LIBRARY.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((LIBRARY.parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -70,3 +77,49 @@ def test_guard_sees_an_unused_import():
         (1, "os"),
         (2, "List"),
     ]
+
+
+def references(source: str) -> set:
+    """``(module, name)`` for every name a module imports from another
+    module or reads as ``module.name``."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            refs |= {(node.module.rsplit(".", 1)[-1], a.name) for a in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            refs.add((node.value.id, node.attr))
+    return refs
+
+
+def unreached_public_functions(modules: dict, harness: str) -> list:
+    """Public module-level functions of the modules (``{name: source}``)
+    that no other module references and that are no word of ``harness``:
+    library surface that only the tests reach."""
+    refs = {name: references(source) for name, source in modules.items()}
+    words = set(re.findall(r"\w+", harness))
+    return [
+        (name, node.name)
+        for name, source in sorted(modules.items())
+        if name != "__init__"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in words
+        and not any((name, node.name) in r for other, r in refs.items() if other != name)
+    ]
+
+
+def test_library_has_no_test_only_functions():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY.glob("*.py")}
+    harness = "".join(p.read_text(encoding="utf-8") for p in PERFBENCH)
+    assert unreached_public_functions(modules, harness) == []
+
+
+def test_guard_sees_a_test_only_function():
+    modules = {
+        "__init__": "from .a import exported\n",
+        "a": "def exported():\n    pass\n\ndef called():\n    pass\n\n"
+             "def traced():\n    pass\n\ndef alone():\n    called()\n\n"
+             "def shadowed():\n    pass\n\ndef _private():\n    pass\n",
+        "b": "from . import a\n\na.called()\nsheet.shadowed()\n",
+    }
+    assert unreached_public_functions(modules, '"a.traced"') == [("a", "alone"), ("a", "shadowed")]

@@ -620,7 +620,12 @@ def test_plify_text_reparses(capsys, fig8, fig8_lift):
     assert "# stage 0: pairs 1" in out
     assert "cells 16/15" in out
     assert "# stage 1: pairs 0" in out
-    doc, lift = formats.parse_complex_and_lift(out)
+    complex_lines, lift_lines = [], []
+    for raw in out.splitlines():
+        body = raw.split("#", 1)[0].strip()
+        (lift_lines if body.startswith("g ") else complex_lines).append(raw)
+    doc = formats.parse_complex("\n".join(complex_lines))
+    lift = formats.parse_lift("\n".join(lift_lines), doc.complex)
     assert doc.complex.f_vector() == (32, 32)
     assert lift.values["n0"] == (F(-1),)
     assert lift.values["n4"] == (F(1),)

@@ -10,9 +10,9 @@ F = Fraction
 
 def test_rank_and_rref():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert linalg.rank(rows) == 2
-    assert linalg.rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert linalg.rank([[F(0), F(0)]]) == 0
+    assert linalg._rank(rows) == 2
+    assert linalg._rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+    assert linalg._rank([[F(0), F(0)]]) == 0
 
 
 def test_solve_inconsistent():
@@ -59,5 +59,5 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rank_matches_rref(m):
     expected = linalg.rref(m)[2] if m else 0
-    assert linalg.rank(m) == expected
-    assert linalg.rank([row[::-1] for row in m[::-1]]) == expected
+    assert linalg._rank(m) == expected
+    assert linalg._rank([row[::-1] for row in m[::-1]]) == expected

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from prem import linalg
 from prem.lp import (
     LPResult,
-    hulls_intersect,
+    _hulls_intersect,
     lp_feasible,
     lp_max,
     lp_solve,
@@ -81,7 +81,7 @@ def test_zero_in_hull_outside_certificate():
 def test_hulls_intersect_with_witness():
     ps = [(0, 0), (2, 0), (0, 2)]
     qs = [(1, 1), (3, 1), (1, 3)]
-    hit, (lams, mus) = hulls_intersect(ps, qs)
+    hit, (lams, mus) = _hulls_intersect(ps, qs)
     assert hit
     p_point = [sum(l * F(p[i]) for l, p in zip(lams, ps)) for i in range(2)]
     q_point = [sum(m * F(q[i]) for m, q in zip(mus, qs)) for i in range(2)]
@@ -92,7 +92,7 @@ def test_hulls_intersect_with_witness():
 
 def test_hulls_touching_count_as_intersecting():
     # Closed hulls sharing a single point.
-    hit, _ = hulls_intersect([(0, 0), (1, 0)], [(1, 0), (2, 0)])
+    hit, _ = _hulls_intersect([(0, 0), (1, 0)], [(1, 0), (2, 0)])
     assert hit
 
 

@@ -1,27 +1,32 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import prem
 from prem.complexes import InvolutionComplex
 from prem.errors import PreconditionError
-from prem.generators import cross_polytope_boundary, cycle_complex
+from prem.generators import cross_polytope_boundary, _cycle_complex
 from prem.mod2 import (
     CochainSpace,
     is_sheet_split,
     quotient_by_free_involution,
-    regularity_failures,
     sheet_split,
     w1_cocycle,
     yang_index,
 )
 
-from conftest import complex_from_facets, octahedron
+from conftest import complex_from_facets, octahedron, regularity_failures
 
 F = Fraction
 
 
 def antipodal_cycle(n: int) -> InvolutionComplex:
-    c = cycle_complex(n)
+    c = _cycle_complex(n)
     half = n // 2
     t = {f"n{i}": f"n{(i + half) % n}" for i in range(n)}
     return InvolutionComplex(c, t)
@@ -37,6 +42,35 @@ def test_regularity_square_fails():
     # identifies too much to stay simplicial.
     ic = antipodal_cycle(4)
     assert regularity_failures(ic.complex, ic.involution, 2) != []
+
+
+# The R1/R2 failures of the rotation of the join sphere by a third of a
+# turn, printed as JSON.
+_LENS_FAILURES = """
+import json
+from prem import mod2
+from prem.generators import _join_sphere
+cx = _join_sphere(3)
+gamma = {}
+for i in range(3):
+    gamma[f"a{i}"] = f"a{(i + 1) % 3}"
+    gamma[f"b{i}"] = f"b{(i + 1) % 3}"
+print(json.dumps(mod2._regularity(*mod2._ranked(cx, gamma), 3, cx.vertices)[0]))
+"""
+
+
+def test_regularity_failures_do_not_depend_on_the_hash_seed():
+    # Before the fibres were sorted, seeds 0 and 2 listed the three
+    # fibres that are not one orbit in two different orders.
+    src = str(Path(prem.__file__).parent.parent)
+    runs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _LENS_FAILURES], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+    assert sum("is not one orbit" in failure for failure in runs[0]) == 3
 
 
 def test_quotient_hexagon_no_subdivision():

@@ -42,11 +42,11 @@ from prem.errors import (
 from prem.generators import (
     antipodal_sphere_covering,
     cross_polytope_boundary,
-    cycle_complex,
+    _cycle_complex,
     cycle_cover,
     figure_eight_map,
     fold_path_map,
-    join_sphere,
+    _join_sphere,
     lens_covering,
 )
 from prem.lift import build_closure_model, construct_lift_3ptfree, fold_locus
@@ -56,10 +56,13 @@ from prem.obstruction import (
     certify_witness,
     equivariant_map_exists,
     equivariant_witness,
-    moment_vector,
+    _moment_vector,
+    projection_degree_parity,
 )
 from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
+
+from conftest import euler_characteristic, regularity_failures, walked_cells
 
 PROPERTY = settings(deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -162,7 +165,7 @@ def covering_pieces(draw, covers=tuple(_COVERS) + (_SPHERE,)):
     return _restricted(f, chosen)
 
 
-_GENERATED = [cycle_cover(2, 3).source, cycle_cover(3, 3).source, join_sphere(3),
+_GENERATED = [cycle_cover(2, 3).source, cycle_cover(3, 3).source, _join_sphere(3),
               cross_polytope_boundary(2).complex, cross_polytope_boundary(3).complex]
 
 
@@ -204,13 +207,13 @@ def cyclic_actions(draw):
     if draw(st.booleans()):
         step = draw(st.integers(2 if order == 2 else 1, 3))
         n = order * step
-        cx = cycle_complex(n)
+        cx = _cycle_complex(n)
         action = {f"n{i}": f"n{(i + step) % n}" for i in range(n)}
     else:
         step = draw(st.sampled_from([j for j in (1, 2, 3) if 3 <= order * j <= 6]))
         m = order * step
         q = draw(st.sampled_from([q for q in range(1, order) if gcd(q, order) == 1]))
-        cx = join_sphere(m)
+        cx = _join_sphere(m)
         action = {}
         for i in range(m):
             action[f"a{i}"] = f"a{(i + step) % m}"
@@ -516,7 +519,7 @@ def test_links_from_star_index_match_subcomplex_route(c):
 @given(closed_complexes())
 def test_betti_numbers_satisfy_euler_relation(c):
     betti = gf2.betti_mod2(c)
-    assert sum((-1) ** i * b for i, b in enumerate(betti)) == c.euler_characteristic()
+    assert sum((-1) ** i * b for i, b in enumerate(betti)) == euler_characteristic(c)
     assert all(b >= 0 for b in betti)
     assert not betti or betti[0] == len(c.connected_components())
 
@@ -552,7 +555,6 @@ def test_cached_simplex_involution_matches_map_simplex(ic):
     for s, img in images.items():
         assert img == cx.canon(t[v] for v in s)
         assert images[img] is s  # the image is the stored tuple itself
-        assert ic.map_simplex(s) is img
     assert ic.fixed_simplices() == sorted(
         (s for s in cx.simplices if cx.canon(t[v] for v in s) == s), key=cx.sort_key)
 
@@ -560,7 +562,7 @@ def test_cached_simplex_involution_matches_map_simplex(ic):
 @PROPERTY
 @given(involution_complexes())
 def test_regularity_failures_and_quotient_match_oracle(ic):
-    new = mod2.regularity_failures(ic.complex, ic.involution, 2)
+    new = regularity_failures(ic.complex, ic.involution, 2)
     old = old_regularity_failures(ic)
     own = [m for m in old if m.endswith("own orbit")]
     assert new[:len(own)] == own
@@ -579,11 +581,11 @@ def test_regularity_failures_and_quotient_match_oracle(ic):
 @given(cyclic_actions())
 def test_cyclic_quotient_matches_order_p_oracle(case):
     cx, action, order = case
-    regular = not mod2.regularity_failures(cx, action, order)
+    regular = not regularity_failures(cx, action, order)
     assert regular == (not old_cyclic_regularity_failures(cx, action, order))
     if not regular and cx.dim > 1:
         return  # the 3-spheres, subdivided twice more, are too large to test here
-    qr = mod2.orbit_quotient(cx, action, order)
+    qr = mod2._orbit_quotient(cx, action, order)
     up = qr.upstairs
     assert (qr.subdivision_rounds == 0) == regular
     assert not old_cyclic_regularity_failures(up, qr.action, order)
@@ -598,12 +600,12 @@ def test_orbit_quotient_rejects_a_non_simplicial_action():
     # Swapping the ends of one edge of a path moves the other edge off the complex.
     path = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(PreconditionError, match="does not map simplex"):
-        mod2.orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
+        mod2._orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
     # An action undefined at a vertex, or one that leaves the complex.
     with pytest.raises(PreconditionError, match="not defined at vertex 'b'"):
-        mod2.orbit_quotient(path, {"a": "c", "c": "a"}, 2)
+        mod2._orbit_quotient(path, {"a": "c", "c": "a"}, 2)
     with pytest.raises(PreconditionError, match="sends vertex 'b' to 'z'"):
-        mod2.orbit_quotient(path, {"a": "c", "b": "z", "c": "a"}, 2)
+        mod2._orbit_quotient(path, {"a": "c", "b": "z", "c": "a"}, 2)
 
 
 @PROPERTY
@@ -618,29 +620,29 @@ def test_rank_quotient_matches_the_labelled_oracle(case):
         old_failures = old_regularity(cx, action, order)[0]
     except PreconditionError as exc:
         with pytest.raises(PreconditionError, match=re.escape(str(exc))):
-            mod2.regularity_failures(cx, action, order)
+            regularity_failures(cx, action, order)
         return
-    assert_same_failures(mod2.regularity_failures(cx, action, order), old_failures)
+    assert_same_failures(regularity_failures(cx, action, order), old_failures)
     if old_failures and len(cx.simplices) > 60:
         return  # the 3-spheres, subdivided twice more, are too large to test here
     try:
         old = old_orbit_quotient(cx, action, order)
     except (PreconditionError, InternalError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            mod2.orbit_quotient(cx, action, order)
+            mod2._orbit_quotient(cx, action, order)
         return
-    assert_same_quotient(mod2.orbit_quotient(cx, action, order), old)
+    assert_same_quotient(mod2._orbit_quotient(cx, action, order), old)
 
 
 def test_rank_quotient_of_the_lens_covering_matches_the_labelled_oracle():
-    cx = join_sphere(3)
+    cx = _join_sphere(3)
     gamma = {}
     for i in range(3):
         gamma[f"a{i}"] = f"a{(i + 1) % 3}"
         gamma[f"b{i}"] = f"b{(i + 1) % 3}"
     old = old_orbit_quotient(cx, gamma, 3)
     assert old.subdivision_rounds == 2
-    assert_same_quotient(mod2.orbit_quotient(cx, gamma, 3), old)
+    assert_same_quotient(mod2._orbit_quotient(cx, gamma, 3), old)
     # The covering names each vertex by the token of its barycentric id.
     proj, rounds = lens_covering(3, 1)
     assert rounds == 2
@@ -703,8 +705,10 @@ def test_one_pass_swap_models_match_rescan_oracle(f):
 def test_walked_pair_model_matches_its_stored_complex(f, pick):
     """What the pair model reads off its walk, and the verdict it reaches
     from it, equal what the built pair complex gives: dimension, pair counts,
-    components, invariant flags, the cells up to their swap, the sheet split
-    and its check, also on a sheet with one orbit flipped."""
+    components, invariant flags, the cells up to their swap, the 1-cells, the
+    sheet split and its check, also on a sheet with one orbit flipped: the
+    check on the walked cells and the check on the 1-cells alone agree with
+    the check on every simplex."""
     try:
         model = double_point_model(f)
     except ModelInvalid:
@@ -716,9 +720,11 @@ def test_walked_pair_model_matches_its_stored_complex(f, pick):
     assert tuple(2 * n for n in model.cell_counts) == cx.f_vector()
     assert model.components == cx.connected_components()
     assert model.invariant_flags == [{t[v] for v in c} == c for c in model.components]
-    cells = [cx.canon(c) for c in model.cells()]
+    cells = [cx.canon(c) for c in walked_cells(model)]
     assert len(cells) == len(cx.simplices) // 2
     assert set(cells) | {images[c] for c in cells} == cx.simplices
+    edges = [cx.canon(e) for e in model.edges()]
+    assert len(edges) == len(set(edges)) and set(edges) == set(cx.edges())
     for j, verdict in zip((1, 2, 3), walked):
         assert verdict == equivariant_map_exists(ic, j)
     sheet = mod2.sheet_split(model.components, t)
@@ -728,9 +734,122 @@ def test_walked_pair_model_matches_its_stored_complex(f, pick):
         return
     v = cx.vertices[pick % len(cx.vertices)]
     for candidate in (sheet, sheet ^ {v, t[v]}):
-        streamed = mod2.is_sheet_split(t, model.vertices, model.cells(), candidate)
-        assert streamed == mod2.is_sheet_split(t, cx.vertices, cx.simplices, candidate)
-    assert mod2.is_sheet_split(t, model.vertices, model.cells(), sheet)
+        stored = mod2.is_sheet_split(t, cx.vertices, cx.simplices, candidate)
+        assert mod2.is_sheet_split(t, model.vertices, walked_cells(model), candidate) == stored
+        assert mod2.is_sheet_split(t, model.vertices, model.edges(), candidate) == stored
+    assert mod2.is_sheet_split(t, model.vertices, model.edges(), sheet)
+
+
+def old_projection_degree_parity(model, component) -> int:
+    """Projection parity read off the stored pair complex, as before the
+    model read it off its walk."""
+    source = model.map.source
+    n = source.dim
+    if not source.is_closed_pseudomanifold():
+        raise PreconditionError("projection degree parity needs a closed pseudomanifold source")
+    piece = model.complex.full_subcomplex(set(component))
+    if piece.dim != n or not piece.is_pure():
+        raise PreconditionError(f"component is not pure of dimension {n}: dim {piece.dim}")
+    cells = piece.simplices_of_dim(n)
+    if n >= 1:
+        ridge_count: dict = {}
+        for s in cells:
+            for r in combinations(s, n):
+                ridge_count[r] = ridge_count.get(r, 0) + 1
+        odd = [r for r, c in ridge_count.items() if c % 2]
+        if odd:
+            raise PreconditionError(
+                f"component top cells are not a mod-2 cycle: ridge {odd[0]}"
+                f" lies in {ridge_count[odd[0]]} cells")
+    counts = {s: 0 for s in source.simplices_of_dim(n)}
+    for cell in cells:
+        counts[source.canon({v[0] for v in cell})] += 1
+    parities = {s: c % 2 for s, c in counts.items()}
+    values = set(parities.values())
+    if len(values) > 1:
+        even = next(s for s, p in parities.items() if p == 0)
+        odd_s = next(s for s, p in parities.items() if p == 1)
+        raise PreconditionError(
+            "projection degree parity is not constant: "
+            f"{counts[even]} cells over {even} but {counts[odd_s]} over {odd_s}")
+    return values.pop()
+
+
+def same_outcome(new, old, *args) -> None:
+    """``new(*args)`` returns what ``old(*args)`` returns, or raises the same
+    error with the same message."""
+    try:
+        expected = old(*args)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            new(*args)
+        return
+    assert new(*args) == expected
+
+
+def assert_walk_matches_stored_route(model, ks=(1, 2, 3)) -> None:
+    """The walked quotient, named by the orbit representatives, and its
+    ``w1`` equal those of the stored pair complex, and so do the verdicts
+    at every ``k`` of ``ks``."""
+    quotient, w1 = model.swap_quotient
+    ic = model.pair_complex
+    rank = model.map.source.rank
+    reps = [(u, v) for u, v in model.vertices if rank[u] < rank[v]]
+    assert quotient.vertices == tuple(range(len(reps)))
+    if ic.complex.simplices:
+        qr = mod2.quotient_by_free_involution(ic)
+        assert qr.subdivision_rounds == 0
+        assert quotient.renamed(reps) == qr.quotient
+        assert {tuple(map(reps.__getitem__, e)): x for e, x in w1.items()} == mod2.w1_cocycle(qr)
+    else:
+        assert not quotient.simplices and not w1
+    for k in ks:
+        assert equivariant_map_exists(model, k) == equivariant_map_exists(ic, k)
+
+
+_CLOSED_SOURCES = [f for f in _SMALL_MAPS + [_SPHERE] if f.source.is_closed_pseudomanifold()]
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        covering_pieces(),
+        small_non_degenerate_maps(),
+        st.sampled_from(_CLOSED_SOURCES),
+        st.sampled_from(_CLOSED_SOURCES).map(lambda f: barycentric_subdivide_map(f)[0]),
+    ),
+    st.integers(0, 99),
+)
+def test_walked_quotient_matches_the_stored_route(f, pick):
+    """The quotient, ``w1``, verdicts and projection parities read off the
+    walk equal the stored pair complex's, on whole components, on a
+    component with one vertex dropped (its top cells are no mod-2 cycle)
+    and on one with a vertex of another component added (not pure)."""
+    try:
+        model = double_point_model(f)
+    except ModelInvalid:
+        assume(False)
+    assert_walk_matches_stored_route(model)
+    comps = model.components
+    for comp, other in zip(comps, comps[1:] + comps[:1]):
+        dropped = set(comp) - {sorted(comp)[pick % len(comp)]}
+        added = set(comp) | {sorted(other)[pick % len(other)]}
+        for part in (comp, dropped, added):
+            same_outcome(projection_degree_parity, old_projection_degree_parity, model, part)
+
+
+def test_walked_quotient_matches_the_stored_route_on_join_lens_4_1():
+    """Even p: one invariant component of three.  The walked and stored
+    quotients are equal, so one Yang index serves both."""
+    model = double_point_model(lens_covering(4, 1)[0])
+    assert model.invariant_flags == [False, True, False]
+    assert_walk_matches_stored_route(model, ks=())
+    verdict = equivariant_map_exists(model, 3)
+    assert (verdict.answer, verdict.reason, verdict.yang) == ("not-exists", "cup-power-nonzero", 3)
+    assert verdict.quotient_f_vector == model.cell_counts == (2544, 16368, 27648, 13824)
+    invariant = model.components[1]
+    assert projection_degree_parity(model, invariant) == 1
+    assert old_projection_degree_parity(model, invariant) == 1
 
 
 def test_map_images_and_fibres_match_canonicalising_oracle():
@@ -892,7 +1011,7 @@ def moment_values(ic: InvolutionComplex, k: int, shift: int) -> dict:
     values = {}
     for v in ic.complex.vertices:
         if t[v] != v and v not in values:
-            values[v] = moment_vector(len(values) // 2, k, shift)
+            values[v] = _moment_vector(len(values) // 2, k, shift)
             values[t[v]] = tuple(-x for x in values[v])
     return values
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from prem.generators import path_complex
+from prem.generators import _path_complex
 from prem.stability import stable_to_line_report
 
 from conftest import octahedron
@@ -9,7 +9,7 @@ F = Fraction
 
 
 def test_monotone_path_is_stable():
-    p = path_complex(["a", "b", "c", "d"])
+    p = _path_complex(["a", "b", "c", "d"])
     rep = stable_to_line_report(p, {"a": F(0), "b": F(1), "c": F(2), "d": F(3)})
     assert rep.stable
     assert rep.verdict == "stable"
@@ -19,7 +19,7 @@ def test_monotone_path_is_stable():
 
 
 def test_collapsed_edge_is_degenerate():
-    p = path_complex(["a", "b", "c", "d"])
+    p = _path_complex(["a", "b", "c", "d"])
     rep = stable_to_line_report(p, {"a": F(0), "b": F(0), "c": F(1), "d": F(2)})
     assert not rep.stable
     assert rep.verdict == "not stable (degenerate edge)"
@@ -27,7 +27,7 @@ def test_collapsed_edge_is_degenerate():
 
 
 def test_w_shape_reports_tension():
-    w = path_complex(["p", "q", "r", "s", "t"])
+    w = _path_complex(["p", "q", "r", "s", "t"])
     rep = stable_to_line_report(
         w, {"p": F(0), "q": F(2), "r": F(1), "s": F(2), "t": F(0)}
     )
