@@ -1,8 +1,9 @@
 """Exact computational pipeline for projected-embedding questions about
-simplicial maps: double-point complexes with their swap involutions, mod-2
-obstruction verdicts for equivariant sphere maps, certified lift construction
-for simple fold maps, subdivision-based PL-ification of arbitrary lifts, and
-stability reports for linear maps to the line — all over rational arithmetic.
+simplicial maps: pair models of the double points with their swap involution,
+mod-2 verdicts for equivariant sphere maps read off those models, certified
+lift construction for simple fold maps, subdivision-based PL-ification of
+arbitrary lifts, and stability reports for linear maps to the line — all over
+rational arithmetic.
 """
 
 from .complexes import BarycentricPoint, InvolutionComplex, SimplicialComplex
@@ -38,11 +39,7 @@ from .lift import (
     is_simple_fold,
 )
 from .maps import SemiLinearMap, SimplicialMap
-from .mod2 import (
-    quotient_by_free_involution,
-    w1_cocycle,
-    yang_index,
-)
+from .mod2 import yang_index
 from .obstruction import (
     PremReport,
     Verdict,
@@ -101,9 +98,7 @@ __all__ = [
     "is_simple_fold",
     "prem_report",
     "projection_degree_parity",
-    "quotient_by_free_involution",
     "stable_to_line_report",
     "verify_embedding",
-    "w1_cocycle",
     "yang_index",
 ]

@@ -207,8 +207,6 @@ def _verdict_exit(answer: str) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    if args.k < 1:
-        raise PreconditionError("k must be a positive integer")
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
     verdict = equivariant_map_exists(model, args.k)

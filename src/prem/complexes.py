@@ -9,9 +9,8 @@ library; downstream cochain-level products depend on it.
 Complexes are never mutated after construction.  Derived indexes rely on
 that: each complex groups its simplices by dimension once (sorting a group
 the first time it is asked for in order) and finds its connected components
-once, and each involution complex maps its simplices under the involution
-once, reusing the simplex tuples it already holds as the images, or takes
-those images from the builder that made them and checks them.
+once; an involution complex checks once, at construction, that its
+involution maps every simplex to a simplex.
 """
 
 from __future__ import annotations
@@ -303,65 +302,16 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices, dim {self.dim})"
 
 
-def _simplex_involution(cx: SimplicialComplex, t: Dict) -> Tuple[Dict, list]:
-    """Image of every simplex under the vertex involution ``t``, and the
-    simplices whose image is not a simplex.  An image that is a simplex is
-    the very tuple stored in ``cx.simplices``: each orbit pair is matched
-    when its second member comes up, so only first members are canonicalised
-    and no image tuple outlives the loop."""
-    image: Dict = {}
-    pending: Dict = {}  # canonical image not yet met -> its preimage
-    for s in cx.simplices:
-        partner = pending.pop(s, None)
-        if partner is not None:
-            image[s] = partner
-            image[partner] = s
-            continue
-        img = cx.canon(map(t.__getitem__, s))
-        if img == s:
-            image[s] = s
-        else:
-            pending[img] = s
-    strays = list(pending.values())
-    for img, s in pending.items():
-        image[s] = img
-    return image, strays
-
-
-def _check_simplex_images(cx: SimplicialComplex, t: Dict, image: Dict) -> None:
-    """Check supplied simplex images exactly: every simplex has one image,
-    each image is a stored simplex whose own image is the very simplex it
-    came from, and the vertex involution maps each simplex onto its image."""
-    simplices = cx.simplices
-    if len(image) != len(simplices) or not simplices.issuperset(image):
-        raise ComplexError("simplex images must be given for exactly the simplices")
-    for s, img in image.items():
-        back = image.get(img)
-        if back is None:
-            raise ComplexError(f"image {img} of simplex {s} is not a simplex")
-        if back is not s:
-            raise ComplexError(f"simplex images do not pair up at {s}")
-        if len(img) != len(s) or not set(img).issuperset(map(t.__getitem__, s)):
-            raise ComplexError(f"{img} is not the image of simplex {s}")
-
-
 class InvolutionComplex:
     """A simplicial complex with a simplicial involution given on vertices.
+    Construction checks that the involution has order 2 on the vertices and
+    maps every simplex to a simplex."""
 
-    A builder that already knows the image of every simplex passes it as
-    ``images``: the check then confirms it instead of recomputing it."""
+    __slots__ = ("complex", "involution")
 
-    __slots__ = ("complex", "involution", "_image")
-
-    def __init__(
-        self,
-        complex: SimplicialComplex,
-        involution: Dict,
-        images: Optional[Dict] = None,
-    ):
+    def __init__(self, complex: SimplicialComplex, involution: Dict):
         self.complex = complex
         self.involution = dict(involution)
-        self._image = images
         self._validate()
 
     def _validate(self) -> None:
@@ -374,31 +324,18 @@ class InvolutionComplex:
                 raise ComplexError(f"involution image {t[v]!r} is not a vertex")
             if t[t[v]] != v:
                 raise ComplexError(f"involution is not of order 2 at {v!r}")
-        if self._image is not None:
-            _check_simplex_images(cx, t, self._image)
-            return
-        self._image, strays = _simplex_involution(cx, t)
+        # A bijection of the vertices, so an image has no repeats and only
+        # needs sorting by rank.
+        simplices, image, rank = cx.simplices, t.__getitem__, cx.rank.__getitem__
+        strays = [s for s in simplices if tuple(sorted(map(image, s), key=rank)) not in simplices]
         if strays:
-            raise ComplexError(f"involution does not map simplex {strays[0]} to a simplex")
-
-    def simplex_images(self) -> Dict:
-        """Every simplex mapped to its image under the involution (computed
-        or checked once, at construction; treat the dict as read-only)."""
-        return self._image
+            raise ComplexError(
+                f"involution does not map simplex {min(strays, key=cx.sort_key)} to a simplex")
 
     def free_part(self, s: Simplex) -> tuple:
         """The vertices of ``s`` that the involution moves, in order."""
         t = self.involution
         return tuple(v for v in s if t[v] != v)
-
-    def fixed_simplices(self) -> list:
-        return sorted(
-            (s for s, img in self.simplex_images().items() if img == s),
-            key=self.complex.sort_key,
-        )
-
-    def is_free_on_simplices(self) -> bool:
-        return not self.fixed_simplices()
 
     def __repr__(self) -> str:
         return f"InvolutionComplex({self.complex!r})"

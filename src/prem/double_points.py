@@ -19,10 +19,9 @@ subdivision: under the star condition no cell meets a swap orbit twice
 make ``a`` adjacent to both ``c`` and ``d`` with ``f(c) = f(d)`` (R2).  So
 the quotient simplices are the walked pairs.
 
-The pair complex itself is built only for the ``delta`` body.
-:func:`swap_paired_cells` enters the cells of ``(s, t)`` and ``(t, s)``
-together, each as the other's swap image, and the involution complex checks
-these images exactly.
+The pair complex itself is built only for the ``delta`` body, from
+:func:`pair_cells`, which lists the cells of ``(s, t)`` and ``(t, s)``
+together; the lift's closure model is built from them too.
 
 The pair model is a faithful model of the identified-pair space only when
 identified vertices are combinatorially far apart: for every pair ``u, v`` of
@@ -84,22 +83,20 @@ def _simplex_fibres(f: SimplicialMap) -> List[list]:
     keyed by content, so the fibres need not be sorted as ``f.fibers()``
     sorts them."""
     fibres: Dict = {}
-    for s, img in f.simplex_images().items():
+    for s, img in f.image_index().items():
         fibres.setdefault(img, []).append(s)
     return [fibre for fibre in fibres.values() if len(fibre) > 1]
 
 
-def swap_paired_cells(
-    f: SimplicialMap, vertices: List[Tuple], overlapping: bool = False
-) -> Dict[Simplex, Simplex]:
-    """Pair cells of a non-degenerate map, each mapped to its swap image.
-    For every unordered pair ``{s, t}`` of distinct source simplices with
-    the same image, the cell of ``(s, t)`` is the vertex pairs ``(u, m(u))``
-    of the image-compatible bijection ``m: s -> t``, listed in the order of
-    ``s``; its swap image is the cell of ``(t, s)``, and the two are entered
-    together.  Only disjoint pairs are included unless ``overlapping`` is
-    set, in which case shared vertices give diagonal pairs ``(u, u)``.  Every
-    pair must be one of ``vertices``, whose tuple objects the cells reuse.
+def pair_cells(f: SimplicialMap, vertices: List[Tuple]) -> List[Simplex]:
+    """Pair cells of a non-degenerate map, in both orders.  For every
+    unordered pair ``{s, t}`` of distinct source simplices with the same
+    image, the cell of ``(s, t)`` is the vertex pairs ``(u, m(u))`` of the
+    image-compatible bijection ``m: s -> t``, listed in the order of ``s``,
+    and the cell of ``(t, s)`` is its swap image.  Simplices that share
+    vertices give diagonal pairs ``(u, u)``; under the star condition there
+    are none.  Every pair must be one of ``vertices``, whose tuple objects
+    the cells reuse.
 
     Since ``s`` is rank-sorted without repeats, each cell is canonical in any
     complex whose pair vertices are ordered by the ranks of their first, then
@@ -107,22 +104,18 @@ def swap_paired_cells(
     so every off-diagonal pair vertex appears as a cell."""
     pair = {p: p for p in vertices}
     vm = f.vertex_map
-    images: Dict = {}
+    cells: List[Simplex] = []
     for fibre in _simplex_fibres(f):
         members = []
         for s in fibre:
             s_targets = tuple(map(vm.__getitem__, s))
             members.append((s, s_targets, dict(zip(s_targets, s))))
         for i, (s, s_targets, s_by_target) in enumerate(members):
-            shared = None if overlapping else set(s)
             for t, t_targets, t_by_target in members[i + 1:]:
-                if shared is not None and not shared.isdisjoint(t):
-                    continue
-                st = tuple(map(pair.__getitem__, zip(s, map(t_by_target.__getitem__, s_targets))))
-                ts = tuple(map(pair.__getitem__, zip(t, map(s_by_target.__getitem__, t_targets))))
-                images[st] = ts
-                images[ts] = st
-    return images
+                st = zip(s, map(t_by_target.__getitem__, s_targets))
+                ts = zip(t, map(s_by_target.__getitem__, t_targets))
+                cells += (tuple(map(pair.__getitem__, st)), tuple(map(pair.__getitem__, ts)))
+    return cells
 
 
 # Barycentric subdivisions of a map after which a star violation that
@@ -217,9 +210,8 @@ class DoublePointModel:
 
     @cached_property
     def pair_complex(self) -> InvolutionComplex:
-        images = swap_paired_cells(self.map, self.vertices)
-        complex_ = SimplicialComplex.from_canonical(self.vertices, images)
-        return InvolutionComplex(complex_, self.involution, images=images)
+        complex_ = SimplicialComplex.from_canonical(self.vertices, pair_cells(self.map, self.vertices))
+        return InvolutionComplex(complex_, self.involution)
 
     @property
     def complex(self) -> SimplicialComplex:

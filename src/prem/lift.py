@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg, lp
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
-from .double_points import double_point_model, identified_vertex_pairs, swap_paired_cells
+from .double_points import double_point_model, identified_vertex_pairs, pair_cells
 from .errors import (
     CertificationError,
     DegenerateMap,
@@ -126,14 +126,11 @@ def build_closure_model(
     off_diag = identified_vertex_pairs(f)
     diag = [(s[0], s[0]) for s in fold.simplices if len(s) == 1]
     vertices = sorted(off_diag + diag, key=lambda p: (rank[p[0]], rank[p[1]]))
-    images = swap_paired_cells(f, vertices, overlapping=True)
+    cells = pair_cells(f, vertices)
     diagonal = {p[0]: p for p in diag}
-    for rho in fold.simplices:
-        cell = tuple(map(diagonal.__getitem__, rho))
-        images[cell] = cell
-    complex_ = SimplicialComplex.from_canonical(vertices, images)
-    involution = {(u, v): (v, u) for (u, v) in vertices}
-    ic = InvolutionComplex(complex_, involution, images=images)
+    cells += (tuple(map(diagonal.__getitem__, rho)) for rho in fold.simplices)
+    complex_ = SimplicialComplex.from_canonical(vertices, cells)
+    ic = InvolutionComplex(complex_, {(u, v): (v, u) for (u, v) in vertices})
     return DoublePointClosure(
         pair_complex=ic,
         fold=fold,

@@ -49,12 +49,12 @@ class SimplicialMap:
         for v in self.source.vertices:
             if self.vertex_map[v] not in self.target.rank:
                 raise MapError(f"image {self.vertex_map[v]!r} of {v!r} is not a target vertex")
-        self.simplex_images()
+        self.image_index()
 
     def __call__(self, v):
         return self.vertex_map[v]
 
-    def simplex_images(self) -> Dict:
+    def image_index(self) -> Dict:
         """Every source simplex mapped to the stored target simplex that is
         its image, found by vertex set (computed once, then cached; treat
         the dict as read-only)."""
@@ -73,7 +73,7 @@ class SimplicialMap:
 
     def image_simplex(self, s: Simplex) -> Simplex:
         """Image of a simplex of the source."""
-        return self.simplex_images()[s]
+        return self.image_index()[s]
 
     def is_non_degenerate(self) -> bool:
         """True when no edge collapses, i.e. the map is injective on every
@@ -94,7 +94,7 @@ class SimplicialMap:
         """For simplices with the same image under a non-degenerate map, the
         unique vertex bijection s -> t commuting with the map; ``None`` when
         the images differ."""
-        images = self.simplex_images()
+        images = self.image_index()
         if images[s] != images[t]:
             return None
         by_image = {self.vertex_map[w]: w for w in t}
@@ -105,7 +105,7 @@ class SimplicialMap:
         simplices (computed once, then cached; treat the dict and its lists
         as read-only)."""
         if self._fibers is None:
-            images = self.simplex_images()
+            images = self.image_index()
             out: Dict = {}
             for s in self.source.sorted_simplices():
                 out.setdefault(images[s], []).append(s)

@@ -9,24 +9,21 @@ orbit twice or contains a vertex whose orbit is shorter than the order, and
 When either fails, the complex is barycentrically subdivided (the action
 lifts to barycenters) and the check is retried; two rounds always suffice
 for an action of any order that is free on simplices (Bredon, *Introduction
-to Compact Transformation Groups*, III.1).  The quotient of a stored free
-involution complex and the lens-space quotients of the join sphere are both
-built this way; a pair model reads its swap quotient off its walk.
+to Compact Transformation Groups*, III.1).  The lens-space quotients of the
+join sphere are built this way; a pair model reads its swap quotient, which
+needs no subdivision, off its walk.
 
 The rounds run on vertex ranks.  The complex and the action are translated
 to ranks once; a round renumbers the refined vertices, vertex i being the
 i-th base simplex in ``sort_key`` order, so that every flag is an increasing
 rank tuple and every simplex image is a sorted rank tuple.  The vertex
 labels, the nested base simplices that :func:`subdivision.barycentric_subdivide`
-gives as ids, ride along as a list and are attached once, at the end.
+gives as ids, ride along as a list.
 
-The double cover upstairs is classified by a 1-cocycle on the quotient: fix
-in each vertex orbit a preferred representative (the one earlier in the
-vertex order); an edge of the quotient gets value 0 when the unique upstairs
-edge starting at the representative of one end lands on the representative of
-the other, and 1 when it lands on the swapped lift.  The largest k for which
-the k-th cup power of this class survives in mod-2 cohomology is the height
-invariant computed by :func:`yang_index`.
+A double cover is classified by a 1-cocycle ``w1`` on its quotient, which
+the pair model supplies.  The largest k for which the k-th cup power of
+this class survives in mod-2 cohomology is the height invariant computed by
+:func:`yang_index`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .complexes import InvolutionComplex, SimplicialComplex, Simplex
+from .complexes import SimplicialComplex, Simplex
 from .errors import InternalError, PreconditionError
 from .subdivision import rank_subdivide
 
@@ -45,15 +42,6 @@ SUBDIVISION_ROUNDS = 2
 
 
 # -- quotient by a free cyclic action -----------------------------------------
-
-
-@dataclass
-class QuotientResult:
-    upstairs: SimplicialComplex  # the input, subdivided ``subdivision_rounds`` times
-    action: Dict  # the generator of the action on the upstairs vertices
-    quotient: SimplicialComplex
-    projection: Dict  # upstairs vertex -> quotient vertex (its orbit's earliest)
-    subdivision_rounds: int
 
 
 @dataclass
@@ -175,59 +163,6 @@ def rank_orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> Rank
     return RankQuotient(cx, act, quotient, orbit, labels, rounds)
 
 
-def _orbit_quotient(cx: SimplicialComplex, action: Dict, order: int) -> QuotientResult:
-    """Quotient by a cyclic action of the given order that is free on
-    simplices, subdividing until the action is regular.  The rounds run on
-    vertex ranks; the labels are attached once, at the end, and when no
-    round ran the upstairs complex is the input itself."""
-    rq = rank_orbit_quotient(cx, action, order)
-    labels = rq.labels
-    if rq.subdivision_rounds:
-        cx = rq.upstairs.renamed(labels)
-        action = dict(zip(labels, map(labels.__getitem__, rq.action)))
-    return QuotientResult(
-        upstairs=cx,
-        action=action,
-        quotient=rq.quotient.renamed(labels),
-        projection=dict(zip(labels, map(labels.__getitem__, rq.projection))),
-        subdivision_rounds=rq.subdivision_rounds,
-    )
-
-
-def quotient_by_free_involution(ic: InvolutionComplex) -> QuotientResult:
-    """Quotient complex of a free involution, subdividing until regular."""
-    if not ic.is_free_on_simplices():
-        raise PreconditionError(
-            f"involution is not free: fixed simplices {ic.fixed_simplices()[:3]}"
-        )
-    return _orbit_quotient(ic.complex, ic.involution, 2)
-
-
-def w1_cocycle(qr: QuotientResult) -> Dict[Simplex, int]:
-    """The 1-cocycle on the quotient classifying the double cover.  The
-    cocycle condition is verified on every quotient triangle."""
-    up = qr.upstairs
-    rank = up.rank
-    t = qr.action
-    w: Dict[Simplex, int] = {}
-    for e in qr.quotient.simplices_of_dim(1):
-        a, b = e  # both are preferred representatives upstairs, a before b
-        tb = t[b]
-        straight = e in up.simplices
-        swapped = ((a, tb) if rank[a] < rank[tb] else (tb, a)) in up.simplices
-        if not (straight or swapped):
-            raise InternalError(f"no upstairs edge over quotient edge {e}")
-        # exactly one lift at the representative of the lower-ranked end
-        if straight and swapped:
-            raise InternalError(f"two upstairs edges at one representative over {e}")
-        w[e] = 0 if straight else 1
-    for tri in qr.quotient.simplices_of_dim(2):
-        u, v, x = tri
-        if (w[(u, v)] + w[(v, x)] + w[(u, x)]) % 2 != 0:
-            raise InternalError(f"classifying cochain is not a cocycle on {tri}")
-    return w
-
-
 # -- cochain algebra over GF(2) ---------------------------------------------
 
 
@@ -316,18 +251,6 @@ class CochainSpace:
                         phi[v] = phi[u] ^ val
                         stack.append(v)
         return True
-
-    def cup(self, f_bits: int, p: int, g_bits: int, q: int) -> int:
-        """Alexander-Whitney cup product of a p- and a q-cochain."""
-        fi = self.index(p)
-        gi = self.index(q)
-        out = 0
-        for i, s in enumerate(self.simplices(p + q)):
-            front = s[: p + 1]
-            back = s[p:]
-            if (f_bits >> fi[front]) & 1 and (g_bits >> gi[back]) & 1:
-                out |= 1 << i
-        return out
 
     def one_cocycle_power(self, w_bits: int, k: int) -> int:
         """k-th cup power of a 1-cochain, evaluated directly as the product

@@ -11,10 +11,11 @@ Verdict logic, in order:
    double cover is trivial, so ``+e`` on one sheet and ``-e`` on the other
    is an equivariant map to every sphere, a definite yes with Yang index 0.
    The certificate is the sheet split, checked on the orbit vertices and
-   the 1-cells only: in a face-closed complex a cell lies in the sheet
-   exactly when each of its edges does.  No quotient is built.
-3. k-th cup power of the classifying class nonzero: definite no.  A pair
-   model reads the quotient by the swap and its ``w1`` off its walk.
+   the walked 1-cells only: in a face-closed complex a cell lies in the
+   sheet exactly when each of its edges does.  No quotient is built.
+3. k-th cup power of the classifying class nonzero: definite no.  The
+   quotient by the swap and its ``w1`` are read off the pair model's walk,
+   which needs no subdivision.
 4. ``dim == k``, power vanishes, and the quotient is a closed mod-2 homology
    k-manifold (pure, ridges in two facets, strongly connected per component,
    vertex links with the mod-2 homology of the (k-1)-sphere): the top
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, linalg, lp, mod2
 from .complexes import InvolutionComplex, groups_are_pure
@@ -76,29 +77,20 @@ def quotient_is_homology_manifold(q, k: int) -> bool:
     return _links_look_like_sphere(q, k)
 
 
-def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k: int) -> Verdict:
+def equivariant_map_exists(model: DoublePointModel, k: int) -> Verdict:
     """Decide (when possible) whether an equivariant map from the pair
-    model, or from any free involution complex, to the (k-1)-sphere exists.
-    A pair model supplies its cells, quotient and ``w1`` from its walk, a
-    stored complex from its simplices and :func:`mod2.quotient_by_free_involution`."""
+    model to the (k-1)-sphere exists, from what the model reads off its
+    walk: its dimension, cell counts, vertices, components, 1-cells and the
+    quotient by the swap with its ``w1``."""
     if k < 1:
-        raise ValueError("sphere dimension parameter k must be >= 1")
-    stored = isinstance(model, InvolutionComplex)
-    if stored:
-        cx = model.complex
-        groups = cx.dimension_groups()
-        dim, counts = len(groups) - 1, tuple(len(g) // 2 for g in groups)
-        edges = groups[1] if dim > 0 else ()
-        vertices, components = cx.vertices, cx.connected_components()
-    else:
-        dim, counts, edges = model.dim, model.cell_counts, model.edges()
-        vertices, components = model.vertices, model.components
+        raise PreconditionError(f"k must be a positive integer, not {k}")
+    dim = model.dim
     if dim < k:
         return Verdict(answer=EXISTS, reason="dimension-below-k", k=k, dim=dim)
     t = model.involution
-    sheet = mod2.sheet_split(components, t)
+    sheet = mod2.sheet_split(model.components, t)
     if sheet is not None:
-        if not mod2.is_sheet_split(t, vertices, edges, sheet):
+        if not mod2.is_sheet_split(t, model.vertices, model.edges(), sheet):
             raise InternalError("the sheet split of a trivial double cover fails its check")
         # The sheet is a copy of the quotient, which needs no subdivision.
         return Verdict(
@@ -107,13 +99,9 @@ def equivariant_map_exists(model: Union[DoublePointModel, InvolutionComplex], k:
             k=k,
             dim=dim,
             yang=0,
-            quotient_f_vector=counts,
+            quotient_f_vector=model.cell_counts,
         )
-    if stored:
-        qr = mod2.quotient_by_free_involution(model)
-        quotient, w = qr.quotient, mod2.w1_cocycle(qr)
-    else:
-        quotient, w = model.swap_quotient
+    quotient, w = model.swap_quotient
     yang = mod2.yang_index(quotient, w)
     fv = quotient.f_vector()
     if yang >= k:
@@ -339,7 +327,8 @@ def prem_report(
     model: Optional[DoublePointModel] = None,
 ) -> PremReport:
     """Weigh the equivariant verdict against the dimension hypotheses under
-    which a positive verdict upgrades to an actual embedding lift."""
+    which a positive verdict upgrades to an actual embedding lift.  A map
+    without double points is an embedding already, whatever the dimensions."""
     if model is None:
         model = double_point_model(f)
     n = f.source.dim
@@ -385,6 +374,13 @@ def prem_report(
     if verdict.answer == NOT_EXISTS:
         conclusion = "not-k-prem"
         notes.append("no equivariant sphere map, so no embedding lift exists")
+    elif model.dim < 0:
+        # A non-degenerate map that identifies no two vertices is injective.
+        conclusion = "k-prem"
+        notes.append(
+            "the map has no double points, so it is already an embedding "
+            "and g = 0 lifts it"
+        )
     elif verdict.answer == EXISTS and hyp_codim and hyp_meta:
         conclusion = "k-prem"
         notes.append(

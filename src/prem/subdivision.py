@@ -27,9 +27,6 @@ class SubdivisionRecord:
     refined: SimplicialComplex
     positions: Dict  # refined vertex -> BarycentricPoint in base
 
-    def position(self, v) -> BarycentricPoint:
-        return self.positions[v]
-
     def point_in_base(self, bp: BarycentricPoint) -> BarycentricPoint:
         """Express a point of the refined complex in base coordinates."""
         acc: Dict = {}

@@ -5,7 +5,6 @@ import pytest
 from prem import linalg
 from prem.complexes import InvolutionComplex, SimplicialComplex
 from prem.errors import ComplexError
-from prem.generators import cross_polytope_boundary
 from prem.subdivision import barycentric_subdivide
 
 from conftest import euler_characteristic, torus_7, triangle_complex
@@ -103,52 +102,18 @@ def test_mesh_shrinks_under_barycentric_subdivision():
     assert mesh_sq(rec.refined, refined_coords) < mesh_sq(c, coords)
 
 
-def _octahedron_images():
-    """The antipodal octahedron, its involution, a copy of its simplex
-    images, and two triangles from different orbits."""
-    ic = cross_polytope_boundary(2)
-    a, b = [s for s in ic.complex.simplices_of_dim(2) if "p0" in s][:2]
-    assert ic.simplex_images()[a] != b
-    return ic.complex, ic.involution, dict(ic.simplex_images()), a, b
-
-
-def test_supplied_simplex_images_are_accepted():
-    cx, t, images, _, _ = _octahedron_images()
-    ic = InvolutionComplex(cx, t, images=images)
-    assert ic.simplex_images() is images
-    assert not ic.fixed_simplices()
-
-
-def test_swapped_images_rejected():
-    cx, t, images, a, b = _octahedron_images()
-    images[a], images[b] = images[b], images[a]
-    with pytest.raises(ComplexError, match="pair up"):
-        InvolutionComplex(cx, t, images=images)
-
-
-@pytest.mark.parametrize("how", ["fixed", "crossed"])
-def test_paired_images_that_are_not_the_involution_rejected(how):
-    cx, t, images, a, b = _octahedron_images()
-    a2, b2 = images[a], images[b]
-    if how == "fixed":
-        images[a], images[a2] = a, a2
-    else:
-        images[a], images[b2], images[b], images[a2] = b2, a, a2, b
-    with pytest.raises(ComplexError, match="is not the image of simplex"):
-        InvolutionComplex(cx, t, images=images)
-
-
 def test_missing_image_rejected():
-    cx, t, images, a, _ = _octahedron_images()
-    del images[a]
-    with pytest.raises(ComplexError, match="exactly the simplices"):
-        InvolutionComplex(cx, t, images=images)
+    c = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(ComplexError, match="defined on every vertex"):
+        InvolutionComplex(c, {"a": "c", "c": "a"})
 
 
 def test_image_outside_the_complex_rejected():
-    cx, t, images, a, _ = _octahedron_images()
-    images[a] = ("p0", "p1", "m0")
-    # The partner of ``a`` no longer pairs up either; set order decides
-    # which of the two faults is reported.
-    with pytest.raises(ComplexError, match="is not a simplex|do not pair up"):
-        InvolutionComplex(cx, t, images=images)
+    path = SimplicialComplex.from_maximal(
+        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(ComplexError, match="image 'z' is not a vertex"):
+        InvolutionComplex(path, {"a": "z", "b": "b", "c": "c", "d": "d"})
+    # Swapping the ends of the path moves both end edges off it; the least
+    # of them is named, whatever order the simplices are hashed in.
+    with pytest.raises(ComplexError, match=r"does not map simplex \('a', 'b'\) to a simplex"):
+        InvolutionComplex(path, {"a": "d", "b": "b", "c": "c", "d": "a"})

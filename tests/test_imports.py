@@ -1,7 +1,9 @@
 """Every name a library or test module imports is used in that module,
 every private module-level function or class of the library is named in its
 own module, and every public module-level function of the library is named
-in another library module or in the benchmark harness.
+in another library module or in the benchmark harness, and every public
+method of a library class is named, as an attribute, in some library module
+or in the harness.
 
 The package ``__init__`` re-exports names it never uses itself, and
 ``from __future__`` imports are directives, so both are exempt from the
@@ -123,3 +125,40 @@ def test_guard_sees_a_test_only_function():
         "b": "from . import a\n\na.called()\nsheet.shadowed()\n",
     }
     assert unreached_public_functions(modules, '"a.traced"') == [("a", "alone"), ("a", "shadowed")]
+
+
+def unreached_public_methods(modules: dict, harness: str) -> list:
+    """``(module, class, method)`` for the public methods of the classes of
+    the modules (``{name: source}``) whose name no module reads as an
+    attribute and that are no word of ``harness``: methods that only the
+    tests call.  Names are matched without their class, so a method counts
+    as reached when any object's attribute of that name is read."""
+    named = set()
+    for source in modules.values():
+        named |= {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)}
+    words = set(re.findall(r"\w+", harness))
+    return [
+        (name, cls.name, node.name)
+        for name, source in sorted(modules.items())
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in named and node.name not in words
+    ]
+
+
+def test_library_has_no_test_only_methods():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY.glob("*.py")}
+    harness = "".join(p.read_text(encoding="utf-8") for p in PERFBENCH)
+    assert unreached_public_methods(modules, harness) == []
+
+
+def test_guard_sees_a_test_only_method():
+    modules = {
+        "a": "class A:\n    def used(self):\n        pass\n\n    def traced(self):\n        pass\n\n"
+             "    def alone(self):\n        pass\n\n    def _private(self):\n        pass\n\n"
+             "    @property\n    def read(self):\n        pass\n\n    def own(self):\n        self.read\n",
+        "b": "from .a import A\n\nA().used()\nkey = A().own\n",
+    }
+    assert unreached_public_methods(modules, '"a.A.traced"') == [("a", "A", "alone")]

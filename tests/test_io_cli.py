@@ -465,6 +465,47 @@ def test_report_thm3_json(capsys, cover9):
     assert any("2(m+k) >= 3(n+1)" in note for note in payload["notes"])
 
 
+POINTS_TO_A_POINT = "source\nv a\nv b\ns a\ns b\ntarget\nv x\ns x\nmap\nm a x\nm b x\n"
+EDGE_IDENTITY = "source\nv a\nv b\ns a b\ntarget\nv x\nv y\ns x y\nmap\nm a x\nm b y\n"
+
+
+def test_report_thm3_on_a_zero_dimensional_source_is_a_precondition_error(capsys, tmp_path):
+    """k is the source dimension, so two points give k = 0, for which no
+    sphere question is posed: an input error, in text and under --json."""
+    path = tmp_path / "points.map"
+    path.write_text(POINTS_TO_A_POINT, encoding="utf-8")
+    assert main(["report-thm3", str(path)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (PreconditionError): k must be a positive integer, not 0\n"
+    assert main(["report-thm3", str(path), "--json"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["exit_code"]) == ("PreconditionError", 65)
+
+
+def test_report_thm3_without_double_points_is_k_prem(capsys, tmp_path):
+    """A map that identifies no two points is an embedding already, even
+    where the dimension hypotheses fail: ``lift`` gives g = 0 and
+    ``verify`` accepts it."""
+    path = tmp_path / "edge.map"
+    path.write_text(EDGE_IDENTITY, encoding="utf-8")
+    assert main(["report-thm3", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["verdict"], payload["reason"]) == ("exists", "dimension-below-k")
+    assert payload["dimension_inequality"] is False
+    assert payload["conclusion"] == "k-prem"
+    assert payload["notes"][-1] == (
+        "the map has no double points, so it is already an embedding and g = 0 lifts it")
+    assert main(["report-thm3", str(path)]) == 0
+    assert "conclusion: 1-prem" in capsys.readouterr().out.splitlines()
+    lift = tmp_path / "edge.lift"
+    assert main(["lift", "-k", "1", str(path), "-o", str(lift)]) == 0
+    assert "g a 0/1\ng b 0/1\n" in lift.read_text(encoding="utf-8")
+    assert main(["verify", str(path), str(lift)]) == 0
+
+
 def test_lift_subcommand(capsys, fig8, cover9):
     assert main(["lift", "-k", "1", fig8]) == 0
     out = capsys.readouterr().out

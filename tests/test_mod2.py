@@ -11,16 +11,16 @@ import prem
 from prem.complexes import InvolutionComplex
 from prem.errors import PreconditionError
 from prem.generators import cross_polytope_boundary, _cycle_complex
-from prem.mod2 import (
-    CochainSpace,
-    is_sheet_split,
-    quotient_by_free_involution,
-    sheet_split,
-    w1_cocycle,
-    yang_index,
-)
+from prem.mod2 import CochainSpace, is_sheet_split, sheet_split, yang_index
 
-from conftest import complex_from_facets, octahedron, regularity_failures
+from conftest import (
+    complex_from_facets,
+    cup,
+    octahedron,
+    quotient_by_free_involution,
+    regularity_failures,
+    w1_cocycle,
+)
 
 F = Fraction
 
@@ -166,7 +166,7 @@ def test_cup_with_unit_is_identity():
     qr = quotient_by_free_involution(cross_polytope_boundary(2))
     space = CochainSpace(qr.quotient)
     w_bits = space.pack(1, w1_cocycle(qr))
-    assert space.cup(space.ones(0), 0, w_bits, 1) == w_bits
+    assert cup(space, space.ones(0), 0, w_bits, 1) == w_bits
 
 
 def test_cup_square_matches_direct_power():
@@ -174,7 +174,7 @@ def test_cup_square_matches_direct_power():
     qr = quotient_by_free_involution(cross_polytope_boundary(2))
     space = CochainSpace(qr.quotient)
     w_bits = space.pack(1, w1_cocycle(qr))
-    assert space.cup(w_bits, 1, w_bits, 1) == space.one_cocycle_power(w_bits, 2)
+    assert cup(space, w_bits, 1, w_bits, 1) == space.one_cocycle_power(w_bits, 2)
     assert space.one_cocycle_power(w_bits, 2) != 0
     assert not space.is_coboundary(space.one_cocycle_power(w_bits, 2), 2)
 

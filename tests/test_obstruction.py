@@ -15,6 +15,8 @@ from prem.obstruction import (
     projection_degree_parity,
 )
 
+from conftest import StoredModel
+
 
 def swapped_pair(facets, rename):
     """Two disjoint copies of a complex swapped by the involution."""
@@ -30,7 +32,7 @@ def swapped_pair(facets, rename):
 
 def test_exists_by_dimension():
     model = double_point_model(cycle_cover(3, 3))
-    v = equivariant_map_exists(model.pair_complex, 2)
+    v = equivariant_map_exists(model, 2)
     assert v.answer == EXISTS
     assert v.reason == "dimension-below-k"
     assert v.dim == 1
@@ -64,7 +66,7 @@ BOWTIE = [("a", "b", "c"), ("a", "d", "e")]
 def test_exists_by_trivial_cover():
     # Every component of the pair model is swapped with another one.
     model = double_point_model(cycle_cover(3, 3))
-    v = equivariant_map_exists(model.pair_complex, 1)
+    v = equivariant_map_exists(model, 1)
     assert v.answer == EXISTS
     assert v.reason == "trivial-cover"
     assert v.yang == 0
@@ -72,13 +74,13 @@ def test_exists_by_trivial_cover():
     assert v.manifold_checked is None
     bowties = swapped_pair(BOWTIE, {x: x.upper() for x in "abcde"})
     for k in (1, 2):
-        v = equivariant_map_exists(bowties, k)
+        v = equivariant_map_exists(StoredModel(bowties), k)
         assert (v.answer, v.reason, v.yang, v.dim) == (EXISTS, "trivial-cover", 0, 2)
         assert v.quotient_f_vector == (5, 6, 2)
 
 
 def test_exists_by_manifold_route():
-    v = equivariant_map_exists(flipped_torus(), 2)
+    v = equivariant_map_exists(StoredModel(flipped_torus()), 2)
     assert v.answer == EXISTS
     assert v.reason == "manifold-complete-obstruction"
     assert v.yang == 1
@@ -88,7 +90,7 @@ def test_exists_by_manifold_route():
 
 def test_not_exists_by_cup_power():
     model = double_point_model(cycle_cover(2, 4))
-    v = equivariant_map_exists(model.pair_complex, 1)
+    v = equivariant_map_exists(model, 1)
     assert v.answer == NOT_EXISTS
     assert v.reason == "cup-power-nonzero"
     assert v.yang == 1
@@ -96,14 +98,14 @@ def test_not_exists_by_cup_power():
 
 
 def test_not_exists_antipodal_sphere():
-    v = equivariant_map_exists(cross_polytope_boundary(2), 2)
+    v = equivariant_map_exists(StoredModel(cross_polytope_boundary(2)), 2)
     assert v.answer == NOT_EXISTS
     assert v.yang == 2
 
 
 def test_inconclusive_nonmanifold_quotient():
     # Dimension equals k, but the fins make the quotient pinch along an edge.
-    v = equivariant_map_exists(flipped_torus(fins=True), 2)
+    v = equivariant_map_exists(StoredModel(flipped_torus(fins=True)), 2)
     assert v.answer == INCONCLUSIVE
     assert v.reason == "mod2-only"
     assert v.yang == 1
@@ -119,7 +121,7 @@ def test_inconclusive_dimension_above_k():
     t = {i: (i + 3) % 6 for i in range(6)}
     t.update({x: x.upper() for x in "abcd"})
     t.update({x.upper(): x for x in "abcd"})
-    v = equivariant_map_exists(InvolutionComplex(c, t), 2)
+    v = equivariant_map_exists(StoredModel(InvolutionComplex(c, t)), 2)
     assert v.answer == INCONCLUSIVE
     assert v.reason == "mod2-only"
     assert (v.dim, v.yang) == (3, 1)
@@ -127,8 +129,8 @@ def test_inconclusive_dimension_above_k():
 
 def test_k_must_be_positive():
     model = double_point_model(cycle_cover(3, 3))
-    with pytest.raises(ValueError):
-        equivariant_map_exists(model.pair_complex, 0)
+    with pytest.raises(PreconditionError, match="positive"):
+        equivariant_map_exists(model, 0)
 
 
 def test_witness_certified_on_double_cover():

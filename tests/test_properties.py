@@ -5,14 +5,17 @@ complexes, involutions, maps and witnesses.
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex and every
 flag of a barycentric subdivision, slicing out codimension-one faces to find
-the maximal simplices, sorting every matched pair cell, scanning the fibres
-for pair cells and then canonicalising each cell's swap image, rebuilding
+the maximal simplices, sorting every matched pair cell, a private scan of
+the fibres for pair cells, rebuilding
 each link through ``subcomplex``, union-find over every simplex, the
 stored pair complex in place of the walked pair model, the separate witness
 certifiers of the pair model and of the closure model, and
 the separate regularity checks and projections of the order-2 and order-p
 quotients, and the labelled orbit quotient that canonicalised the nested
-barycentric ids in every round.
+barycentric ids in every round.  The quotient of a stored free involution,
+with its ``w1`` read upstairs, is the oracle of the walked quotient; it
+lives in ``conftest``, where :class:`StoredModel` lets stored complexes reach
+the verdict.
 """
 
 import re
@@ -25,15 +28,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prem import formats, gf2, linalg, lp, mod2
-from prem.complexes import InvolutionComplex, SimplicialComplex, _simplex_involution
+from prem.complexes import InvolutionComplex, SimplicialComplex
 from prem.double_points import (
     check_star_condition,
     double_point_model,
     identified_vertex_pairs,
-    swap_paired_cells,
+    pair_cells,
 )
 from prem.errors import (
     CertificationError,
+    ComplexError,
     InternalError,
     ModelInvalid,
     NotKPrem,
@@ -62,7 +66,17 @@ from prem.obstruction import (
 from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
 
-from conftest import euler_characteristic, regularity_failures, walked_cells
+from conftest import (
+    QuotientResult,
+    StoredModel,
+    euler_characteristic,
+    fixed_simplices,
+    orbit_quotient,
+    quotient_by_free_involution,
+    regularity_failures,
+    w1_cocycle,
+    walked_cells,
+)
 
 PROPERTY = settings(deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -139,7 +153,7 @@ def swapped_complexes(draw):
     ))
     gens += [[t[v] for v in s] for s in gens]
     ic = InvolutionComplex(SimplicialComplex.from_maximal(vertices, gens), t)
-    assume(ic.is_free_on_simplices())
+    assume(not fixed_simplices(ic))
     return ic
 
 
@@ -300,18 +314,16 @@ def old_matched_pair_cells(f: SimplicialMap, vertices: list, overlapping: bool):
 
 
 def unchecked_pair_complex(f: SimplicialMap) -> InvolutionComplex:
-    """The stored pair complex of a non-degenerate map, built as the pair
-    model builds it but also where the star condition fails."""
+    """The stored pair complex of a non-degenerate map, on the disjoint
+    same-image pairs only, also where the star condition fails."""
     vertices = identified_vertex_pairs(f)
-    images = swap_paired_cells(f, vertices)
-    return InvolutionComplex(SimplicialComplex.from_canonical(vertices, images),
-                             {(u, v): (v, u) for (u, v) in vertices}, images=images)
+    return InvolutionComplex(SimplicialComplex.from_canonical(vertices, old_pair_cells(f, False)),
+                             {(u, v): (v, u) for (u, v) in vertices})
 
 
 def old_swap_model(f: SimplicialMap, closure: bool) -> tuple:
-    """``(vertices, simplices, simplex images)`` of the pair model, or of the
-    closure model, with the images found by canonicalising every cell's
-    swap."""
+    """``(vertices, simplices)`` of the pair model, or of the closure model,
+    from a private fibre scan."""
     vertices = identified_vertex_pairs(f)
     if closure:
         fold = fold_locus(f)
@@ -323,9 +335,7 @@ def old_swap_model(f: SimplicialMap, closure: bool) -> tuple:
     if closure:
         cells.update(tuple((u, u) for u in rho) for rho in fold.simplices)
     cx = SimplicialComplex.from_canonical(vertices, cells)
-    images, strays = _simplex_involution(cx, {(u, v): (v, u) for (u, v) in vertices})
-    assert not strays
-    return cx.vertices, cx.simplices, images
+    return cx.vertices, cx.simplices
 
 
 def old_regularity_failures(ic: InvolutionComplex) -> list:
@@ -434,7 +444,7 @@ def old_regularity(cx: SimplicialComplex, action: dict, order: int) -> tuple:
     return failures, orbit, image, fibres
 
 
-def old_orbit_quotient(cx: SimplicialComplex, action: dict, order: int) -> mod2.QuotientResult:
+def old_orbit_quotient(cx: SimplicialComplex, action: dict, order: int) -> QuotientResult:
     """The labelled quotient: every round canonicalises the nested
     barycentric ids of the subdivided complex."""
     rounds = 0
@@ -451,7 +461,7 @@ def old_orbit_quotient(cx: SimplicialComplex, action: dict, order: int) -> mod2.
     projection = {v: vertices[orbit[v]] for v in vertices}
     q_vertices = [v for v in vertices if projection[v] == v]
     q_simplices = {tuple(map(vertices.__getitem__, sorted(key))) for key in fibres}
-    return mod2.QuotientResult(
+    return QuotientResult(
         upstairs=cx,
         action=action,
         quotient=SimplicialComplex.from_canonical(q_vertices, q_simplices),
@@ -460,7 +470,7 @@ def old_orbit_quotient(cx: SimplicialComplex, action: dict, order: int) -> mod2.
     )
 
 
-def assert_same_quotient(qr: mod2.QuotientResult, old: mod2.QuotientResult) -> None:
+def assert_same_quotient(qr: QuotientResult, old: QuotientResult) -> None:
     assert qr.upstairs.vertices == old.upstairs.vertices
     assert qr.upstairs.simplices == old.upstairs.simplices
     assert qr.action == old.action
@@ -547,16 +557,22 @@ def test_purity_matches_face_closure_of_facets(c):
 
 
 @PROPERTY
-@given(involution_complexes())
-def test_cached_simplex_involution_matches_map_simplex(ic):
+@given(involution_complexes(), st.lists(st.integers(0, 99), max_size=3))
+def test_involution_check_names_the_least_stray_simplex(ic, picks):
+    """With a few maximal simplices dropped, an involution complex is
+    accepted exactly when every simplex's image is a simplex, and otherwise
+    the error names the least simplex whose image is not one."""
     cx, t = ic.complex, ic.involution
-    images = ic.simplex_images()
-    assert set(images) == cx.simplices
-    for s, img in images.items():
-        assert img == cx.canon(t[v] for v in s)
-        assert images[img] is s  # the image is the stored tuple itself
-    assert ic.fixed_simplices() == sorted(
-        (s for s in cx.simplices if cx.canon(t[v] for v in s) == s), key=cx.sort_key)
+    top = cx.maximal_simplices()
+    damaged = SimplicialComplex(cx.vertices, cx.simplices - {top[i % len(top)] for i in picks})
+    strays = sorted((s for s in damaged.simplices
+                     if damaged.canon(t[v] for v in s) not in damaged.simplices),
+                    key=damaged.sort_key)
+    if not strays:
+        InvolutionComplex(damaged, t)
+        return
+    with pytest.raises(ComplexError, match=re.escape(f"simplex {strays[0]} to a simplex")):
+        InvolutionComplex(damaged, t)
 
 
 @PROPERTY
@@ -567,8 +583,8 @@ def test_regularity_failures_and_quotient_match_oracle(ic):
     own = [m for m in old if m.endswith("own orbit")]
     assert new[:len(own)] == own
     assert sorted(new) == sorted(old)
-    if ic.is_free_on_simplices() and not new:
-        qr = mod2.quotient_by_free_involution(ic)
+    if not fixed_simplices(ic) and not new:
+        qr = quotient_by_free_involution(ic)
         cx, t = ic.complex, ic.involution
         proj = {v: min(v, t[v], key=cx.rank.__getitem__) for v in cx.vertices}
         assert qr.quotient.simplices == {
@@ -585,7 +601,7 @@ def test_cyclic_quotient_matches_order_p_oracle(case):
     assert regular == (not old_cyclic_regularity_failures(cx, action, order))
     if not regular and cx.dim > 1:
         return  # the 3-spheres, subdivided twice more, are too large to test here
-    qr = mod2._orbit_quotient(cx, action, order)
+    qr = orbit_quotient(cx, action, order)
     up = qr.upstairs
     assert (qr.subdivision_rounds == 0) == regular
     assert not old_cyclic_regularity_failures(up, qr.action, order)
@@ -600,12 +616,12 @@ def test_orbit_quotient_rejects_a_non_simplicial_action():
     # Swapping the ends of one edge of a path moves the other edge off the complex.
     path = SimplicialComplex.from_maximal(["a", "b", "c"], [("a", "b"), ("b", "c")])
     with pytest.raises(PreconditionError, match="does not map simplex"):
-        mod2._orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
+        mod2.rank_orbit_quotient(path, {"a": "b", "b": "a", "c": "c"}, 2)
     # An action undefined at a vertex, or one that leaves the complex.
     with pytest.raises(PreconditionError, match="not defined at vertex 'b'"):
-        mod2._orbit_quotient(path, {"a": "c", "c": "a"}, 2)
+        mod2.rank_orbit_quotient(path, {"a": "c", "c": "a"}, 2)
     with pytest.raises(PreconditionError, match="sends vertex 'b' to 'z'"):
-        mod2._orbit_quotient(path, {"a": "c", "b": "z", "c": "a"}, 2)
+        mod2.rank_orbit_quotient(path, {"a": "c", "b": "z", "c": "a"}, 2)
 
 
 @PROPERTY
@@ -629,9 +645,9 @@ def test_rank_quotient_matches_the_labelled_oracle(case):
         old = old_orbit_quotient(cx, action, order)
     except (PreconditionError, InternalError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            mod2._orbit_quotient(cx, action, order)
+            orbit_quotient(cx, action, order)
         return
-    assert_same_quotient(mod2._orbit_quotient(cx, action, order), old)
+    assert_same_quotient(orbit_quotient(cx, action, order), old)
 
 
 def test_rank_quotient_of_the_lens_covering_matches_the_labelled_oracle():
@@ -642,7 +658,7 @@ def test_rank_quotient_of_the_lens_covering_matches_the_labelled_oracle():
         gamma[f"b{i}"] = f"b{(i + 1) % 3}"
     old = old_orbit_quotient(cx, gamma, 3)
     assert old.subdivision_rounds == 2
-    assert_same_quotient(mod2._orbit_quotient(cx, gamma, 3), old)
+    assert_same_quotient(orbit_quotient(cx, gamma, 3), old)
     # The covering names each vertex by the token of its barycentric id.
     proj, rounds = lens_covering(3, 1)
     assert rounds == 2
@@ -688,16 +704,17 @@ def small_non_degenerate_maps(draw):
 @PROPERTY
 @given(small_non_degenerate_maps())
 def test_one_pass_swap_models_match_rescan_oracle(f):
-    pairs = unchecked_pair_complex(f)
     if not check_star_condition(f):
-        assert double_point_model(f).pair_complex.simplex_images() == pairs.simplex_images()
-    for closure, ic in ((False, pairs), (True, build_closure_model(f).pair_complex)):
-        vertices, simplices, images = old_swap_model(f, closure)
-        assert ic.complex.vertices == vertices
-        assert ic.complex.simplices == simplices
-        assert ic.simplex_images() == images
-        for s, img in ic.simplex_images().items():
-            assert ic.simplex_images()[img] is s
+        pairs = double_point_model(f).complex
+        assert (pairs.vertices, pairs.simplices) == old_swap_model(f, False)
+    closure = build_closure_model(f).complex
+    vertices, simplices = old_swap_model(f, True)
+    assert (closure.vertices, closure.simplices) == (vertices, simplices)
+    # Each cell is listed once, right before its swap image.
+    cells = pair_cells(f, vertices)
+    assert len(set(cells)) == len(cells)
+    for st, ts in zip(cells[::2], cells[1::2]):
+        assert closure.canon((v, u) for u, v in st) == ts
 
 
 @PROPERTY
@@ -715,7 +732,8 @@ def test_walked_pair_model_matches_its_stored_complex(f, pick):
         assume(False)
     walked = [equivariant_map_exists(model, j) for j in (1, 2, 3)]
     ic = model.pair_complex
-    cx, t, images = ic.complex, ic.involution, ic.simplex_images()
+    cx, t = ic.complex, ic.involution
+    images = {s: cx.canon(t[v] for v in s) for s in cx.simplices}
     assert model.dim == (cx.dim if cx.simplices else -1)
     assert tuple(2 * n for n in model.cell_counts) == cx.f_vector()
     assert model.components == cx.connected_components()
@@ -726,7 +744,7 @@ def test_walked_pair_model_matches_its_stored_complex(f, pick):
     edges = [cx.canon(e) for e in model.edges()]
     assert len(edges) == len(set(edges)) and set(edges) == set(cx.edges())
     for j, verdict in zip((1, 2, 3), walked):
-        assert verdict == equivariant_map_exists(ic, j)
+        assert verdict == equivariant_map_exists(StoredModel(ic), j)
     sheet = mod2.sheet_split(model.components, t)
     assert sheet == mod2.sheet_split(cx.connected_components(), t)
     assert (sheet is None) == any(model.invariant_flags)
@@ -797,14 +815,14 @@ def assert_walk_matches_stored_route(model, ks=(1, 2, 3)) -> None:
     reps = [(u, v) for u, v in model.vertices if rank[u] < rank[v]]
     assert quotient.vertices == tuple(range(len(reps)))
     if ic.complex.simplices:
-        qr = mod2.quotient_by_free_involution(ic)
+        qr = quotient_by_free_involution(ic)
         assert qr.subdivision_rounds == 0
         assert quotient.renamed(reps) == qr.quotient
-        assert {tuple(map(reps.__getitem__, e)): x for e, x in w1.items()} == mod2.w1_cocycle(qr)
+        assert {tuple(map(reps.__getitem__, e)): x for e, x in w1.items()} == w1_cocycle(qr)
     else:
         assert not quotient.simplices and not w1
     for k in ks:
-        assert equivariant_map_exists(model, k) == equivariant_map_exists(ic, k)
+        assert equivariant_map_exists(model, k) == equivariant_map_exists(StoredModel(ic), k)
 
 
 _CLOSED_SOURCES = [f for f in _SMALL_MAPS + [_SPHERE] if f.source.is_closed_pseudomanifold()]
@@ -869,8 +887,8 @@ def _yang(f: SimplicialMap) -> int:
     ic = double_point_model(f).pair_complex
     if not ic.complex.simplices:
         return -1
-    qr = mod2.quotient_by_free_involution(ic)
-    return mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
+    qr = quotient_by_free_involution(ic)
+    return mod2.yang_index(qr.quotient, w1_cocycle(qr))
 
 
 @PROPERTY
@@ -904,9 +922,9 @@ def test_trivial_cover_route_matches_yang_zero(ic, k, pick):
     route finds Yang index 0; its quotient f-vector is the real quotient's,
     and its sheet split passes the checker while a damaged one fails."""
     assume(ic.complex.simplices)
-    verdict = equivariant_map_exists(ic, k)
-    qr = mod2.quotient_by_free_involution(ic)
-    yang = mod2.yang_index(qr.quotient, mod2.w1_cocycle(qr))
+    verdict = equivariant_map_exists(StoredModel(ic), k)
+    qr = quotient_by_free_involution(ic)
+    yang = mod2.yang_index(qr.quotient, w1_cocycle(qr))
     assert (verdict.reason == "trivial-cover") == (ic.complex.dim >= k and yang == 0)
     t = ic.involution
     sheet = mod2.sheet_split(ic.complex.connected_components(), t)

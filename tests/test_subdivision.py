@@ -21,7 +21,7 @@ def test_barycentric_octahedron_counts():
 def test_positions_interpolate_to_base():
     c = triangle_complex()
     rec = barycentric_subdivide(c)
-    center = rec.position(c.canon(("a", "b", "c")))
+    center = rec.positions[c.canon(("a", "b", "c"))]
     # The barycentre of the whole triangle.
     assert set(center.coord_map().values()) == {F(1, 3)}
 
@@ -37,7 +37,7 @@ def test_record_compose_matches_double_subdivision():
     quarter = [
         v
         for v in rec2.refined.vertices
-        if combined.position(v).coord_map().get("a") == F(3, 4)
+        if combined.positions[v].coord_map().get("a") == F(3, 4)
     ]
     assert len(quarter) == 1
 
@@ -51,9 +51,9 @@ def test_barycentric_subdivide_map_stays_simplicial():
     # Refined map projects compatibly with the records.
     for v in fm.source.vertices:
         img = fm.vertex_map[v]
-        assert rec_tgt.position(img).support == tuple(
+        assert rec_tgt.positions[img].support == tuple(
             sorted(
-                {f.vertex_map[u] for u in rec_src.position(v).support},
+                {f.vertex_map[u] for u in rec_src.positions[v].support},
                 key=lambda w: f.target.rank[w],
             )
         )
