@@ -32,6 +32,12 @@ simplices.  A violation names the smallest such pair, in fibre order, so
 ``cover25-verifymod5`` now lists ``[n0] and [n5]`` first.  Sixteen ``verify``,
 ``lift`` and ``plify`` files changed in those lines only; verdicts, exit
 codes and ``pairs checked`` (every pair of maximal simplices) did not.
+
+The ``alpha`` files pin ``lift --alpha`` against the witness that
+``lift.closure_witness`` builds for the input, written at test time: the
+``homotopy certificate against supplied witness: ok`` line and
+``"homotopy_certified": true``.
+
 Regenerate the files only for a deliberate, documented output change::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -47,8 +53,9 @@ from pathlib import Path
 
 import pytest
 
-from prem import complexes, mod2
+from prem import complexes, formats, mod2
 from prem.cli import main
+from prem.lift import build_closure_model, closure_witness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,7 +137,13 @@ COMMANDS = {
     "verifymod5": ["verify"],
     "plify2": ["plify", "--trace"],
     "plifygiven": ["plify", "--trace"],
+    "alpha1": ["lift", "-k", "1"],
+    "alpha2": ["lift", "-k", "2"],
 }
+
+# The ``lift`` commands that read a witness file with ``--alpha``, by the k
+# of the closure witness written for their input.
+ALPHA_K = {"alpha1": 1, "alpha2": 2}
 
 # The lift file each ``verify`` / ``plify`` command reads after the map:
 # ``lift2`` is what ``lift -k 2`` writes for the input, ``mod5`` gives vertex
@@ -150,6 +163,8 @@ ONLY_ON = {
     "verifymod5": ("cover25",),
     "plify2": ("cover23",),
     "plifygiven": tuple(WRITTEN),
+    "alpha1": ("eight",),
+    "alpha2": ("cover25",),
 }
 
 
@@ -179,6 +194,8 @@ def _argv(case: str, inputs: Path) -> list:
     argv = COMMANDS[cmd] + [str(inputs / f"{inp}.map")]
     if cmd in LIFT_OF:
         argv.append(str(inputs / f"{inp}-{LIFT_OF[cmd]}.lift"))
+    if cmd in ALPHA_K:
+        argv += ["--alpha", str(inputs / f"{inp}-{cmd}.wit")]
     return argv + ["--json"] if mode == "json" else argv
 
 
@@ -197,6 +214,13 @@ def _generate(directory: Path) -> None:
             else:
                 argv = ["lift", "-k", "2", str(directory / f"{inp}.map"), "-o", str(path)]
                 assert main(argv) == 0
+    for cmd, k in ALPHA_K.items():
+        for inp in ONLY_ON[cmd]:
+            f = formats.parse_map((directory / f"{inp}.map").read_text(encoding="utf-8")).map
+            witness = closure_witness(build_closure_model(f), k)
+            (directory / f"{inp}-{cmd}.wit").write_text(
+                formats.write_witness(witness), encoding="utf-8"
+            )
 
 
 def _record(case: str, rc: int, out: str, err: str) -> dict:
