@@ -39,7 +39,13 @@ from .generators import (
     lens_covering,
 )
 from .lift import StarBoundary, construct_lift_3ptfree
-from .obstruction import EXISTS, NOT_EXISTS, equivariant_map_exists, prem_report
+from .obstruction import (
+    EXISTS,
+    NOT_EXISTS,
+    equivariant_map_exists,
+    prem_report,
+    require_positive_k,
+)
 from .plify import plify as run_plify
 from .stability import stable_to_line_report
 from .verify import VerificationResult, verify_embedding
@@ -207,6 +213,7 @@ def _verdict_exit(answer: str) -> int:
 
 
 def _cmd_obstruct(args) -> int:
+    require_positive_k(args.k)
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
     verdict = equivariant_map_exists(model, args.k)
@@ -301,6 +308,7 @@ def _cmd_report_thm3(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    require_positive_k(args.k)
     doc = formats.parse_map(_read(args.map_file))
     alpha = None
     if args.alpha:

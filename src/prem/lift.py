@@ -19,9 +19,20 @@ values on the cell's off-diagonal vertices), the lift assigns to each source
 vertex ``v`` the value ``alpha(u, v)`` of its unique partner pair, and zero
 elsewhere.  On matched points the difference of lift values is a positive
 combination of certified witness values, hence nonzero: verification cannot
-fail, and is run anyway as a bug canary.  The same separation argument shows
-the straight-line homotopy from the witness to the realized pair-difference
-map avoids zero, which is recorded as an explicit certificate per cell.
+fail, and is run anyway as a bug canary.
+
+The straight-line homotopy from the witness to the realized pair-difference
+map ``(u, v) -> g(v) - g(u)`` avoids zero too.  Its certificate is one
+positive multiple per identified pair: ``g(v) - g(u) = c * alpha(u, v)`` with
+``c > 0``, checked exactly.  No cell needs a second hull test, because the
+witness certification already showed the origin outside the hull of the
+witness values on the free part of every closure cell, and for positive
+multiples ``c_p`` the hull of ``{alpha_p} u {c_p alpha_p}`` contains the
+origin exactly when the hull of ``{alpha_p}`` does: either way the origin is
+a nonnegative, nonzero combination of the ``alpha_p``.  Without a prescribed
+boundary each ``c`` is 2, as partners are unique and ``alpha`` is antipodal;
+a prescribed boundary must give positive multiples, checked by the same
+exact ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from . import linalg, lp
+from . import linalg
 from .complexes import InvolutionComplex, SimplicialComplex, Simplex
 from .double_points import double_point_model, identified_vertex_pairs, pair_cells
 from .errors import (
@@ -49,6 +60,7 @@ from .obstruction import (
     certify_witness,
     equivariant_map_exists,
     equivariant_witness,
+    require_positive_k,
     sheet_split_witness,
 )
 from .verify import VerificationResult, verify_embedding
@@ -165,6 +177,12 @@ class StarBoundary:
 
 @dataclass
 class LiftResult:
+    """A verified lift with its witness.  ``homotopy_evidence`` holds one
+    record ``(pair, ok, c)`` per identified pair ``(u, v)`` of the closure
+    model, in closure vertex order: whether ``g(v) - g(u) = c * alpha(u, v)``
+    for some ``c > 0`` (``c`` is ``None`` when not), and
+    ``homotopy_certified`` is their conjunction."""
+
     lift: SemiLinearMap
     k: int
     closure: DoublePointClosure
@@ -175,23 +193,33 @@ class LiftResult:
     notes: List[str] = field(default_factory=list)
 
 
-def _homotopy_certificate(closure: DoublePointClosure, alpha: Dict, g_values: Dict) -> Tuple[bool, list]:
-    """Per cell: origin outside the hull of witness values together with
-    realized pair differences, certifying the straight-line homotopy between
-    them stays nonzero."""
-    evidence = []
-    ok = True
-    for s in closure.complex.sorted_simplices():
-        free = closure.pair_complex.free_part(s)
-        if not free:
+def _positive_multiple(diff: tuple, direction: tuple) -> Optional[Fraction]:
+    """The ``c > 0`` with ``diff = c * direction``, or None when there is
+    none."""
+    ratio = None
+    for d, w in zip(diff, direction):
+        if w == 0:
+            if d != 0:
+                return None
             continue
-        pts = [alpha[p] for p in free]
-        pts += [linalg.vec_sub(g_values[v], g_values[u]) for (u, v) in free]
-        inside, cert = lp.zero_in_hull(pts)
-        evidence.append((s, not inside, cert))
-        if inside:
-            ok = False
-    return ok, evidence
+        r = d / w
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio if ratio is not None and ratio > 0 else None
+
+
+def _homotopy_certificate(closure: DoublePointClosure, alpha: Dict, g_values: Dict) -> Tuple[bool, list]:
+    """Per identified pair ``(u, v)``: the realized difference
+    ``g(v) - g(u)`` is a positive multiple of ``alpha(u, v)``, so the
+    straight-line homotopy between them stays nonzero on every closure cell
+    that the witness certification covered."""
+    evidence = []
+    for (u, v) in closure.off_diagonal_vertices:
+        c = _positive_multiple(linalg.vec_sub(g_values[v], g_values[u]), alpha[(u, v)])
+        evidence.append(((u, v), c is not None, c))
+    return all(ok for _, ok, _ in evidence), evidence
 
 
 def _raise_if_obstructed(f: SimplicialMap, k: int) -> None:
@@ -229,8 +257,7 @@ def construct_lift_3ptfree(
     accompanied by a homotopy certificate tying the realized separations
     back to the witness.
     """
-    if k < 1:
-        raise PreconditionError("the number of extra coordinates k must be >= 1")
+    require_positive_k(k)
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
     triple = has_triple_points(f)
@@ -302,26 +329,13 @@ def construct_lift_3ptfree(
                 raise PreconditionError(
                     f"identified pair ({u}, {v}) crosses the boundary subcomplex"
                 )
-            if inside == 2:
-                diff = linalg.vec_sub(g_values[v], g_values[u])
-                ratio = None
-                for d, w in zip(diff, alpha[(u, v)]):
-                    if w == 0:
-                        if d != 0:
-                            ratio = None
-                            break
-                        continue
-                    r = Fraction(d, 2) / w
-                    if ratio is None:
-                        ratio = r
-                    elif r != ratio:
-                        ratio = None
-                        break
-                if ratio is None or ratio <= 0:
-                    raise PreconditionError(
-                        f"boundary separation at ({u}, {v}) is not a positive multiple "
-                        "of the witness direction"
-                    )
+            if inside == 2 and _positive_multiple(
+                linalg.vec_sub(g_values[v], g_values[u]), alpha[(u, v)]
+            ) is None:
+                raise PreconditionError(
+                    f"boundary separation at ({u}, {v}) is not a positive multiple "
+                    "of the witness direction"
+                )
         notes.append("boundary values reproduced verbatim")
 
     g = SemiLinearMap(f.source, g_values, out_dim=k)

@@ -77,13 +77,20 @@ def quotient_is_homology_manifold(q, k: int) -> bool:
     return _links_look_like_sphere(q, k)
 
 
+def require_positive_k(k: int) -> None:
+    """The one rule on k, the number of extra coordinates and one more than
+    the dimension of the sphere ``S^{k-1}``: a positive integer, else
+    :class:`PreconditionError`.  The CLI checks it before it reads a map."""
+    if k < 1:
+        raise PreconditionError(f"k must be a positive integer, not {k}")
+
+
 def equivariant_map_exists(model: DoublePointModel, k: int) -> Verdict:
     """Decide (when possible) whether an equivariant map from the pair
     model to the (k-1)-sphere exists, from what the model reads off its
     walk: its dimension, cell counts, vertices, components, 1-cells and the
     quotient by the swap with its ``w1``."""
-    if k < 1:
-        raise PreconditionError(f"k must be a positive integer, not {k}")
+    require_positive_k(k)
     dim = model.dim
     if dim < k:
         return Verdict(answer=EXISTS, reason="dimension-below-k", k=k, dim=dim)
@@ -148,8 +155,11 @@ def _moment_vector(j: int, k: int, shift: int = 0) -> tuple:
 def separation(points: Sequence) -> Tuple[str, object]:
     """How the origin stays out of the convex hull of the points:
     ``("independent", None)`` for linearly independent points, else the exact
-    hull test, ``("separated", cert)`` or ``("origin-in-hull", cert)``."""
-    if linalg.linearly_independent(points):
+    hull test, ``("separated", cert)`` or ``("origin-in-hull", cert)``.  A
+    single point is independent exactly when it is nonzero, which needs no
+    rank; a zero point goes through the hull test."""
+    independent = any(points[0]) if len(points) == 1 else linalg.linearly_independent(points)
+    if independent:
         return "independent", None
     inside, cert = lp.zero_in_hull(points)
     return ("origin-in-hull" if inside else "separated"), cert

@@ -7,7 +7,7 @@ from typing import Dict
 
 import pytest
 
-from prem import mod2
+from prem import linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex, Simplex
 from prem.errors import InternalError, PreconditionError
 
@@ -127,6 +127,25 @@ class StoredModel:
     def swap_quotient(self) -> tuple:
         qr = quotient_by_free_involution(self.ic)
         return qr.quotient, w1_cocycle(qr)
+
+
+def old_homotopy_certificate(closure, alpha: Dict, g_values: Dict) -> tuple:
+    """The homotopy certificate by one exact LP per closure cell: the origin
+    lies outside the hull of the witness values on the cell's free part
+    together with the realized pair differences there."""
+    evidence = []
+    ok = True
+    for s in closure.complex.sorted_simplices():
+        free = closure.pair_complex.free_part(s)
+        if not free:
+            continue
+        pts = [alpha[p] for p in free]
+        pts += [linalg.vec_sub(g_values[v], g_values[u]) for (u, v) in free]
+        inside, cert = lp.zero_in_hull(pts)
+        evidence.append((s, not inside, cert))
+        if inside:
+            ok = False
+    return ok, evidence
 
 
 def cup(space: mod2.CochainSpace, f_bits: int, p: int, g_bits: int, q: int) -> int:

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import pytest
 
-from prem import complexes, formats, mod2
+from prem import complexes, formats, lp, mod2
 from prem.cli import main
 from prem.lift import build_closure_model, closure_witness
 
@@ -243,11 +243,16 @@ def test_golden_covers_every_case(manifest):
     assert sorted(manifest) == sorted(CASES)
 
 
+def _assert_golden(cases, inputs: Path, manifest: dict) -> None:
+    for case in cases:
+        rc, out, err = _run(_argv(case, inputs))
+        assert _record(case, rc, out, err) == manifest[case]
+        assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_golden(case, inputs, manifest):
-    rc, out, err = _run(_argv(case, inputs))
-    assert _record(case, rc, out, err) == manifest[case]
-    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    _assert_golden([case], inputs, manifest)
 
 
 def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, monkeypatch):
@@ -265,10 +270,20 @@ def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, mon
     cases = ["lens3-thm3-json", "lens3-obstruct3-json", "lens2-thm3-json"]
     cases += [c for c in CASES if c.startswith("lens2-obstruct") or "-yang-" in c]
     assert len(cases) == 3 + 6 + 10
-    for case in cases:
-        rc, out, err = _run(_argv(case, inputs))
-        assert _record(case, rc, out, err) == manifest[case]
-        assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    _assert_golden(cases, inputs, manifest)
+
+
+def test_lift_solves_no_lp(inputs, manifest, monkeypatch):
+    """``lift`` on ``cycle-cover 2 5`` certifies its witness, its homotopy
+    and its embedding without an LP: every closure cell and same-image pair
+    is independent, and the homotopy takes one exact ratio per pair."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "lp_solve", refuse)
+    cases = ["cover25-lift2-text", "cover25-lift2-json", "cover25-alpha2-text", "cover25-alpha2-json"]
+    _assert_golden(cases, inputs, manifest)
 
 
 def test_golden_digests_cover_every_gen_input():

@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from prem import formats
+from prem import formats, lp
 from prem.cli import main
 from prem.complexes import SimplicialComplex
 from prem.errors import ParseError
-from prem.generators import lens_covering
+from prem.generators import antipodal_sphere_covering, lens_covering
+from prem.lift import build_closure_model, closure_witness
 
 # ---------------------------------------------------------------------------
 # tokens and fractions
@@ -767,6 +768,46 @@ def test_cli_failure_modes(capsys, tmp_path, cover9):
     capsys.readouterr()
     assert main(["obstruct", "-k", "0", cover9]) == 65
     assert "positive" in capsys.readouterr().err
+
+
+def test_lift_with_a_witness_on_the_sphere_solves_no_lp(capsys, tmp_path, monkeypatch):
+    """The antipodal 2-sphere covering at k = 3: every closure cell and
+    same-image pair is settled by independence, and the homotopy by one
+    positive multiple per pair, so no LP runs."""
+    f, _rounds = antipodal_sphere_covering(2)
+    map_path, witness = tmp_path / "sphere.map", tmp_path / "sphere.witness"
+    map_path.write_text(formats.write_map(f), encoding="utf-8")
+    alpha = closure_witness(build_closure_model(f), 3)
+    witness.write_text(formats.write_witness(alpha), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "lp_solve", refuse)
+    assert main(["lift", "-k", "3", str(map_path), "--alpha", str(witness), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["homotopy_certified"] is True
+    assert payload["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["obstruct", "lift"])
+def test_k_is_checked_before_the_map_is_read(capsys, monkeypatch, cover9, command):
+    """``-k 0`` is refused before the map is parsed: exit 65, one line of
+    text or one JSON error object."""
+
+    def refuse(text):
+        raise AssertionError("the map was parsed")
+
+    monkeypatch.setattr(formats, "parse_map", refuse)
+    assert main([command, "-k", "0", cover9]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (PreconditionError): k must be a positive integer, not 0\n"
+    assert main([command, "-k", "0", cover9, "--json"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert (error["type"], error["exit_code"]) == ("PreconditionError", 65)
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,13 @@ each link through ``subcomplex``, union-find over every simplex, the
 stored pair complex in place of the walked pair model, the separate witness
 certifiers of the pair model and of the closure model, and
 the separate regularity checks and projections of the order-2 and order-p
-quotients, and the labelled orbit quotient that canonicalised the nested
-barycentric ids in every round.  The quotient of a stored free involution,
-with its ``w1`` read upstairs, is the oracle of the walked quotient; it
-lives in ``conftest``, where :class:`StoredModel` lets stored complexes reach
-the verdict.
+quotients, the labelled orbit quotient that canonicalised the nested
+barycentric ids in every round, the self-check of every maximal simplex
+of a non-degenerate map, and the rank of a single point.  The quotient of a
+stored free involution, with its ``w1`` read upstairs, is the oracle of the
+walked quotient; it lives in ``conftest``, where :class:`StoredModel` lets
+stored complexes reach the verdict, and so does the homotopy certificate by
+one LP per closure cell.
 """
 
 import re
@@ -24,10 +26,10 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from prem import formats, gf2, linalg, lp, mod2
+from prem import formats, gf2, lift, linalg, lp, mod2, verify
 from prem.complexes import InvolutionComplex, SimplicialComplex
 from prem.double_points import (
     check_star_condition,
@@ -54,7 +56,7 @@ from prem.generators import (
     lens_covering,
 )
 from prem.lift import build_closure_model, construct_lift_3ptfree, fold_locus
-from prem.maps import SimplicialMap
+from prem.maps import SemiLinearMap, SimplicialMap
 from prem.obstruction import (
     INCONCLUSIVE,
     certify_witness,
@@ -62,6 +64,7 @@ from prem.obstruction import (
     equivariant_witness,
     _moment_vector,
     projection_degree_parity,
+    separation,
 )
 from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
@@ -71,6 +74,7 @@ from conftest import (
     StoredModel,
     euler_characteristic,
     fixed_simplices,
+    old_homotopy_certificate,
     orbit_quotient,
     quotient_by_free_involution,
     regularity_failures,
@@ -1098,3 +1102,102 @@ def test_constructed_lifts_verify(f, k):
         assert verdict.yang > 0
         return
     assert verify_embedding(f, lift).ok
+
+
+@settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    covering_pieces(_TRIPLE_POINT_FREE),
+    st.integers(1, 3),
+    st.integers(0, 99),
+    st.sampled_from(["zero", "negate", "skew"]),
+)
+def test_homotopy_certificate_matches_the_lp_route(f, k, pick, damage):
+    """The lift's difference on each identified pair is twice the witness,
+    and the LP route agrees that the homotopy is certified.  Replacing one
+    pair's value so that its difference is no positive multiple of the
+    witness fails that pair's record."""
+    assume(k > 1 or damage != "skew")
+    try:
+        res = construct_lift_3ptfree(f, k)
+    except (NotKPrem, CertificationError):
+        return  # no lift: see test_constructed_lifts_verify
+    g = dict(res.lift.values)
+    pairs = res.closure.off_diagonal_vertices
+    assert res.homotopy_certified
+    assert res.homotopy_evidence == [(p, True, 2) for p in pairs]
+    assert old_homotopy_certificate(res.closure, res.witness, g)[0]
+    if not pairs:
+        return
+    u, v = pairs[pick % len(pairs)]
+    a = res.witness[(u, v)]
+    if damage == "zero":
+        d = (Fraction(0),) * k
+    elif damage == "negate":
+        d = tuple(-x for x in a)
+    else:  # a plus a unit vector off a's line
+        j = next((i for i, x in enumerate(a) if x == 0), 0)
+        d = tuple(x + (i == j) for i, x in enumerate(a))
+    g[v] = linalg.vec_add(g[u], d)
+    ok, evidence = lift._homotopy_certificate(res.closure, res.witness, g)
+    assert not ok
+    assert ((u, v), False, None) in evidence
+
+
+def old_verify_embedding(f: SimplicialMap, g: SemiLinearMap) -> tuple:
+    """Evidence and violations of a non-degenerate map's verification when
+    every maximal simplex ran the exact self-check."""
+    evidence, violations = [], []
+    for s in f.source.maximal_simplices():
+        w = verify._self_check(f, g, s)
+        kind = verify.EMBEDDED_SIMPLEX if w is None else verify.VIOLATION
+        evidence.append(verify.PairEvidence(pair=(s, s), kind=kind, witness=w))
+        if w is not None:
+            violations.append(w)
+    if violations:
+        return evidence, violations
+    for fibre in f.fibers().values():
+        for s, t in combinations(fibre, 2):
+            ev = verify._matched_pair_check(f, g, s, t)
+            evidence.append(ev)
+            if ev.kind == verify.VIOLATION:
+                violations.append(ev.witness)
+    return evidence, violations
+
+
+@st.composite
+def non_degenerate_lifts(draw):
+    """A random non-degenerate map with random small integer lift values in
+    one to three coordinates."""
+    f = draw(st.one_of(covering_pieces(), small_non_degenerate_maps(), coloured_maps()))
+    k = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    values = {v: draw(coords) for v in f.source.vertices}
+    return f, SemiLinearMap(f.source, values, out_dim=k)
+
+
+@PROPERTY
+@given(non_degenerate_lifts())
+def test_verify_without_self_checks_matches_the_self_checking_oracle(case):
+    f, g = case
+    res = verify_embedding(f, g)
+    assert (res.evidence, res.violations) == old_verify_embedding(f, g)
+    assert res.ok == (not res.violations)
+
+
+def old_separation(points) -> tuple:
+    """``separation`` by the rank of every set of points."""
+    if linalg.linearly_independent(points):
+        return "independent", None
+    inside, cert = lp.zero_in_hull(points)
+    return ("origin-in-hull" if inside else "separated"), cert
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.fractions(max_denominator=5), min_size=k, max_size=k)
+))
+@example([Fraction(0)])
+@example([Fraction(0), Fraction(0), Fraction(0)])
+def test_single_point_separation_matches_the_rank_route(vector):
+    point = tuple(vector)
+    assert separation([point]) == old_separation([point])

@@ -270,9 +270,11 @@ def test_pair_checks_run_on_candidate_pairs_only(monkeypatch, b):
     f = cycle_cover(2, b)
     g = construct_lift_3ptfree(f, 2).lift
     checks = _count_calls(monkeypatch, verify, "_matched_pair_check")
+    self_checks = _count_calls(monkeypatch, verify, "_self_check")
     solves = _count_calls(monkeypatch, lp, "lp_solve")
     res = verify_embedding(f, g)
     assert res.ok
+    assert self_checks == []  # a non-degenerate map embeds every simplex
     assert len(checks) == 2 * b
     assert res.pairs_checked == comb(2 * b, 2)
     assert res.kind_counts() == {verify.EMBEDDED_SIMPLEX: 2 * b, "independent": 2 * b}
