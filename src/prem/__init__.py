@@ -32,9 +32,7 @@ from .errors import (
 from .lift import (
     LiftResult,
     StarBoundary,
-    build_closure_model,
     construct_lift_3ptfree,
-    fold_locus,
     has_triple_points,
     is_simple_fold,
 )
@@ -86,13 +84,11 @@ __all__ = [
     "VerificationResult",
     "barycentric_subdivide",
     "barycentric_subdivide_map",
-    "build_closure_model",
     "check_star_condition",
     "construct_lift_3ptfree",
     "double_point_model",
     "equivariant_map_exists",
     "equivariant_witness",
-    "fold_locus",
     "has_triple_points",
     "identified_vertex_pairs",
     "is_simple_fold",

@@ -332,11 +332,6 @@ class InvolutionComplex:
             raise ComplexError(
                 f"involution does not map simplex {min(strays, key=cx.sort_key)} to a simplex")
 
-    def free_part(self, s: Simplex) -> tuple:
-        """The vertices of ``s`` that the involution moves, in order."""
-        t = self.involution
-        return tuple(v for v in s if t[v] != v)
-
     def __repr__(self) -> str:
         return f"InvolutionComplex({self.complex!r})"
 

@@ -3,36 +3,38 @@ an embedding, for maps without triple points whose folds are simple.
 
 Geometry of the construction.  For a non-degenerate simplicial map, two
 distinct points share an image exactly when they are matched points of two
-distinct simplices with the same image.  The *closure model* records all such
-configurations: its vertices are the ordered identified vertex pairs together
-with diagonal vertices ``(u, u)`` for vertices on the fold locus (faces of
-intersections of distinct same-image simplices), and its cells are ordered
-pairs of same-image simplices glued along their intersection.  Projection to
-the second coordinate is injective on this model precisely when there are no
-triple points (three pairwise disjoint same-image simplices) and no
+distinct simplices with the same image.  Glued along their intersections,
+the ordered same-image pairs form a complex ``C`` on which the swap fixes
+exactly the diagonal part ``F``, the pairs ``(x, x)`` of the fold locus
+(the faces of intersections of distinct same-image simplices).  ``|C| - |F|``
+is the deleted double point locus, and it retracts equivariantly onto the
+full subcomplex ``D`` on the off-diagonal vertices, whose cells are those of
+the disjoint same-image pairs: ``D`` is the walked pair model
+(:class:`DoublePointModel`), built for any non-degenerate map.  Projection
+to the second coordinate is injective on the pairs precisely when there are
+no triple points (three pairwise disjoint same-image simplices) and no
 identified vertex lies on the fold locus; both conditions are checked and
 violations are reported with witnesses.
 
 Given an antipodal witness ``alpha`` on the identified pairs whose values
-certify every closure cell (the origin lies outside the convex hull of the
-values on the cell's off-diagonal vertices), the lift assigns to each source
-vertex ``v`` the value ``alpha(u, v)`` of its unique partner pair, and zero
-elsewhere.  On matched points the difference of lift values is a positive
-combination of certified witness values, hence nonzero: verification cannot
-fail, and is run anyway as a bug canary.
+certify every cell of ``D`` (the origin lies outside the convex hull of the
+values on the cell), the lift assigns to each source vertex ``v`` the value
+``alpha(u, v)`` of its unique partner pair, and zero elsewhere.  On matched
+points the difference of lift values is a positive combination of certified
+witness values, hence nonzero: verification cannot fail, and is run anyway
+as a bug canary.
 
 The straight-line homotopy from the witness to the realized pair-difference
 map ``(u, v) -> g(v) - g(u)`` avoids zero too.  Its certificate is one
 positive multiple per identified pair: ``g(v) - g(u) = c * alpha(u, v)`` with
 ``c > 0``, checked exactly.  No cell needs a second hull test, because the
 witness certification already showed the origin outside the hull of the
-witness values on the free part of every closure cell, and for positive
-multiples ``c_p`` the hull of ``{alpha_p} u {c_p alpha_p}`` contains the
-origin exactly when the hull of ``{alpha_p}`` does: either way the origin is
-a nonnegative, nonzero combination of the ``alpha_p``.  Without a prescribed
-boundary each ``c`` is 2, as partners are unique and ``alpha`` is antipodal;
-a prescribed boundary must give positive multiples, checked by the same
-exact ratio.
+witness values on every cell of ``D``, and for positive multiples ``c_p``
+the hull of ``{alpha_p} u {c_p alpha_p}`` contains the origin exactly when
+the hull of ``{alpha_p}`` does: either way the origin is a nonnegative,
+nonzero combination of the ``alpha_p``.  Without a prescribed boundary each
+``c`` is 2, as partners are unique and ``alpha`` is antipodal; a prescribed
+boundary must give positive multiples, checked by the same exact ratio.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .complexes import InvolutionComplex, SimplicialComplex, Simplex
-from .double_points import double_point_model, identified_vertex_pairs, pair_cells
+from .complexes import SimplicialComplex, Simplex
+from .double_points import DoublePointModel
 from .errors import (
     CertificationError,
     DegenerateMap,
@@ -66,22 +68,7 @@ from .obstruction import (
 from .verify import VerificationResult, verify_embedding
 
 
-# -- fold locus and gates -----------------------------------------------------
-
-
-def fold_locus(f: SimplicialMap) -> SimplicialComplex:
-    """Subcomplex of the source spanned by all faces of intersections of
-    distinct same-image simplices."""
-    faces: set = set()
-    for fiber in f.fibers().values():
-        for s, t in combinations(fiber, 2):
-            shared = set(s) & set(t)
-            if not shared:
-                continue
-            core = tuple(sorted(shared, key=f.source.rank.__getitem__))
-            for size in range(1, len(core) + 1):
-                faces.update(combinations(core, size))
-    return f.source.subcomplex(faces)
+# -- gates --------------------------------------------------------------------
 
 
 def has_triple_points(f: SimplicialMap) -> Optional[Tuple[Simplex, Simplex, Simplex]]:
@@ -95,72 +82,30 @@ def has_triple_points(f: SimplicialMap) -> Optional[Tuple[Simplex, Simplex, Simp
     return None
 
 
-def is_simple_fold(
-    f: SimplicialMap, fold: Optional[SimplicialComplex] = None
-) -> Tuple[bool, List[Tuple]]:
-    """Whether no identified vertex lies on the fold locus (``fold``, when
-    the caller has it already).  Returns the flag together with the
-    offending identified pairs."""
-    if fold is None:
-        fold = fold_locus(f)
-    fold_vertices = {s[0] for s in fold.simplices if len(s) == 1}
-    bad = [(u, v) for (u, v) in identified_vertex_pairs(f) if v in fold_vertices]
+def is_simple_fold(model: DoublePointModel) -> Tuple[bool, List[Tuple]]:
+    """Whether no identified vertex lies on the fold locus, whose vertices
+    are those that the model's skipped pairs share.  Returns the flag
+    together with the offending identified pairs."""
+    bad = [(u, v) for (u, v) in model.vertices if v in model.fold_vertices]
     return (not bad, bad)
 
 
-# -- closure model ------------------------------------------------------------
+# -- names kept for the benchmark set-up --------------------------------------
 
 
-@dataclass
-class DoublePointClosure:
-    """Closure model: identified-pair cells glued along fold diagonals."""
-
-    pair_complex: InvolutionComplex  # involution = coordinate swap
-    fold: SimplicialComplex
-    diagonal_vertices: list  # vertices (u, u)
-    off_diagonal_vertices: list  # vertices (u, v), u != v
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return self.pair_complex.complex
-
-
-def build_closure_model(
-    f: SimplicialMap, fold: Optional[SimplicialComplex] = None
-) -> DoublePointClosure:
-    """The closure model of ``f``, on the fold locus ``fold`` when the caller
-    has it already."""
+def build_closure_model(f: SimplicialMap) -> DoublePointModel:
+    """The walked pair model of a non-degenerate map, on which the lift
+    certifies.  The ``lift-sphere`` benchmark set-up
+    (``perfbench/workloads.py``) builds its witness through this name and
+    :func:`closure_witness`."""
     if not f.is_non_degenerate():
         raise DegenerateMap(f"map collapses edges {f.degenerate_edges()[:3]}")
-    rank = f.source.rank
-    if fold is None:
-        fold = fold_locus(f)
-    off_diag = identified_vertex_pairs(f)
-    diag = [(s[0], s[0]) for s in fold.simplices if len(s) == 1]
-    vertices = sorted(off_diag + diag, key=lambda p: (rank[p[0]], rank[p[1]]))
-    cells = pair_cells(f, vertices)
-    diagonal = {p[0]: p for p in diag}
-    cells += (tuple(map(diagonal.__getitem__, rho)) for rho in fold.simplices)
-    complex_ = SimplicialComplex.from_canonical(vertices, cells)
-    ic = InvolutionComplex(complex_, {(u, v): (v, u) for (u, v) in vertices})
-    return DoublePointClosure(
-        pair_complex=ic,
-        fold=fold,
-        diagonal_vertices=[p for p in vertices if p[0] == p[1]],
-        off_diagonal_vertices=[p for p in vertices if p[0] != p[1]],
-    )
+    return DoublePointModel(f)
 
 
-# -- witnesses on the closure model -------------------------------------------
-
-
-def closure_witness(closure: DoublePointClosure, k: int) -> Dict:
-    """Moment-curve antipodal witness certified on every closure cell.  The
-    generator is :func:`equivariant_witness`, since diagonal vertices are the
-    fixed ones; this name stays for the lift and for the ``lift-sphere``
-    benchmark set-up (``perfbench/workloads.py``), which builds its witness
-    here."""
-    return equivariant_witness(closure.pair_complex, k)
+def closure_witness(model: DoublePointModel, k: int) -> Dict:
+    """The moment-curve witness of :func:`equivariant_witness`."""
+    return equivariant_witness(model, k)
 
 
 # -- the lift -----------------------------------------------------------------
@@ -178,14 +123,14 @@ class StarBoundary:
 @dataclass
 class LiftResult:
     """A verified lift with its witness.  ``homotopy_evidence`` holds one
-    record ``(pair, ok, c)`` per identified pair ``(u, v)`` of the closure
-    model, in closure vertex order: whether ``g(v) - g(u) = c * alpha(u, v)``
+    record ``(pair, ok, c)`` per identified pair ``(u, v)`` of the pair
+    model, in its vertex order: whether ``g(v) - g(u) = c * alpha(u, v)``
     for some ``c > 0`` (``c`` is ``None`` when not), and
     ``homotopy_certified`` is their conjunction."""
 
     lift: SemiLinearMap
     k: int
-    closure: DoublePointClosure
+    model: DoublePointModel
     witness: Dict
     verification: VerificationResult
     homotopy_certified: bool
@@ -210,25 +155,28 @@ def _positive_multiple(diff: tuple, direction: tuple) -> Optional[Fraction]:
     return ratio if ratio is not None and ratio > 0 else None
 
 
-def _homotopy_certificate(closure: DoublePointClosure, alpha: Dict, g_values: Dict) -> Tuple[bool, list]:
+def _homotopy_certificate(
+    model: DoublePointModel, alpha: Dict, g_values: Dict
+) -> Tuple[bool, list]:
     """Per identified pair ``(u, v)``: the realized difference
     ``g(v) - g(u)`` is a positive multiple of ``alpha(u, v)``, so the
-    straight-line homotopy between them stays nonzero on every closure cell
-    that the witness certification covered."""
+    straight-line homotopy between them stays nonzero on every cell that
+    the witness certification covered."""
     evidence = []
-    for (u, v) in closure.off_diagonal_vertices:
+    for (u, v) in model.vertices:
         c = _positive_multiple(linalg.vec_sub(g_values[v], g_values[u]), alpha[(u, v)])
         evidence.append(((u, v), c is not None, c))
     return all(ok for _, ok, _ in evidence), evidence
 
 
-def _raise_if_obstructed(f: SimplicialMap, k: int) -> None:
+def _raise_if_obstructed(model: DoublePointModel, k: int) -> None:
     """Raise :class:`NotKPrem` when the equivariant verdict on the pair model
-    is a definite no; consulted only after the witness search has failed."""
-    try:
-        verdict = equivariant_map_exists(double_point_model(f), k)
-    except PreconditionError:
+    is a definite no; consulted only after the witness search has failed.
+    The verdict does not read a map with folds, which fails the star
+    condition."""
+    if model.fold_vertices:
         return
+    verdict = equivariant_map_exists(model, k)
     if verdict.answer == NOT_EXISTS:
         raise NotKPrem(
             f"not-k-prem: no equivariant map from the pair model to S^{k - 1} "
@@ -247,15 +195,15 @@ def construct_lift_3ptfree(
 
     Gates, in order: the map must be non-degenerate; must have no triple
     points (witness reported); every fold must be simple (offenders
-    reported); and the witness must certify every closure cell (a supplied
-    witness that does not is an input fault, :class:`PreconditionError`).
-    When no moment-curve witness certifies, a sheet split of the off-diagonal
-    part is tried (``+e1`` on one sheet, ``-e1`` on the other), which
-    certifies whenever that part is a trivial double cover; failing that,
-    when the equivariant obstruction is nonzero, :class:`NotKPrem` reports
-    that no lift exists.  The resulting lift is exact, verified, and
-    accompanied by a homotopy certificate tying the realized separations
-    back to the witness.
+    reported); and the witness must certify every walked cell of the pair
+    model (a supplied witness that does not is an input fault,
+    :class:`PreconditionError`).  When no moment-curve witness certifies, a
+    sheet split of the pair model is tried (``+e1`` on one sheet, ``-e1`` on
+    the other), which certifies whenever it is a trivial double cover;
+    failing that, when the equivariant obstruction is nonzero,
+    :class:`NotKPrem` reports that no lift exists.  The resulting lift is
+    exact, verified, and accompanied by a homotopy certificate tying the
+    realized separations back to the witness.
     """
     require_positive_k(k)
     if not f.is_non_degenerate():
@@ -265,28 +213,27 @@ def construct_lift_3ptfree(
         raise TriplePointsPresent(
             f"three pairwise disjoint simplices share an image: {triple}"
         )
-    fold = fold_locus(f)
-    simple, offenders = is_simple_fold(f, fold)
+    model = DoublePointModel(f)
+    simple, offenders = is_simple_fold(model)
     if not simple:
         raise NotSimpleFold(
             f"identified vertices lie on the fold locus: {offenders[:3]}"
         )
-    closure = build_closure_model(f, fold)
     notes: List[str] = []
 
     if alpha is None:
         try:
-            alpha = closure_witness(closure, k)
+            alpha = equivariant_witness(model, k)
             notes.append("witness: moment-curve construction")
         except CertificationError:
-            alpha = sheet_split_witness(closure.pair_complex, k)
-            if alpha is None or not certify_witness(closure.pair_complex, k, alpha)[0]:
-                _raise_if_obstructed(f, k)
+            alpha = sheet_split_witness(model, k)
+            if alpha is None or not certify_witness(model, k, alpha)[0]:
+                _raise_if_obstructed(model, k)
                 raise
             notes.append("witness: sheet split")
     else:
         alpha = {p: tuple(Fraction(x) for x in val) for p, val in alpha.items()}
-        ok, evidence = certify_witness(closure.pair_complex, k, alpha)
+        ok, evidence = certify_witness(model, k, alpha)
         if not ok:
             raise PreconditionError(
                 f"supplied witness fails certification: {evidence[-1][:2]}"
@@ -295,7 +242,7 @@ def construct_lift_3ptfree(
 
     # Second-coordinate projection must be injective (guaranteed by the gates).
     partner: Dict = {}
-    for (u, v) in closure.off_diagonal_vertices:
+    for (u, v) in model.vertices:
         if v in partner:
             raise InternalError(
                 f"two identified partners for {v}: {partner[v]} and {u}; gates are broken"
@@ -323,7 +270,7 @@ def construct_lift_3ptfree(
             g_values[v] = val
         # Identified pairs must be boundary-closed and their prescribed
         # separations must point along the witness.
-        for (u, v) in closure.off_diagonal_vertices:
+        for (u, v) in model.vertices:
             inside = (u in star_verts) + (v in star_verts)
             if inside == 1:
                 raise PreconditionError(
@@ -345,11 +292,11 @@ def construct_lift_3ptfree(
             "constructed lift failed verification although the witness was "
             f"certified; first violation: {verification.violations[0]}"
         )
-    hok, hev = _homotopy_certificate(closure, alpha, g_values)
+    hok, hev = _homotopy_certificate(model, alpha, g_values)
     return LiftResult(
         lift=g,
         k=k,
-        closure=closure,
+        model=model,
         witness=alpha,
         verification=verification,
         homotopy_certified=hok,

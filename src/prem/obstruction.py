@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, linalg, lp, mod2
-from .complexes import InvolutionComplex, groups_are_pure
+from .complexes import groups_are_pure
 from .double_points import DoublePointModel, double_point_model
 from .errors import CertificationError, InternalError, PreconditionError
 from .maps import SimplicialMap
@@ -165,49 +165,58 @@ def separation(points: Sequence) -> Tuple[str, object]:
     return ("origin-in-hull" if inside else "separated"), cert
 
 
-def certify_witness(model: InvolutionComplex, k: int, values: Dict) -> Tuple[bool, list]:
-    """Check that the values on the non-fixed vertices form an antipodal
-    witness: k-dimensional, nonzero, negated by the involution, and with the
-    origin outside the convex hull of the values on the non-fixed part of
-    every simplex.  Fixed vertices carry no value.  Returns (ok, evidence)
-    where evidence lists one record per simplex with a non-fixed part."""
+def _first_failure(model: DoublePointModel, failures: list) -> tuple:
+    """The hull failure that comes first in the order of the pair complex,
+    whatever the order of the walk: a failing cell or its swap image, with
+    its pairs and hull coefficients in vertex order.  The swap image carries
+    the negated values, so the coefficients hold for it too."""
+    rank = {p: i for i, p in enumerate(model.vertices)}.__getitem__
+    forms = []
+    for cell, _, coefficients in failures:
+        for c in (cell, tuple(p[::-1] for p in cell)):
+            forms.append((len(c), sorted(zip(map(rank, c), c, coefficients))))
+    _, ranked = min(forms)
+    return tuple(p for _, p, _ in ranked), "origin-in-hull", [x for _, _, x in ranked]
+
+
+def certify_witness(model: DoublePointModel, k: int, values: Dict) -> Tuple[bool, list]:
+    """Check that the values on the pair vertices form an antipodal
+    witness: k-dimensional, nonzero, negated by the swap, and with the
+    origin outside the convex hull of the values on every walked cell.  The
+    swap image of a cell carries the negated values, so its hull test is the
+    cell's own.  Returns (ok, evidence): one record per walked cell, in walk
+    order, when the witness certifies, else the one failure, a hull failure
+    as :func:`_first_failure` states it."""
     t = model.involution
-    free = [v for v in model.complex.vertices if t[v] != v]
-    for v in free:
+    for v in model.vertices:
         val = values.get(v)
         if val is None or len(val) != k:
             return False, [("missing-or-bad-dimension", v)]
-    for v in free:
+    for v in model.vertices:
         val = values[v]
         if all(x == 0 for x in val):
             return False, [("zero-value", v)]
         if tuple(values[t[v]]) != tuple(-x for x in val):
             return False, [("not-antipodal", v)]
-    evidence = []
-    for s in model.complex.sorted_simplices():
-        part = model.free_part(s)
-        if not part:
-            continue
-        kind, cert = separation([values[v] for v in part])
-        evidence.append((s, kind, cert))
-        if kind == "origin-in-hull":
-            return False, evidence
+    evidence: list = []
+    failures: list = []
+    for _, _, a, b in model.aligned_pairs():
+        cell = tuple(zip(a, b))
+        kind, cert = separation([values[p] for p in cell])
+        (failures if kind == "origin-in-hull" else evidence).append((cell, kind, cert))
+    if failures:
+        return False, [_first_failure(model, failures)]
     return True, evidence
 
 
-def equivariant_witness(model: InvolutionComplex, k: int) -> Dict:
-    """Explicit antipodal map to nonzero vectors on the non-fixed vertices:
-    orbit representatives, in vertex order, get moment-curve vectors, their
-    partners the negatives.  Certified on every simplex; raises when no shift
-    of the curve certifies."""
+def equivariant_witness(model: DoublePointModel, k: int) -> Dict:
+    """Explicit antipodal map to nonzero vectors on the pair vertices: orbit
+    representatives ``(u, v)``, ``rank u < rank v``, in vertex order, get
+    moment-curve vectors, their swap images the negatives.  Certified on
+    every walked cell; raises when no shift of the curve certifies."""
     t = model.involution
-    reps = []
-    seen = set()
-    for v in model.complex.vertices:
-        if v in seen or t[v] == v:
-            continue
-        reps.append(v)
-        seen.add(t[v])
+    rank = model.map.source.rank
+    reps = [(u, v) for u, v in model.vertices if rank[u] < rank[v]]
     last_evidence: list = []
     for shift in range(WITNESS_SHIFTS):
         values: Dict = {}
@@ -225,20 +234,17 @@ def equivariant_witness(model: InvolutionComplex, k: int) -> Dict:
     )
 
 
-def sheet_split_witness(model: InvolutionComplex, k: int) -> Optional[Dict]:
-    """``+e1`` on one sheet of the non-fixed part of the complex and ``-e1``
-    on the other, when no component of that part is mapped onto itself;
-    ``None`` otherwise.  The values are not certified here: the free part
-    of every simplex lies in one sheet, which :func:`certify_witness`
-    confirms."""
-    t = model.involution
-    free = [v for v in model.complex.vertices if t[v] != v]
-    sheet = mod2.sheet_split(model.complex.full_subcomplex(free).connected_components(), t)
+def sheet_split_witness(model: DoublePointModel, k: int) -> Optional[Dict]:
+    """``+e1`` on one sheet of the pair model and ``-e1`` on the other, when
+    no component is mapped onto itself; ``None`` otherwise.  The values are
+    not certified here: every walked cell lies in one sheet, which
+    :func:`certify_witness` confirms."""
+    sheet = mod2.sheet_split(model.components, model.involution)
     if sheet is None:
         return None
     e1 = (Fraction(1),) + (Fraction(0),) * (k - 1)
     minus_e1 = tuple(-x for x in e1)
-    return {v: e1 if v in sheet else minus_e1 for v in free}
+    return {v: e1 if v in sheet else minus_e1 for v in model.vertices}
 
 
 # -- projection-degree parity --------------------------------------------------

@@ -3,13 +3,17 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict
+from itertools import combinations, permutations
+from typing import Dict, Optional
 
 import pytest
 
 from prem import linalg, lp, mod2
 from prem.complexes import InvolutionComplex, SimplicialComplex, Simplex
+from prem.double_points import identified_vertex_pairs
 from prem.errors import InternalError, PreconditionError
+from prem.maps import SimplicialMap
+from prem.obstruction import WITNESS_SHIFTS, _moment_vector
 
 
 def F(x) -> Fraction:
@@ -129,14 +133,143 @@ class StoredModel:
         return qr.quotient, w1_cocycle(qr)
 
 
-def old_homotopy_certificate(closure, alpha: Dict, g_values: Dict) -> tuple:
+# -- the closure model of a map ----------------------------------------------------
+#
+# ``lift`` once certified on this model: the ordered same-image pairs glued
+# along their intersections, with a diagonal vertex ``(u, u)`` for every
+# vertex of the fold locus.  The swap fixes the diagonal part, whose
+# complement retracts onto the full subcomplex ``D`` on the off-diagonal
+# vertices: the walked pair model.  Built here by a private scan of the
+# fibres, it is the oracle of the walked witness, sheet split and
+# certification, and of the model's reading of ``D``.
+
+
+def fold_locus(f: SimplicialMap) -> SimplicialComplex:
+    """Subcomplex of the source spanned by all faces of intersections of
+    distinct same-image simplices."""
+    faces: set = set()
+    for fiber in f.fibers().values():
+        for s, t in combinations(fiber, 2):
+            shared = set(s) & set(t)
+            if not shared:
+                continue
+            core = tuple(sorted(shared, key=f.source.rank.__getitem__))
+            for size in range(1, len(core) + 1):
+                faces.update(combinations(core, size))
+    return f.source.subcomplex(faces)
+
+
+@dataclass
+class ClosureModel:
+    """The closure complex with its swap, the fold locus, and the vertices
+    ``(u, u)`` and ``(u, v)``, ``u != v``, in vertex order."""
+
+    complex: SimplicialComplex
+    involution: Dict
+    fold: SimplicialComplex
+    diagonal_vertices: list
+    off_diagonal_vertices: list
+
+    def free_part(self, s: Simplex) -> tuple:
+        """The vertices of ``s`` that the swap moves, in order."""
+        return tuple(p for p in s if p[0] != p[1])
+
+    def off_diagonal(self) -> SimplicialComplex:
+        """``D``, the full subcomplex on the off-diagonal vertices."""
+        return self.complex.full_subcomplex(self.off_diagonal_vertices)
+
+
+def closure_model(f: SimplicialMap) -> ClosureModel:
+    """The closure model of a non-degenerate map; the construction checks
+    that the swap maps every cell to a cell."""
+    rank = f.source.rank
+    fold = fold_locus(f)
+    vertices = identified_vertex_pairs(f) + [(v, v) for (v,) in fold.simplices_of_dim(0)]
+    vertices.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
+    cells = {tuple((u, u) for u in rho) for rho in fold.simplices}
+    for fiber in f.fibers().values():
+        for s, t in permutations(fiber, 2):
+            match = f.matched_bijection(s, t)
+            cells.add(tuple((u, match[u]) for u in s))
+    cells.update((p,) for p in vertices)
+    swap = {(u, v): (v, u) for (u, v) in vertices}
+    complex_ = InvolutionComplex(SimplicialComplex(vertices, cells), swap).complex
+    return ClosureModel(
+        complex=complex_,
+        involution=swap,
+        fold=fold,
+        diagonal_vertices=[p for p in vertices if p[0] == p[1]],
+        off_diagonal_vertices=[p for p in vertices if p[0] != p[1]],
+    )
+
+
+def closure_certify(closure: ClosureModel, k: int, alpha: Dict) -> tuple:
+    """The closure-model certifier: diagonal vertices carry no value and
+    drop out of every cell, and every cell's free part has the origin
+    outside the hull of its values.  ``(ok, evidence)``, one record per cell
+    with a free part, in the complex's order, up to the first failure."""
+    for (u, v) in closure.off_diagonal_vertices:
+        val = alpha.get((u, v))
+        if val is None or len(val) != k:
+            return False, [("missing-or-bad-dimension", (u, v))]
+        if all(x == 0 for x in val):
+            return False, [("zero-value", (u, v))]
+        if tuple(alpha[(v, u)]) != tuple(-x for x in val):
+            return False, [("not-antipodal", (u, v))]
+    evidence = []
+    for s in closure.complex.sorted_simplices():
+        free = closure.free_part(s)
+        if not free:
+            continue
+        pts = [alpha[p] for p in free]
+        if linalg.linearly_independent(pts):
+            evidence.append((s, "independent", None))
+            continue
+        inside, cert = lp.zero_in_hull(pts)
+        if inside:
+            evidence.append((s, "origin-in-hull", cert))
+            return False, evidence
+        evidence.append((s, "separated", cert))
+    return True, evidence
+
+
+def moment_values(vertices: list, k: int, shift: int) -> Dict:
+    """Moment-curve values on the first member of each swap orbit of the
+    pair vertices, in vertex order, and their negatives on the partners."""
+    values: Dict = {}
+    for p in vertices:
+        if p not in values:
+            values[p] = _moment_vector(len(values) // 2, k, shift)
+            values[p[::-1]] = tuple(-x for x in values[p])
+    return values
+
+
+def closure_moment_witness(closure: ClosureModel, k: int) -> Optional[Dict]:
+    """The first moment-curve draw that certifies on the closure model, or
+    None when none of the shifts does."""
+    vertices = closure.off_diagonal_vertices
+    draws = (moment_values(vertices, k, shift) for shift in range(WITNESS_SHIFTS))
+    return next((values for values in draws if closure_certify(closure, k, values)[0]), None)
+
+
+def closure_sheet_split(closure: ClosureModel, k: int) -> Optional[Dict]:
+    """``+e1`` on one sheet of ``D`` and ``-e1`` on the other, or None when a
+    component of ``D`` is mapped onto itself."""
+    sheet = mod2.sheet_split(closure.off_diagonal().connected_components(), closure.involution)
+    if sheet is None:
+        return None
+    e1 = (Fraction(1),) + (Fraction(0),) * (k - 1)
+    return {p: e1 if p in sheet else tuple(-x for x in e1) for p in closure.off_diagonal_vertices}
+
+
+def old_homotopy_certificate(closure: ClosureModel, alpha: Dict, g_values: Dict) -> tuple:
     """The homotopy certificate by one exact LP per closure cell: the origin
     lies outside the hull of the witness values on the cell's free part
     together with the realized pair differences there."""
     evidence = []
     ok = True
     for s in closure.complex.sorted_simplices():
-        free = closure.pair_complex.free_part(s)
+        free = closure.free_part(s)
         if not free:
             continue
         pts = [alpha[p] for p in free]

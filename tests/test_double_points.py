@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prem import mod2
@@ -12,7 +14,7 @@ from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
 
-from conftest import fixed_simplices, walked_cells
+from conftest import closure_model, fixed_simplices, walked_cells
 
 
 def test_identified_pairs_triple_cover():
@@ -83,8 +85,9 @@ def test_degenerate_map_rejected():
 
 
 def test_fold_stays_unmodellable():
-    # A fold map keeps identified vertices adjacent at every depth.
-    with pytest.raises(ModelInvalid):
+    # The fold vertex b neighbours both a and c, which share an image; no
+    # subdivision repairs that, and the error names the input's vertices.
+    with pytest.raises(ModelInvalid, match=re.escape("violations: [('a', 'c'), ('c', 'a')])")):
         double_point_model(fold_path_map())
 
 
@@ -101,14 +104,18 @@ def test_figure_eight_single_double_point():
 
 def test_closure_model_of_a_cover_is_its_pair_model():
     # A covering map folds nothing, so the closure model adds no diagonal
-    # to the pair model, and both are built from the same pair cells.
+    # to the pair model, and both have the same pair cells; the lift walks
+    # the same model.
     f = cycle_cover(2, 5)
     model = double_point_model(f)
     assert model.complex.f_vector() == (10, 10)
     assert fixed_simplices(model.pair_complex) == []
-    closure = build_closure_model(f)
+    closure = closure_model(f)
     assert closure.diagonal_vertices == []
     assert closure.complex == model.complex
+    walked = build_closure_model(f)
+    assert walked.fold_vertices == set()
+    assert walked.complex == model.complex
 
 
 def test_streamed_sheet_check_rejects_damaged_sheets():

@@ -33,10 +33,16 @@ simplices.  A violation names the smallest such pair, in fibre order, so
 ``lift`` and ``plify`` files changed in those lines only; verdicts, exit
 codes and ``pairs checked`` (every pair of maximal simplices) did not.
 
-The ``alpha`` files pin ``lift --alpha`` against the witness that
-``lift.closure_witness`` builds for the input, written at test time: the
-``homotopy certificate against supplied witness: ok`` line and
-``"homotopy_certified": true``.
+The ``alpha`` files pin ``lift --alpha`` against the moment-curve witness
+that ``lift.closure_witness`` builds on the input's walked pair model,
+written at test time: the ``homotopy certificate against supplied witness:
+ok`` line and ``"homotopy_certified": true``.
+
+One documented error-message change since ``double_point_model`` stopped
+subdividing a map that fails the star condition, which no subdivision
+repairs: the twelve ``fold`` cases of ``delta``, ``yang``, ``obstruct`` and
+``report-thm3`` still exit 65 with ``ModelInvalid``, and now name the
+input's identified vertices, ``('a', 'c')``, in place of subdivided ones.
 
 Regenerate the files only for a deliberate, documented output change::
 
@@ -273,9 +279,24 @@ def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, mon
     _assert_golden(cases, inputs, manifest)
 
 
+def test_lift_builds_no_involution_complex(inputs, manifest, monkeypatch):
+    """``lift`` certifies on the walked pair model, with or without
+    ``--alpha``, and never builds the pair complex or any other stored
+    involution complex."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an involution complex was built")
+
+    monkeypatch.setattr(complexes.InvolutionComplex, "__init__", refuse)
+    cases = [c for c in CASES if "-lift" in c or "-alpha" in c]
+    commands = ("lift1", "lift2", "alpha1", "alpha2")
+    assert len(cases) == 2 * sum(len(ONLY_ON[cmd]) for cmd in commands)
+    _assert_golden(cases, inputs, manifest)
+
+
 def test_lift_solves_no_lp(inputs, manifest, monkeypatch):
     """``lift`` on ``cycle-cover 2 5`` certifies its witness, its homotopy
-    and its embedding without an LP: every closure cell and same-image pair
+    and its embedding without an LP: every walked cell and same-image pair
     is independent, and the homotopy takes one exact ratio per pair."""
 
     def refuse(*args, **kwargs):

@@ -537,23 +537,38 @@ def test_lift_on_obstructed_map_exits_65(capsys, tmp_path):
     assert main(["lift", "-k", "2", path, "-o", str(tmp_path / "ok.lift")]) == 0
 
 
-@pytest.mark.parametrize(
-    "witness",
-    [
-        "w n0,n4 -1\nw n4,n0 -1\n",
-        "w n0,n4 1 0\nw n4,n0 -1 0\n",
-        "w n0,n4 1\n",
-    ],
-    ids=["negated", "wrong-dimension", "incomplete"],
+# On cycle-cover 2 5, the pairs (n0, n5) and (n1, n6) get opposite values, so
+# the hull of the cell of the edges n0 n1 and n5 n6 holds the origin; so does
+# that of the edges n4 n5 and n9 n0, which comes later in the pair complex's
+# order.
+HULL_WITNESS = "".join(
+    f"w n{i},n{i + 5} {x}\nw n{i + 5},n{i} {-x}\n" for i, x in enumerate([1, -1, 1, 1, 1])
 )
-def test_lift_rejects_failing_witness_with_65(capsys, tmp_path, fig8, witness):
-    """A supplied witness that fails certification is an input fault: the
-    certified one is ``n0,n4 -> 1``, ``n4,n0 -> -1``."""
-    path = tmp_path / "fig8.witness"
+
+
+@pytest.mark.parametrize(
+    "gen, witness, reason",
+    [
+        (["figure-eight"], "w n0,n4 -1\nw n4,n0 -1\n", "('not-antipodal', ('n0', 'n4'))"),
+        (["figure-eight"], "w n0,n4 1 0\nw n4,n0 -1 0\n",
+         "('missing-or-bad-dimension', ('n0', 'n4'))"),
+        (["figure-eight"], "w n0,n4 1\n", "('missing-or-bad-dimension', ('n4', 'n0'))"),
+        (["cycle-cover", "2", "5"], HULL_WITNESS,
+         "((('n0', 'n5'), ('n1', 'n6')), 'origin-in-hull')"),
+    ],
+    ids=["negated", "wrong-dimension", "incomplete", "origin-in-hull"],
+)
+def test_lift_rejects_failing_witness_with_65(capsys, tmp_path, gen, witness, reason):
+    """A supplied witness that fails certification is an input fault: on the
+    figure eight the certified one is ``n0,n4 -> 1``, ``n4,n0 -> -1``.  A
+    hull failure names the failing cell that comes first in the pair
+    complex's order, whatever the order of the walk."""
+    map_path, path = tmp_path / "in.map", tmp_path / "in.witness"
+    assert main(["gen", *gen, "-o", str(map_path)]) == 0
     path.write_text(witness, encoding="utf-8")
-    assert main(["lift", "-k", "1", fig8, "--alpha", str(path)]) == 65
+    assert main(["lift", "-k", "1", str(map_path), "--alpha", str(path)]) == 65
     err = capsys.readouterr().err
-    assert err.startswith("error (PreconditionError): supplied witness fails certification")
+    assert err == f"error (PreconditionError): supplied witness fails certification: {reason}\n"
 
 
 def test_lift_rejects_star_vertex_without_value(capsys, tmp_path, fig8):
@@ -771,7 +786,7 @@ def test_cli_failure_modes(capsys, tmp_path, cover9):
 
 
 def test_lift_with_a_witness_on_the_sphere_solves_no_lp(capsys, tmp_path, monkeypatch):
-    """The antipodal 2-sphere covering at k = 3: every closure cell and
+    """The antipodal 2-sphere covering at k = 3: every walked cell and
     same-image pair is settled by independence, and the homotopy by one
     positive multiple per pair, so no LP runs."""
     f, _rounds = antipodal_sphere_covering(2)

@@ -11,17 +11,19 @@ from prem.errors import (
 )
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem import lift
+from prem.double_points import DoublePointModel
 from prem.lift import (
     StarBoundary,
     build_closure_model,
     closure_witness,
     construct_lift_3ptfree,
-    fold_locus,
     has_triple_points,
     is_simple_fold,
 )
 from prem.maps import SimplicialMap
 from prem.obstruction import certify_witness
+
+from conftest import closure_model, fold_locus
 
 F = Fraction
 
@@ -36,9 +38,14 @@ def zigzag_map() -> SimplicialMap:
 
 
 def test_fold_locus():
+    """The oracle's fold locus, and the model's fold vertices: those that
+    its skipped pairs share."""
     assert [s for s in fold_locus(fold_path_map()).simplices] == [("b",)]
     assert fold_locus(cycle_cover(3, 3)).simplices == frozenset()
     assert set(fold_locus(zigzag_map()).simplices) == {("b",), ("c",)}
+    assert DoublePointModel(fold_path_map()).fold_vertices == {"b"}
+    assert DoublePointModel(cycle_cover(3, 3)).fold_vertices == set()
+    assert DoublePointModel(zigzag_map()).fold_vertices == {"b", "c"}
 
 
 def test_triple_point_detection():
@@ -50,25 +57,27 @@ def test_triple_point_detection():
 
 
 def test_simple_fold_flag():
-    ok, bad = is_simple_fold(fold_path_map())
+    ok, bad = is_simple_fold(DoublePointModel(fold_path_map()))
     assert ok and bad == []
-    ok, bad = is_simple_fold(zigzag_map())
+    ok, bad = is_simple_fold(DoublePointModel(zigzag_map()))
     assert not ok
     assert ("a", "c") in bad
 
 
 def test_lift_finds_the_fold_locus_and_the_fibres_once(monkeypatch):
-    f = figure_eight_map()
+    """One pair model, which finds the fold vertices too, per lift."""
+    f = fold_path_map()
     calls = []
-    real = lift.fold_locus
-    monkeypatch.setattr(lift, "fold_locus", lambda g: calls.append(g) or real(g))
-    construct_lift_3ptfree(f, 1)
+    real = lift.DoublePointModel
+    monkeypatch.setattr(lift, "DoublePointModel", lambda g: calls.append(g) or real(g))
+    res = construct_lift_3ptfree(f, 1)
     assert calls == [f]
+    assert res.model.fold_vertices == {"b"}
     assert f.fibers() is f.fibers()
 
 
 def test_closure_model_fold_path():
-    closure = build_closure_model(fold_path_map())
+    closure = closure_model(fold_path_map())
     assert set(closure.off_diagonal_vertices) == {("a", "c"), ("c", "a")}
     assert closure.diagonal_vertices == [("b", "b")]
     # Two mirror cells glued along the diagonal fold vertex.
@@ -76,12 +85,18 @@ def test_closure_model_fold_path():
         (("a", "c"), ("b", "b")),
         (("b", "b"), ("c", "a")),
     }
+    # Without the diagonal, two swapped points: the walked model.
+    model = build_closure_model(fold_path_map())
+    assert model.vertices == [("a", "c"), ("c", "a")]
+    assert (model.dim, model.cell_counts) == (0, (1,))
+    assert model.components == [{("a", "c")}, {("c", "a")}]
+    assert model.components == closure.off_diagonal().connected_components()
 
 
 def test_closure_witness_certifies():
-    closure = build_closure_model(fold_path_map())
-    alpha = closure_witness(closure, 1)
-    ok, evidence = certify_witness(closure.pair_complex, 1, alpha)
+    model = build_closure_model(fold_path_map())
+    alpha = closure_witness(model, 1)
+    ok, evidence = certify_witness(model, 1, alpha)
     assert ok
     assert alpha[("a", "c")] == tuple(-x for x in alpha[("c", "a")])
 

@@ -135,8 +135,8 @@ def test_k_must_be_positive():
 
 def test_witness_certified_on_double_cover():
     model = double_point_model(cycle_cover(2, 4))
-    values = equivariant_witness(model.pair_complex, 2)
-    ok, evidence = certify_witness(model.pair_complex, 2, values)
+    values = equivariant_witness(model, 2)
+    ok, evidence = certify_witness(model, 2, values)
     assert ok
     t = model.involution
     for v, val in values.items():
@@ -148,16 +148,16 @@ def test_witness_impossible_when_obstructed():
     # Yang index 1 blocks any equivariant map to the 0-sphere.
     model = double_point_model(cycle_cover(2, 4))
     with pytest.raises(CertificationError):
-        equivariant_witness(model.pair_complex, 1)
+        equivariant_witness(model, 1)
 
 
 def test_certify_rejects_bad_values():
     model = double_point_model(cycle_cover(2, 4))
-    values = equivariant_witness(model.pair_complex, 2)
+    values = equivariant_witness(model, 2)
     broken = dict(values)
     some = next(iter(broken))
     broken[some] = (0, 0)
-    ok, evidence = certify_witness(model.pair_complex, 2, broken)
+    ok, evidence = certify_witness(model, 2, broken)
     assert not ok
     assert evidence[0][0] in ("zero-value", "not-antipodal")
 

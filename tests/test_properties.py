@@ -16,8 +16,9 @@ barycentric ids in every round, the self-check of every maximal simplex
 of a non-degenerate map, and the rank of a single point.  The quotient of a
 stored free involution, with its ``w1`` read upstairs, is the oracle of the
 walked quotient; it lives in ``conftest``, where :class:`StoredModel` lets
-stored complexes reach the verdict, and so does the homotopy certificate by
-one LP per closure cell.
+stored complexes reach the verdict.  So does the closure model, on which the
+lift certified before it read the pair model's walk, with its fold locus,
+certifier, witness, sheet split and homotopy certificate by one LP per cell.
 """
 
 import re
@@ -32,10 +33,10 @@ from hypothesis import strategies as st
 from prem import formats, gf2, lift, linalg, lp, mod2, verify
 from prem.complexes import InvolutionComplex, SimplicialComplex
 from prem.double_points import (
+    DoublePointModel,
     check_star_condition,
     double_point_model,
     identified_vertex_pairs,
-    pair_cells,
 )
 from prem.errors import (
     CertificationError,
@@ -55,16 +56,16 @@ from prem.generators import (
     _join_sphere,
     lens_covering,
 )
-from prem.lift import build_closure_model, construct_lift_3ptfree, fold_locus
+from prem.lift import construct_lift_3ptfree, has_triple_points, is_simple_fold
 from prem.maps import SemiLinearMap, SimplicialMap
 from prem.obstruction import (
     INCONCLUSIVE,
     certify_witness,
     equivariant_map_exists,
     equivariant_witness,
-    _moment_vector,
     projection_degree_parity,
     separation,
+    sheet_split_witness,
 )
 from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
@@ -72,8 +73,14 @@ from prem.verify import verify_embedding
 from conftest import (
     QuotientResult,
     StoredModel,
+    closure_certify,
+    closure_model,
+    closure_sheet_split,
+    closure_moment_witness,
     euler_characteristic,
     fixed_simplices,
+    fold_locus,
+    moment_values,
     old_homotopy_certificate,
     orbit_quotient,
     quotient_by_free_involution,
@@ -683,7 +690,7 @@ def test_pair_cells_match_matched_bijection_route(f):
     cells = {s for s in model.complex.simplices if len(s) > 1}
     assert cells == {s for s in old_pair_cells(f, False) if len(s) > 1}
     assert model.complex == SimplicialComplex(model.complex.vertices, model.complex.simplices)
-    closure = build_closure_model(f)
+    closure = closure_model(f)
     assert old_pair_cells(f, True) <= closure.complex.simplices
     assert closure.complex == SimplicialComplex(
         closure.complex.vertices, closure.complex.simplices)
@@ -708,17 +715,20 @@ def small_non_degenerate_maps(draw):
 @PROPERTY
 @given(small_non_degenerate_maps())
 def test_one_pass_swap_models_match_rescan_oracle(f):
-    if not check_star_condition(f):
-        pairs = double_point_model(f).complex
-        assert (pairs.vertices, pairs.simplices) == old_swap_model(f, False)
-    closure = build_closure_model(f).complex
-    vertices, simplices = old_swap_model(f, True)
-    assert (closure.vertices, closure.simplices) == (vertices, simplices)
+    """The walked pair model's complex is the rescan's disjoint-pair model on
+    every non-degenerate map, folds included, and the closure oracle is the
+    rescan's closure model."""
+    model = DoublePointModel(f)
+    pairs = model.complex
+    assert (pairs.vertices, pairs.simplices) == old_swap_model(f, False)
+    assert (model.fold_vertices == set()) == (check_star_condition(f) == [])
+    closure = closure_model(f).complex
+    assert (closure.vertices, closure.simplices) == old_swap_model(f, True)
     # Each cell is listed once, right before its swap image.
-    cells = pair_cells(f, vertices)
+    cells = model.pair_cells()
     assert len(set(cells)) == len(cells)
     for st, ts in zip(cells[::2], cells[1::2]):
-        assert closure.canon((v, u) for u, v in st) == ts
+        assert pairs.canon((v, u) for u, v in st) == ts
 
 
 @PROPERTY
@@ -983,59 +993,53 @@ def old_certify_pair(model, k, values):
     return True, evidence
 
 
-def old_certify_closure(closure, k, alpha):
-    """The closure-model certifier before the merge: diagonal vertices carry
-    no value and drop out of every cell."""
-    for (u, v) in closure.off_diagonal_vertices:
-        val = alpha.get((u, v))
-        if val is None or len(val) != k:
-            return False, [("missing-or-bad-dimension", (u, v))]
-        if all(x == 0 for x in val):
-            return False, [("zero-value", (u, v))]
-        if tuple(alpha[(v, u)]) != tuple(-x for x in val):
-            return False, [("not-antipodal", (u, v))]
-    evidence = []
-    for s in closure.complex.sorted_simplices():
-        free = tuple(p for p in s if p[0] != p[1])
-        if not free:
-            continue
-        pts = [alpha[p] for p in free]
-        if linalg.linearly_independent(pts):
-            evidence.append((s, "independent", None))
-            continue
-        inside, cert = lp.zero_in_hull(pts)
-        if inside:
-            evidence.append((s, "origin-in-hull", cert))
-            return False, evidence
-        evidence.append((s, "separated", cert))
-    return True, evidence
-
-
 def _witness_cases():
-    """(involution complex, old certifier, the model that certifier takes)
-    for the pair and closure models.  The fold path has no checked pair model
-    (its identified stars meet), so every pair model is built unchecked."""
+    """(walked model, old certifier, the model that certifier takes) for the
+    stored pair model and the closure model.  The fold path has no checked
+    pair model (its identified stars meet), so every stored pair model is
+    built unchecked."""
     maps = [fold_path_map(), figure_eight_map()] + [cycle_cover(2, n) for n in range(3, 7)]
     for f in maps:
-        ic = unchecked_pair_complex(f)
-        yield ic, old_certify_pair, ic
-        closure = build_closure_model(f)
-        yield closure.pair_complex, old_certify_closure, closure
+        model = DoublePointModel(f)
+        yield model, old_certify_pair, unchecked_pair_complex(f)
+        yield model, closure_certify, closure_model(f)
 
 
 _WITNESS_CASES = list(_witness_cases())
 
 
-def moment_values(ic: InvolutionComplex, k: int, shift: int) -> dict:
-    """Moment-curve values on the first member of each non-fixed orbit, in
-    vertex order, and their negatives on the partners."""
-    t = ic.involution
-    values = {}
-    for v in ic.complex.vertices:
-        if t[v] != v and v not in values:
-            values[v] = _moment_vector(len(values) // 2, k, shift)
-            values[t[v]] = tuple(-x for x in values[v])
-    return values
+def assert_certifies_as_oracle(model, k: int, values: dict, oracle, stored) -> None:
+    """``certify_witness`` on the walked model reaches the old certifier's
+    verdict.  On success it lists each walked cell once with the kind the
+    old certifier gave it, and with their swap images these are every cell
+    the old certifier tested, by the off-diagonal part of each of the
+    stored model's simplices.  On failure it names the old certifier's
+    first failure, and hull coefficients put the origin in the hull."""
+    try:
+        expected_ok, expected = oracle(stored, k, values)
+    except KeyError as exc:
+        # The old certifiers indexed a deleted entry; it is now reported.
+        expected_ok, expected = False, [("missing-or-bad-dimension", exc.args[0])]
+    ok, evidence = certify_witness(model, k, values)
+    assert ok == expected_ok
+    if not ok:
+        assert [record[:2] for record in evidence] == [expected[-1][:2]]
+        if evidence[0][1] == "origin-in-hull":
+            cell, _, coefficients = evidence[0]
+            assert min(coefficients) >= 0 and sum(coefficients) == 1
+            total = (Fraction(0),) * k
+            for c, p in zip(coefficients, cell):
+                total = linalg.vec_add(total, linalg.vec_scale(c, values[p]))
+            assert not any(total)
+        return
+    kinds = {tuple(p for p in s if p[0] != p[1]): kind for s, kind, _ in expected}
+    canon = stored.complex.canon
+    met = {}
+    for cell, kind, _ in evidence:
+        for c in (cell, tuple(p[::-1] for p in cell)):
+            met[canon(c)] = kind
+    assert len(met) == 2 * len(evidence)
+    assert met == kinds
 
 
 @PROPERTY
@@ -1047,9 +1051,9 @@ def moment_values(ic: InvolutionComplex, k: int, shift: int) -> dict:
     st.integers(0, 99),
 )
 def test_merged_certifier_matches_old_certifiers(case, k, shift, damage, pick):
-    ic, oracle, model = _WITNESS_CASES[case]
-    values = moment_values(ic, k, shift)
-    keys = [v for v in ic.complex.vertices if v in values]
+    model, oracle, stored = _WITNESS_CASES[case]
+    values = moment_values(model.vertices, k, shift)
+    keys = list(model.vertices)
     if damage != "none":
         v = keys[pick % len(keys)]
         if damage == "zero":
@@ -1058,25 +1062,59 @@ def test_merged_certifier_matches_old_certifiers(case, k, shift, damage, pick):
             values[v] = tuple(-x for x in values[v])
         else:
             del values[v]
-    try:
-        expected = oracle(model, k, values)
-    except KeyError as exc:
-        # The old certifiers indexed a deleted entry; it is now reported.
-        expected = (False, [("missing-or-bad-dimension", exc.args[0])])
-    assert certify_witness(ic, k, values) == expected
+    assert_certifies_as_oracle(model, k, values, oracle, stored)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_merged_generator_matches_old_generators(k):
-    sphere = build_closure_model(_SPHERE)
-    cases = _WITNESS_CASES + ([(sphere.pair_complex, old_certify_closure, sphere)] if k == 3 else [])
-    for ic, oracle, model in cases:
-        draws = (moment_values(ic, k, shift) for shift in range(8))
-        expected = next((values for values in draws if oracle(model, k, values)[0]), None)
+    sphere = (DoublePointModel(_SPHERE), closure_certify, closure_model(_SPHERE))
+    cases = _WITNESS_CASES + ([sphere] if k == 3 else [])
+    for model, oracle, stored in cases:
+        draws = (moment_values(model.vertices, k, shift) for shift in range(8))
+        expected = next((values for values in draws if oracle(stored, k, values)[0]), None)
         try:
-            assert equivariant_witness(ic, k) == expected
+            assert equivariant_witness(model, k) == expected
         except CertificationError:
             assert expected is None
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(
+    st.one_of(
+        small_non_degenerate_maps(),
+        coloured_maps(),
+        covering_pieces(),
+        coloured_maps().filter(check_star_condition),  # folds more often
+    ),
+    st.integers(1, 3),
+)
+@example(fold_path_map(), 1)
+def test_walked_witness_matches_the_closure_oracle(f, k):
+    """The walked pair model's fold vertices are the closure model's fold
+    locus, and its dimension, cell counts and components are those of
+    ``D``, the closure's full subcomplex on its off-diagonal vertices, folds
+    or not.  On every draw that passes the lift's gates, it gives the
+    closure model's moment-curve witness, sheet split and certification
+    verdicts."""
+    model = DoublePointModel(f)
+    closure = closure_model(f)
+    assert model.fold_vertices == set(closure.fold.vertices)
+    d = closure.off_diagonal()
+    assert model.dim == d.dim
+    assert model.cell_counts == tuple(n // 2 for n in d.f_vector())
+    assert model.components == d.connected_components()
+    assume(has_triple_points(f) is None and is_simple_fold(model)[0])
+    try:
+        walked = equivariant_witness(model, k)
+    except CertificationError:
+        walked = None
+    assert walked == closure_moment_witness(closure, k)
+    split = sheet_split_witness(model, k)
+    assert split == closure_sheet_split(closure, k)
+    for values in (walked, split, moment_values(model.vertices, k, 0)):
+        if values is not None:
+            assert certify_witness(model, k, values)[0] == closure_certify(closure, k, values)[0]
 
 
 # -- constructed lifts ------------------------------------------------------------------
@@ -1122,10 +1160,10 @@ def test_homotopy_certificate_matches_the_lp_route(f, k, pick, damage):
     except (NotKPrem, CertificationError):
         return  # no lift: see test_constructed_lifts_verify
     g = dict(res.lift.values)
-    pairs = res.closure.off_diagonal_vertices
+    pairs = res.model.vertices
     assert res.homotopy_certified
     assert res.homotopy_evidence == [(p, True, 2) for p in pairs]
-    assert old_homotopy_certificate(res.closure, res.witness, g)[0]
+    assert old_homotopy_certificate(closure_model(f), res.witness, g)[0]
     if not pairs:
         return
     u, v = pairs[pick % len(pairs)]
@@ -1138,7 +1176,7 @@ def test_homotopy_certificate_matches_the_lp_route(f, k, pick, damage):
         j = next((i for i, x in enumerate(a) if x == 0), 0)
         d = tuple(x + (i == j) for i, x in enumerate(a))
     g[v] = linalg.vec_add(g[u], d)
-    ok, evidence = lift._homotopy_certificate(res.closure, res.witness, g)
+    ok, evidence = lift._homotopy_certificate(res.model, res.witness, g)
     assert not ok
     assert ((u, v), False, None) in evidence
 
