@@ -6,7 +6,7 @@ arbitrary lifts, and stability reports for linear maps to the line — all over
 rational arithmetic.
 """
 
-from .complexes import BarycentricPoint, InvolutionComplex, SimplicialComplex
+from .complexes import BarycentricPoint, SimplicialComplex
 from .double_points import (
     DoublePointModel,
     check_star_condition,
@@ -62,7 +62,6 @@ __all__ = [
     "DoublePointModel",
     "InputNotInjective",
     "InternalError",
-    "InvolutionComplex",
     "LiftResult",
     "MapError",
     "ModelInvalid",

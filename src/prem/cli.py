@@ -529,10 +529,8 @@ def _cmd_gen(args) -> int:
         text = formats.write_map(cycle_cover(p, q))
     elif name == "cross-polytope":
         (m,) = params
-        ic = cross_polytope_boundary(m)
-        text = formats.write_complex(
-            formats.ComplexDocument(ic.complex, involution=ic.involution)
-        )
+        c, swap = cross_polytope_boundary(m)
+        text = formats.write_complex(formats.ComplexDocument(c, involution=swap))
     elif name == "join-lens":
         p, q = params
         if p < 2:

@@ -1,5 +1,5 @@
-"""Finite abstract simplicial complexes with a stable total vertex order,
-simplicial involutions, and points in exact barycentric coordinates.
+"""Finite abstract simplicial complexes with a stable total vertex order, and
+points in exact barycentric coordinates.
 
 A simplex is canonically represented as a tuple of vertex ids sorted by the
 vertex order of its complex.  The vertex order is fixed at construction time
@@ -9,8 +9,7 @@ library; downstream cochain-level products depend on it.
 Complexes are never mutated after construction.  Derived indexes rely on
 that: each complex groups its simplices by dimension once (sorting a group
 the first time it is asked for in order) and finds its connected components
-once; an involution complex checks once, at construction, that its
-involution maps every simplex to a simplex.
+once.
 """
 
 from __future__ import annotations
@@ -300,40 +299,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices, dim {self.dim})"
-
-
-class InvolutionComplex:
-    """A simplicial complex with a simplicial involution given on vertices.
-    Construction checks that the involution has order 2 on the vertices and
-    maps every simplex to a simplex."""
-
-    __slots__ = ("complex", "involution")
-
-    def __init__(self, complex: SimplicialComplex, involution: Dict):
-        self.complex = complex
-        self.involution = dict(involution)
-        self._validate()
-
-    def _validate(self) -> None:
-        cx = self.complex
-        t = self.involution
-        if set(t) != set(cx.vertices):
-            raise ComplexError("involution must be defined on every vertex")
-        for v in cx.vertices:
-            if t[v] not in cx.rank:
-                raise ComplexError(f"involution image {t[v]!r} is not a vertex")
-            if t[t[v]] != v:
-                raise ComplexError(f"involution is not of order 2 at {v!r}")
-        # A bijection of the vertices, so an image has no repeats and only
-        # needs sorting by rank.
-        simplices, image, rank = cx.simplices, t.__getitem__, cx.rank.__getitem__
-        strays = [s for s in simplices if tuple(sorted(map(image, s), key=rank)) not in simplices]
-        if strays:
-            raise ComplexError(
-                f"involution does not map simplex {min(strays, key=cx.sort_key)} to a simplex")
-
-    def __repr__(self) -> str:
-        return f"InvolutionComplex({self.complex!r})"
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ swap orbit twice (R1), and cells containing ``(a, b), (c, d)`` and
 ``(a, b), (d, c)`` would make ``a`` adjacent to both ``c`` and ``d`` with
 ``f(c) = f(d)`` (R2).  So the quotient simplices are the walked pairs.
 
-The pair complex itself is built only for the ``delta`` body, from
-:meth:`DoublePointModel.pair_cells`, which lists the cells of ``(s, t)`` and
-``(t, s)`` together.
+The walk is the only view of the model.  The ``delta`` body prints the pair
+complex, built from :meth:`DoublePointModel.pair_cells`, which lists the
+cells of ``(s, t)`` and ``(t, s)`` together; no other command builds it.
 
 The verdict reads the model only when identified vertices are
 combinatorially far apart: for every pair ``u, v`` of distinct vertices with
@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterator, List, Tuple
 
-from .complexes import InvolutionComplex, SimplicialComplex, Simplex, edge_components
+from .complexes import SimplicialComplex, Simplex, edge_components
 from .errors import DegenerateMap, InternalError, ModelInvalid
 from .maps import SimplicialMap
 
@@ -122,8 +122,8 @@ class DoublePointModel:
     f-vector of the quotient by the swap), and ``components`` (pair-vertex
     sets, ordered by their earliest pair vertex) with ``invariant_flags``.
     ``fold_vertices`` holds the vertices that same-image pairs share, the
-    vertices of the fold locus.  ``swap_quotient`` and ``pair_complex`` are
-    built on first access and then kept; the cells are not.
+    vertices of the fold locus.  ``swap_quotient`` and ``complex`` are built
+    on first access and then kept; the cells are not.
 
     Under the star condition two distinct simplices with one image are
     disjoint: a shared vertex ``u`` would make the two lifts ``v != w`` of
@@ -133,8 +133,9 @@ class DoublePointModel:
     fibre of its own, and the walk meets the same cells in the same order,
     less the skipped pairs."""
 
-    # Barycentric rounds run before the walk, which the report prints; the
-    # walk reads the input map itself.
+    # The walk reads the input map itself and subdivides nothing.  The
+    # constant keeps the ``subdivision rounds`` field of ``delta`` and
+    # ``report-thm3``.
     subdivision_rounds = 0
 
     def __init__(self, f: SimplicialMap):
@@ -181,29 +182,21 @@ class DoublePointModel:
                 yield s, t, a, b
 
     def pair_cells(self) -> List[Simplex]:
-        """The cells in both orders.  For every walked pair ``{s, t}``, the
-        cell of ``(s, t)`` is the vertex pairs ``(u, m(u))`` of the
-        image-compatible bijection ``m: s -> t``, listed in the order of
-        ``s``, and the cell of ``(t, s)``, its swap image, follows it.  The
-        cells reuse the tuple objects of ``vertices``.
-
-        Since ``s`` is rank-sorted without repeats, each cell is canonical in
-        any complex whose pair vertices are ordered by the ranks of their
-        first, then second, coordinates.  The 0-cells are the pairs of
-        same-image vertices, so every pair vertex appears as a cell."""
-        pair = {p: p for p in self.vertices}
-        vm = self.map.vertex_map
+        """The cells in both orders: for every walked pair ``{s, t}``, the
+        cell of ``(s, t)`` followed by the cell of ``(t, s)``, its swap
+        image.  Each cell lists its vertex pairs by the source rank of their
+        first coordinates and reuses the tuple objects of ``vertices``, so
+        it is canonical in any complex whose pair vertices are ordered by
+        the ranks of their first, then second, coordinates.  The 0-cells are
+        the pairs of same-image vertices, so every pair vertex appears as a
+        cell."""
+        pair = {p: p for p in self.vertices}.__getitem__
+        rank = self.map.source.rank
+        first = lambda p: rank[p[0]]  # noqa: E731
         cells: List[Simplex] = []
-        for fibre in self._fibres:
-            members = []
-            for s in fibre:
-                s_targets = tuple(map(vm.__getitem__, s))
-                members.append((s, s_targets, dict(zip(s_targets, s))))
-            for i, (s, s_targets, s_by_target) in enumerate(members):
-                for t, t_targets, t_by_target in members[i + 1:]:
-                    st = zip(s, map(t_by_target.__getitem__, s_targets))
-                    ts = zip(t, map(s_by_target.__getitem__, t_targets))
-                    cells += (tuple(map(pair.__getitem__, st)), tuple(map(pair.__getitem__, ts)))
+        for _, _, a, b in self.aligned_pairs():
+            cells += (tuple(map(pair, sorted(zip(a, b), key=first))),
+                      tuple(map(pair, sorted(zip(b, a), key=first))))
         return cells
 
     @cached_property
@@ -236,13 +229,9 @@ class DoublePointModel:
         return quotient, w1
 
     @cached_property
-    def pair_complex(self) -> InvolutionComplex:
-        complex_ = SimplicialComplex.from_canonical(self.vertices, self.pair_cells())
-        return InvolutionComplex(complex_, self.involution)
-
-    @property
     def complex(self) -> SimplicialComplex:
-        return self.pair_complex.complex
+        """The pair complex: every walked cell and its swap image."""
+        return SimplicialComplex.from_canonical(self.vertices, self.pair_cells())
 
 
 def double_point_model(f: SimplicialMap) -> DoublePointModel:

@@ -5,7 +5,8 @@ One item per line; ``#`` starts a comment; blank lines are ignored.
 * ``v <id>`` declares a vertex; declaration order is the vertex order.
 * ``s <id> <id> ...`` declares a maximal simplex (its faces are implied).
 * ``c <id> <num/den> ...`` assigns rational coordinates to a vertex.
-* ``t <id> <id>`` declares an involution pair (fixed vertices: ``t a a``).
+* ``t <id> <id>`` declares an involution pair (fixed vertices: ``t a a``);
+  a vertex may appear in one pair only, which may be repeated.
 * ``m <src-id> <dst-id>`` maps a source vertex to a target vertex.
 * ``g <id> <num/den> ...`` assigns lift values to a vertex.
 * ``w <pair-id> <num/den> ...`` assigns witness values to a vertex pair,
@@ -132,8 +133,11 @@ class _ComplexAccumulator:
             if len(args) != 2:
                 raise ParseError(f"{where}: t takes exactly two ids")
             self._known(args, where)
-            self.involution[args[0]] = args[1]
-            self.involution[args[1]] = args[0]
+            for v, w in (args, args[::-1]):
+                if self.involution.setdefault(v, w) != w:
+                    raise ParseError(
+                        f"{where}: t pairs {v!r} with {w!r}, but an earlier t line"
+                        f" pairs it with {self.involution[v]!r}")
         else:
             raise ParseError(f"{where}: unknown line kind {kind!r}")
 

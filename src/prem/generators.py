@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Tuple
 
-from .complexes import InvolutionComplex, SimplicialComplex
+from .complexes import SimplicialComplex
 from .double_points import check_star_condition
 from .errors import InternalError, PreconditionError
 from .maps import SemiLinearMap, SimplicialMap
@@ -127,9 +127,9 @@ def _cycle_complex_from_listing(ids: List) -> SimplicialComplex:
     return SimplicialComplex(list(ids), edges | {(v,) for v in ids})
 
 
-def cross_polytope_boundary(m: int) -> InvolutionComplex:
+def cross_polytope_boundary(m: int) -> Tuple[SimplicialComplex, Dict]:
     """Boundary of the (m+1)-dimensional cross-polytope (a simplicial
-    m-sphere) with the antipodal involution."""
+    m-sphere) and its antipodal involution on vertices."""
     if m < 1:
         raise PreconditionError("cross-polytope boundary needs dimension >= 1")
     vertices: List = []
@@ -143,7 +143,7 @@ def cross_polytope_boundary(m: int) -> InvolutionComplex:
     for i in range(m + 1):
         swap[f"p{i}"] = f"m{i}"
         swap[f"m{i}"] = f"p{i}"
-    return InvolutionComplex(c, swap)
+    return c, swap
 
 
 # -- cyclic group actions and their quotients ----------------------------------
@@ -212,5 +212,4 @@ def antipodal_sphere_covering(m: int) -> Tuple[SimplicialMap, int]:
     """The two-fold covering of real projective m-space by the cross-polytope
     m-sphere, subdivided until the antipodal orbit map is simplicial.  Its
     vertex ids are the tokens that ``write_map`` prints."""
-    ic = cross_polytope_boundary(m)
-    return _orbit_covering(ic.complex, ic.involution, 2)
+    return _orbit_covering(*cross_polytope_boundary(m), 2)

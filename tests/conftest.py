@@ -9,9 +9,9 @@ from typing import Dict, Optional
 import pytest
 
 from prem import linalg, lp, mod2
-from prem.complexes import InvolutionComplex, SimplicialComplex, Simplex
+from prem.complexes import SimplicialComplex, Simplex
 from prem.double_points import identified_vertex_pairs
-from prem.errors import InternalError, PreconditionError
+from prem.errors import ComplexError, InternalError, PreconditionError
 from prem.maps import SimplicialMap
 from prem.obstruction import WITNESS_SHIFTS, _moment_vector
 
@@ -28,6 +28,45 @@ def regularity_failures(cx: SimplicialComplex, action: dict, order: int) -> list
     """The R1/R2 failures of the orbit map of a cyclic action; empty when
     the orbit map of simplices yields a simplicial complex."""
     return mod2._regularity(*mod2._ranked(cx, action), order, cx.vertices)[0]
+
+
+# -- stored involution complexes --------------------------------------------------
+#
+# The library reads the swap of a pair model off its walk and stores no
+# involution complex.  The tests store one to decide complexes that are no
+# pair model and to check that a walk's cells are closed under the swap.
+
+
+class InvolutionComplex:
+    """A simplicial complex with a simplicial involution given on vertices.
+    Construction checks that the involution has order 2 on the vertices and
+    maps every simplex to a simplex."""
+
+    __slots__ = ("complex", "involution")
+
+    def __init__(self, complex: SimplicialComplex, involution: Dict):
+        self.complex = complex
+        self.involution = dict(involution)
+        cx, t = complex, self.involution
+        if set(t) != set(cx.vertices):
+            raise ComplexError("involution must be defined on every vertex")
+        for v in cx.vertices:
+            if t[v] not in cx.rank:
+                raise ComplexError(f"involution image {t[v]!r} is not a vertex")
+            if t[t[v]] != v:
+                raise ComplexError(f"involution is not of order 2 at {v!r}")
+        # A bijection of the vertices, so an image has no repeats and only
+        # needs sorting by rank.
+        simplices, image, rank = cx.simplices, t.__getitem__, cx.rank.__getitem__
+        strays = [s for s in simplices if tuple(sorted(map(image, s), key=rank)) not in simplices]
+        if strays:
+            raise ComplexError(
+                f"involution does not map simplex {min(strays, key=cx.sort_key)} to a simplex")
+
+
+def pair_complex(model) -> InvolutionComplex:
+    """A pair model's complex with its swap, checked to be swap-closed."""
+    return InvolutionComplex(model.complex, model.involution)
 
 
 # -- the quotient of a stored free involution ------------------------------------

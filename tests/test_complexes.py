@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from prem import linalg
-from prem.complexes import InvolutionComplex, SimplicialComplex
+from prem.complexes import SimplicialComplex
 from prem.errors import ComplexError
 from prem.subdivision import barycentric_subdivide
 
-from conftest import euler_characteristic, torus_7, triangle_complex
+from conftest import InvolutionComplex, euler_characteristic, torus_7, triangle_complex
 
 F = Fraction
 
@@ -100,6 +100,10 @@ def test_mesh_shrinks_under_barycentric_subdivision():
         return max(linalg.dist_sq(xs[u], xs[v]) for u, v in cx.edges())
 
     assert mesh_sq(rec.refined, refined_coords) < mesh_sq(c, coords)
+
+
+# The stored involution complex is a test oracle (``conftest.py``); these
+# check its construction-time rejections.
 
 
 def test_missing_image_rejected():

@@ -14,7 +14,7 @@ from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import build_closure_model
 from prem.maps import SimplicialMap
 
-from conftest import closure_model, fixed_simplices, walked_cells
+from conftest import closure_model, fixed_simplices, pair_complex, walked_cells
 
 
 def test_identified_pairs_triple_cover():
@@ -73,7 +73,7 @@ def test_involution_is_free_and_swaps():
     for (u, v) in model.complex.vertices:
         assert t[(u, v)] == (v, u)
         assert t[(u, v)] != (u, v)
-    assert fixed_simplices(model.pair_complex) == []
+    assert fixed_simplices(pair_complex(model)) == []
 
 
 def test_degenerate_map_rejected():
@@ -109,7 +109,7 @@ def test_closure_model_of_a_cover_is_its_pair_model():
     f = cycle_cover(2, 5)
     model = double_point_model(f)
     assert model.complex.f_vector() == (10, 10)
-    assert fixed_simplices(model.pair_complex) == []
+    assert fixed_simplices(pair_complex(model)) == []
     closure = closure_model(f)
     assert closure.diagonal_vertices == []
     assert closure.complex == model.complex

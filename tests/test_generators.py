@@ -1,6 +1,7 @@
 import pytest
 
 from prem import formats, generators, mod2, subdivision
+from prem.cli import main
 from prem.complexes import SimplicialComplex
 from prem.errors import PreconditionError
 from prem.generators import (
@@ -18,7 +19,7 @@ from prem.generators import (
 )
 from prem.gf2 import betti_mod2
 
-from conftest import fixed_simplices, regularity_failures
+from conftest import InvolutionComplex, fixed_simplices, regularity_failures
 
 
 def test_cycle_complex():
@@ -78,17 +79,29 @@ def test_wiggly_figure_eight_shapes():
 
 
 def test_cross_polytope_boundaries():
-    assert cross_polytope_boundary(1).complex.f_vector() == (4, 4)
-    oct_ = cross_polytope_boundary(2)
+    assert cross_polytope_boundary(1)[0].f_vector() == (4, 4)
+    oct_ = InvolutionComplex(*cross_polytope_boundary(2))
     assert oct_.complex.f_vector() == (6, 12, 8)
     assert betti_mod2(oct_.complex) == [1, 0, 1]
-    three = cross_polytope_boundary(3)
+    three = InvolutionComplex(*cross_polytope_boundary(3))
     assert three.complex.f_vector() == (8, 24, 32, 16)
     assert betti_mod2(three.complex) == [1, 0, 0, 1]
     for ic in (oct_, three):
         assert fixed_simplices(ic) == []
     with pytest.raises(PreconditionError):
         cross_polytope_boundary(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gen_cross_polytope_reads_back_as_a_free_involution(m, tmp_path):
+    """The written complex and its ``t`` lines parse back to the generated
+    complex with an involution that maps every simplex to another one."""
+    path = tmp_path / "cross.complex"
+    assert main(["gen", "cross-polytope", str(m), "-o", str(path)]) == 0
+    doc = formats.parse_complex(path.read_text(encoding="utf-8"))
+    ic = InvolutionComplex(doc.complex, doc.involution)
+    assert (ic.complex, ic.involution) == cross_polytope_boundary(m)
+    assert fixed_simplices(ic) == []
 
 
 def test_antipodal_sphere_covering_rounds():

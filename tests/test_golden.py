@@ -59,7 +59,7 @@ from pathlib import Path
 
 import pytest
 
-from prem import complexes, formats, lp, mod2
+from prem import double_points, formats, lp, mod2
 from prem.cli import main
 from prem.lift import build_closure_model, closure_witness
 
@@ -261,6 +261,27 @@ def test_cli_output_matches_golden(case, inputs, manifest):
     _assert_golden([case], inputs, manifest)
 
 
+def _refuse_pair_cells(monkeypatch) -> None:
+    """Make listing the pair cells, the library's one route to the pair
+    complex, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair complex was built")
+
+    monkeypatch.setattr(double_points.DoublePointModel, "pair_cells", refuse)
+
+
+def test_pair_complex_guard_catches_delta(inputs, manifest, monkeypatch):
+    """``delta`` prints the pair complex, so under the guard of the two
+    tests below every ``delta`` golden that models its map fails."""
+    _refuse_pair_cells(monkeypatch)
+    cases = [c for c in CASES if c.endswith("-delta-json") and manifest[c]["exit"] == 0]
+    assert sorted(cases) == ["cover25-delta-json", "eight-delta-json", "lens2-delta-json"]
+    for case in cases:
+        with pytest.raises(AssertionError, match="the pair complex was built"):
+            _run(_argv(case, inputs))
+
+
 def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, monkeypatch):
     """No verdict command builds the pair complex or runs the orbit
     quotient's regularity rounds.  ``join-lens 3 1`` has no invariant
@@ -269,9 +290,9 @@ def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, mon
     the model's walk."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an involution complex or orbit quotient was built")
+        raise AssertionError("an orbit quotient was built")
 
-    monkeypatch.setattr(complexes.InvolutionComplex, "__init__", refuse)
+    _refuse_pair_cells(monkeypatch)
     monkeypatch.setattr(mod2, "_regularity", refuse)
     cases = ["lens3-thm3-json", "lens3-obstruct3-json", "lens2-thm3-json"]
     cases += [c for c in CASES if c.startswith("lens2-obstruct") or "-yang-" in c]
@@ -281,13 +302,8 @@ def test_trivial_cover_is_decided_without_the_pair_complex(inputs, manifest, mon
 
 def test_lift_builds_no_involution_complex(inputs, manifest, monkeypatch):
     """``lift`` certifies on the walked pair model, with or without
-    ``--alpha``, and never builds the pair complex or any other stored
-    involution complex."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an involution complex was built")
-
-    monkeypatch.setattr(complexes.InvolutionComplex, "__init__", refuse)
+    ``--alpha``, and never builds the pair complex."""
+    _refuse_pair_cells(monkeypatch)
     cases = [c for c in CASES if "-lift" in c or "-alpha" in c]
     commands = ("lift1", "lift2", "alpha1", "alpha2")
     assert len(cases) == 2 * sum(len(ONLY_ON[cmd]) for cmd in commands)

@@ -183,6 +183,28 @@ def test_parse_errors():
         formats.parse_witness("w noseparator 1\n")
 
 
+def test_contradicting_t_lines_rejected(capsys, tmp_path):
+    """A vertex paired twice with different partners is no involution: the
+    parser names the contradicting line, and a command exits 64.  A
+    repeated pair, in either order, is accepted."""
+    text = "v a\nv b\nv c\ns a b c\nt a b\nt a c\n"
+    message = "line 6 (complex): t pairs 'a' with 'c', but an earlier t line pairs it with 'b'"
+    with pytest.raises(ParseError) as exc:
+        formats.parse_complex(text)
+    assert str(exc.value) == message
+    with pytest.raises(ParseError, match="line 6 \\(complex\\): t pairs 'b' with 'c'"):
+        formats.parse_complex("v a\nv b\nv c\ns a b c\nt a b\nt c b\n")
+    doc = formats.parse_complex("v a\nv b\nv c\ns a b c\nt a b\nt b a\nt c c\nt c c\n")
+    assert doc.involution == {"a": "b", "b": "a", "c": "c"}
+    source = "source\nv a\nv b\nv c\ns a b\ns b c\nt a c\nt c b\n"
+    path = tmp_path / "bad.map"
+    path.write_text(source + "target\nv x\nv y\ns x y\nmap\nm a x\nm b y\nm c x\n")
+    assert main(["delta", str(path)]) == 64
+    assert capsys.readouterr().err == (
+        "error (ParseError): line 8 (source): t pairs 'c' with 'b',"
+        " but an earlier t line pairs it with 'a'\n")
+
+
 @pytest.mark.parametrize(
     "parse, text, where",
     [

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import prem
-from prem.complexes import InvolutionComplex
 from prem.errors import PreconditionError
 from prem.generators import cross_polytope_boundary, _cycle_complex
 from prem.mod2 import CochainSpace, is_sheet_split, sheet_split, yang_index
 
 from conftest import (
+    InvolutionComplex,
     complex_from_facets,
     cup,
     octahedron,
@@ -91,7 +91,7 @@ def test_quotient_square_subdivides_once():
 
 
 def test_quotient_octahedron_is_projective_plane():
-    qr = quotient_by_free_involution(cross_polytope_boundary(2))
+    qr = quotient_by_free_involution(InvolutionComplex(*cross_polytope_boundary(2)))
     assert qr.subdivision_rounds == 1
     assert qr.quotient.f_vector() == (13, 36, 24)
     assert qr.quotient.is_closed_pseudomanifold()
@@ -122,7 +122,7 @@ def test_yang_ladder_spheres():
     # Quotients of the antipodal 1- and 2-sphere: projective line and plane.
     expected = {1: 1, 2: 2}
     for m, want in expected.items():
-        qr = quotient_by_free_involution(cross_polytope_boundary(m))
+        qr = quotient_by_free_involution(InvolutionComplex(*cross_polytope_boundary(m)))
         assert yang_index(qr.quotient, w1_cocycle(qr)) == want
 
 
@@ -163,7 +163,7 @@ def test_cochain_circle_generator_not_coboundary():
 
 
 def test_cup_with_unit_is_identity():
-    qr = quotient_by_free_involution(cross_polytope_boundary(2))
+    qr = quotient_by_free_involution(InvolutionComplex(*cross_polytope_boundary(2)))
     space = CochainSpace(qr.quotient)
     w_bits = space.pack(1, w1_cocycle(qr))
     assert cup(space, space.ones(0), 0, w_bits, 1) == w_bits
@@ -171,7 +171,7 @@ def test_cup_with_unit_is_identity():
 
 def test_cup_square_matches_direct_power():
     # Two routes to w \smile w must agree bit for bit.
-    qr = quotient_by_free_involution(cross_polytope_boundary(2))
+    qr = quotient_by_free_involution(InvolutionComplex(*cross_polytope_boundary(2)))
     space = CochainSpace(qr.quotient)
     w_bits = space.pack(1, w1_cocycle(qr))
     assert cup(space, w_bits, 1, w_bits, 1) == space.one_cocycle_power(w_bits, 2)

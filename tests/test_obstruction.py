@@ -1,6 +1,6 @@
 import pytest
 
-from prem.complexes import InvolutionComplex, SimplicialComplex
+from prem.complexes import SimplicialComplex
 from prem.double_points import double_point_model
 from prem.errors import CertificationError, PreconditionError
 from prem.generators import cross_polytope_boundary, cycle_cover, figure_eight_map
@@ -15,7 +15,7 @@ from prem.obstruction import (
     projection_degree_parity,
 )
 
-from conftest import StoredModel
+from conftest import InvolutionComplex, StoredModel
 
 
 def swapped_pair(facets, rename):
@@ -98,7 +98,7 @@ def test_not_exists_by_cup_power():
 
 
 def test_not_exists_antipodal_sphere():
-    v = equivariant_map_exists(StoredModel(cross_polytope_boundary(2)), 2)
+    v = equivariant_map_exists(StoredModel(InvolutionComplex(*cross_polytope_boundary(2))), 2)
     assert v.answer == NOT_EXISTS
     assert v.yang == 2
 

@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from prem import formats, gf2, lift, linalg, lp, mod2, verify
-from prem.complexes import InvolutionComplex, SimplicialComplex
+from prem.complexes import SimplicialComplex
 from prem.double_points import (
     DoublePointModel,
     check_star_condition,
@@ -71,6 +71,7 @@ from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivid
 from prem.verify import verify_embedding
 
 from conftest import (
+    InvolutionComplex,
     QuotientResult,
     StoredModel,
     closure_certify,
@@ -83,6 +84,7 @@ from conftest import (
     moment_values,
     old_homotopy_certificate,
     orbit_quotient,
+    pair_complex,
     quotient_by_free_involution,
     regularity_failures,
     w1_cocycle,
@@ -191,7 +193,7 @@ def covering_pieces(draw, covers=tuple(_COVERS) + (_SPHERE,)):
 
 
 _GENERATED = [cycle_cover(2, 3).source, cycle_cover(3, 3).source, _join_sphere(3),
-              cross_polytope_boundary(2).complex, cross_polytope_boundary(3).complex]
+              cross_polytope_boundary(2)[0], cross_polytope_boundary(3)[0]]
 
 
 @st.composite
@@ -686,7 +688,7 @@ def test_rank_quotient_of_the_lens_covering_matches_the_labelled_oracle():
 @PROPERTY
 @given(covering_pieces())
 def test_pair_cells_match_matched_bijection_route(f):
-    model = double_point_model(f).pair_complex
+    model = pair_complex(double_point_model(f))
     cells = {s for s in model.complex.simplices if len(s) > 1}
     assert cells == {s for s in old_pair_cells(f, False) if len(s) > 1}
     assert model.complex == SimplicialComplex(model.complex.vertices, model.complex.simplices)
@@ -716,10 +718,10 @@ def small_non_degenerate_maps(draw):
 @given(small_non_degenerate_maps())
 def test_one_pass_swap_models_match_rescan_oracle(f):
     """The walked pair model's complex is the rescan's disjoint-pair model on
-    every non-degenerate map, folds included, and the closure oracle is the
-    rescan's closure model."""
+    every non-degenerate map, folds included, and is closed under the swap;
+    the closure oracle is the rescan's closure model."""
     model = DoublePointModel(f)
-    pairs = model.complex
+    pairs = pair_complex(model).complex
     assert (pairs.vertices, pairs.simplices) == old_swap_model(f, False)
     assert (model.fold_vertices == set()) == (check_star_condition(f) == [])
     closure = closure_model(f).complex
@@ -745,7 +747,7 @@ def test_walked_pair_model_matches_its_stored_complex(f, pick):
     except ModelInvalid:
         assume(False)
     walked = [equivariant_map_exists(model, j) for j in (1, 2, 3)]
-    ic = model.pair_complex
+    ic = pair_complex(model)
     cx, t = ic.complex, ic.involution
     images = {s: cx.canon(t[v] for v in s) for s in cx.simplices}
     assert model.dim == (cx.dim if cx.simplices else -1)
@@ -824,7 +826,7 @@ def assert_walk_matches_stored_route(model, ks=(1, 2, 3)) -> None:
     ``w1`` equal those of the stored pair complex, and so do the verdicts
     at every ``k`` of ``ks``."""
     quotient, w1 = model.swap_quotient
-    ic = model.pair_complex
+    ic = pair_complex(model)
     rank = model.map.source.rank
     reps = [(u, v) for u, v in model.vertices if rank[u] < rank[v]]
     assert quotient.vertices == tuple(range(len(reps)))
@@ -898,7 +900,7 @@ def test_map_images_and_fibres_match_canonicalising_oracle():
 
 
 def _yang(f: SimplicialMap) -> int:
-    ic = double_point_model(f).pair_complex
+    ic = pair_complex(double_point_model(f))
     if not ic.complex.simplices:
         return -1
     qr = quotient_by_free_involution(ic)
@@ -925,7 +927,7 @@ def test_yang_index_invariant_under_subdivision(f):
 @PROPERTY
 @given(
     st.one_of(
-        covering_pieces().map(lambda f: double_point_model(f).pair_complex),
+        covering_pieces().map(lambda f: pair_complex(double_point_model(f))),
         swapped_complexes(),
     ),
     st.integers(1, 3),
