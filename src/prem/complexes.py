@@ -226,13 +226,6 @@ class SimplicialComplex:
         verts = sorted({v for s in simps for v in s}, key=self.rank.__getitem__)
         return SimplicialComplex.from_canonical(verts, simps)
 
-    def subcomplex(self, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        """Subcomplex on the given simplices (assumed face-closed), keeping
-        the parent vertex order."""
-        simps = {self.canon(s) for s in simplices}
-        verts = sorted({v for s in simps for v in s}, key=self.rank.__getitem__)
-        return SimplicialComplex(verts, simps)
-
     def full_subcomplex(self, vertex_set: Iterable) -> "SimplicialComplex":
         vs = set(vertex_set)
         simps = {s for s in self.simplices if vs.issuperset(s)}

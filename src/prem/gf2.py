@@ -1,17 +1,27 @@
 """Linear algebra over GF(2) with rows packed into Python integers, and the
 mod-2 Betti numbers of a simplicial complex computed from boundary ranks.
+
+One reduction serves every GF(2) question: :func:`row_basis` keeps an
+echelon basis keyed by each row's highest set bit.  A rank is the size of
+that basis; a system ``A x = c`` is solvable iff no combination of its rows
+is the bare right-hand side, which a caller asks by packing ``c`` into
+bit 0 below the columns of ``A`` (see ``mod2.CochainSpace.is_coboundary``).
+Callers hand in a generator of rows, so only the basis is ever held.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from .complexes import SimplicialComplex
 
 
-def _rank_gf2(rows: Sequence[int]) -> int:
-    """Rank of the matrix whose rows are the given packed vectors."""
+def row_basis(rows: Iterable[int]) -> Dict[int, int]:
+    """Echelon basis of the span of the packed rows, as ``{pivot: row}``
+    where the pivot is the row's highest set bit.  The pivots are the
+    highest bits of the span's nonzero vectors, so ``0 in row_basis(rows)``
+    iff the vector ``1`` lies in the span."""
     basis: Dict[int, int] = {}
     for row in rows:
         while row:
@@ -21,36 +31,7 @@ def _rank_gf2(rows: Sequence[int]) -> int:
                 basis[msb] = row
                 break
             row ^= piv
-    return len(basis)
-
-
-def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[int]:
-    """One solution (packed) of the GF(2) system ``rows . x = rhs``, with free
-    variables set to zero; ``None`` when inconsistent."""
-    eqs: List[tuple] = []  # (mask, bit) with distinct pivot (lowest set bit)
-    pivots: Dict[int, int] = {}
-    for mask, bit in zip(rows, rhs):
-        bit &= 1
-        while mask:
-            pv = (mask & -mask).bit_length() - 1
-            idx = pivots.get(pv)
-            if idx is None:
-                pivots[pv] = len(eqs)
-                eqs.append((mask, bit))
-                break
-            emask, ebit = eqs[idx]
-            mask ^= emask
-            bit ^= ebit
-        else:
-            if bit:
-                return None
-    x = 0
-    for pv in sorted(pivots, reverse=True):
-        mask, bit = eqs[pivots[pv]]
-        val = bit ^ ((mask & x).bit_count() & 1)
-        if val:
-            x |= 1 << pv
-    return x
+    return basis
 
 
 def _boundary_rank(c: SimplicialComplex, q: int) -> int:
@@ -61,13 +42,15 @@ def _boundary_rank(c: SimplicialComplex, q: int) -> int:
         return 0
     groups = c.dimension_groups()
     faces = {s: i for i, s in enumerate(groups[q - 1])}
-    rows = []
-    for s in groups[q]:
-        bits = 0
-        for f in combinations(s, q):
-            bits |= 1 << faces[f]
-        rows.append(bits)
-    return _rank_gf2(rows)
+
+    def rows():
+        for s in groups[q]:
+            bits = 0
+            for f in combinations(s, q):
+                bits |= 1 << faces[f]
+            yield bits
+
+    return len(row_basis(rows()))
 
 
 def betti_mod2(c: SimplicialComplex) -> List[int]:

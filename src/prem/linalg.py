@@ -1,13 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Inputs are sequences of ``int`` and :class:`fractions.Fraction` entries;
-the eliminations read anything else through ``Fraction``, the distance
-helpers take their entries as they are.  ``_rank`` eliminates
-fraction-free: each row is scaled to integers once, and elimination replaces
-a row by ``p * row - f * pivot_row`` divided by the gcd of its entries, so no
-``Fraction`` is built.  ``rref`` and ``solve`` do plain Gaussian elimination
-over ``Fraction`` and return ``Fraction`` entries; the systems of this
-library have at most a few dozen unknowns.
+the elimination reads anything else through ``Fraction``, the distance
+helpers take their entries as they are.  One fraction-free elimination,
+``_echelon``, serves ``_rank`` and ``solve``: each row is scaled to integers
+once, and elimination replaces a row by ``p * row - f * pivot_row`` divided
+by the gcd of its entries, so no ``Fraction`` is built until ``solve``
+back-substitutes.  Pivots are taken left to right.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Optional, Sequence, Tuple
 
 Vec = tuple
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 def vec(xs) -> tuple:
@@ -65,46 +63,18 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(m: Sequence[Sequence]) -> tuple[list, list[int], int]:
-    """Reduced row echelon form.
-
-    Returns ``(matrix, pivot_columns, rank)``.  Pivots are chosen left to
-    right, so the result is deterministic.
-    """
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Q1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots, r
-
-
-def _rank(m: Sequence[Sequence]) -> int:
-    """Rank of the matrix with rows ``m``, by fraction-free elimination on
-    integer rows."""
+def _echelon(m: Sequence[Sequence]) -> Tuple[list, list]:
+    """``(rows, pivots)``: a row echelon form of the matrix with rows ``m``,
+    in integer rows, by fraction-free elimination, and its pivot columns.
+    Row ``i`` of ``rows`` has its leading entry in column ``pivots[i]``;
+    the rows past ``len(pivots)`` are zero."""
     rows = [_int_row(row)[0] for row in m]
     cols = len(rows[0]) if rows else 0
-    r = 0
+    pivots: list = []
     for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -115,29 +85,33 @@ def _rank(m: Sequence[Sequence]) -> int:
             f = rows[i][c]
             if f:
                 rows[i] = _primitive([p * x - f * y for x, y in zip(rows[i], prow)])
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rank(m: Sequence[Sequence]) -> int:
+    """Rank of the matrix with rows ``m``."""
+    return len(_echelon(m)[1])
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[list]:
-    """One exact solution of ``a x = b``, or ``None`` when inconsistent.
+    """One exact solution of ``a x = b`` in ``Fraction`` entries, or ``None``
+    when inconsistent.
 
-    Free variables are set to zero, so the result is deterministic.
+    Free variables are set to zero, so the result is deterministic: the
+    pivot columns of ``[a | b]`` do not depend on how it is reduced.
     """
-    rows = len(a)
-    if rows == 0:
+    if not a:
         return []
     cols = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a, b)]
-    red, pivots, r = rref(aug)
+    rows, pivots = _echelon([list(row) + [bv] for row, bv in zip(a, b)])
     # Inconsistent iff a pivot lands in the augmented column.
-    if r and pivots and pivots[-1] == cols:
+    if pivots and pivots[-1] == cols:
         return None
     x = [Q0] * cols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][cols]
+    for i in reversed(range(len(pivots))):
+        row, c = rows[i], pivots[i]
+        x[c] = (row[cols] - sum((row[j] * x[j] for j in pivots[i + 1:]), Q0)) / row[c]
     return x
 
 

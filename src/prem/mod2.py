@@ -23,7 +23,9 @@ gives as ids, ride along as a list.
 A double cover is classified by a 1-cocycle ``w1`` on its quotient, which
 the pair model supplies.  The largest k for which the k-th cup power of
 this class survives in mod-2 cohomology is the height invariant computed by
-:func:`yang_index`.
+:func:`yang_index`.  A 1-cochain is a coboundary when spanning-forest
+potentials fit it; a higher one when its coboundary equations, streamed one
+per simplex into :func:`gf2.row_basis`, are consistent.
 """
 
 from __future__ import annotations
@@ -197,17 +199,6 @@ class CochainSpace:
     def ones(self, q: int) -> int:
         return (1 << len(self.simplices(q))) - 1
 
-    def coboundary_rows(self, q: int) -> list:
-        """Rows indexed by (q+1)-simplices over q-simplex columns."""
-        idx = self.index(q)
-        rows = []
-        for s in self.simplices(q + 1):
-            bits = 0
-            for f in combinations(s, q + 1):
-                bits |= 1 << idx[f]
-            rows.append(bits)
-        return rows
-
     def is_cocycle(self, bits: int, q: int) -> bool:
         idx = self.index(q)
         for s in self.simplices(q + 1):
@@ -224,10 +215,20 @@ class CochainSpace:
             return bits == 0
         if q == 1:
             return self._one_cochain_has_potential(bits)
-        rows = self.coboundary_rows(q - 1)
-        idx = self.index(q)
-        rhs = [(bits >> idx[s]) & 1 for s in self.simplices(q)]
-        return gf2.solve_gf2(rows, rhs, len(self.simplices(q - 1))) is not None
+        # One equation per q-simplex s: the sum of x over the faces of s is
+        # the cochain's value on s.  The value sits in bit 0 and face i in
+        # bit i + 1, so the system is solvable iff no combination of the
+        # rows is the bare value bit.
+        idx = self.index(q - 1)
+
+        def rows():
+            for i, s in enumerate(self.simplices(q)):
+                row = (bits >> i) & 1
+                for f in combinations(s, q):
+                    row |= 2 << idx[f]
+                yield row
+
+        return 0 not in gf2.row_basis(rows())
 
     def _one_cochain_has_potential(self, bits: int) -> bool:
         """Spanning-forest potentials: f = d(phi) for a 0-cochain phi."""

@@ -49,7 +49,6 @@ class Verdict:
     dim: int
     yang: Optional[int] = None
     quotient_f_vector: Optional[tuple] = None
-    manifold_checked: Optional[bool] = None
 
 
 def _links_look_like_sphere(q, k: int) -> bool:
@@ -129,7 +128,6 @@ def equivariant_map_exists(model: DoublePointModel, k: int) -> Verdict:
             dim=dim,
             yang=yang,
             quotient_f_vector=fv,
-            manifold_checked=manifold,
         )
     return Verdict(
         answer=INCONCLUSIVE,

@@ -120,15 +120,16 @@ def _self_check(f: SimplicialMap, g: SemiLinearMap, s: Simplex) -> Optional[Viol
     cols = _combined_columns(f, g, s, frame)
     if linalg.affinely_independent(cols):
         return None
-    # Affine dependency: sum c_i cols_i = 0 with sum c_i = 0, c != 0.
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    rows.append([Fraction(1)] * len(cols))
-    reduced, piv_cols, _ = linalg.rref(rows)
-    j0 = next(j for j in range(len(cols)) if j not in piv_cols)
-    dep = [Fraction(0)] * len(cols)
-    dep[j0] = Fraction(1)
-    for r, pc in enumerate(piv_cols):
-        dep[pc] = -reduced[r][j0]
+    # Affine dependency: sum c_i cols_i = 0 with sum c_i = 0, c != 0, that is
+    # a linear one of the columns with a 1 appended.  The first column j0
+    # that depends on the ones before it gives the unique dependency
+    # supported on columns 0..j0 with c_j0 = 1.
+    rows = list(zip(*cols)) + [(1,) * len(cols)]
+    for j0 in range(1, len(cols)):
+        t = linalg.solve([row[:j0] for row in rows], [row[j0] for row in rows])
+        if t is not None:
+            break
+    dep = [-c for c in t] + [Fraction(1)] + [Fraction(0)] * (len(cols) - j0 - 1)
     pos = sum(c for c in dep if c > 0)
     lam = [max(c, Fraction(0)) / pos for c in dep]
     mu = [max(-c, Fraction(0)) / pos for c in dep]

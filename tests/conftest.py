@@ -195,7 +195,7 @@ def fold_locus(f: SimplicialMap) -> SimplicialComplex:
             core = tuple(sorted(shared, key=f.source.rank.__getitem__))
             for size in range(1, len(core) + 1):
                 faces.update(combinations(core, size))
-    return f.source.subcomplex(faces)
+    return subcomplex(f.source, faces)
 
 
 @dataclass
@@ -334,10 +334,114 @@ def cup(space: mod2.CochainSpace, f_bits: int, p: int, g_bits: int, q: int) -> i
     return out
 
 
+# -- the eliminations the library replaced ------------------------------------------
+#
+# The library keeps one elimination per field: ``gf2.row_basis`` and the
+# fraction-free ``linalg._echelon``.  The eliminations they replaced, a
+# lowest-bit GF(2) solver and reduced row echelon form over ``Fraction``,
+# are the oracles here.
+
+
+def solve_gf2(rows, rhs, ncols: int) -> Optional[int]:
+    """One solution (packed) of the GF(2) system ``rows . x = rhs``, with free
+    variables set to zero; ``None`` when inconsistent."""
+    eqs: list = []  # (mask, bit) with distinct pivot (lowest set bit)
+    pivots: Dict[int, int] = {}
+    for mask, bit in zip(rows, rhs):
+        bit &= 1
+        while mask:
+            pv = (mask & -mask).bit_length() - 1
+            idx = pivots.get(pv)
+            if idx is None:
+                pivots[pv] = len(eqs)
+                eqs.append((mask, bit))
+                break
+            emask, ebit = eqs[idx]
+            mask ^= emask
+            bit ^= ebit
+        else:
+            if bit:
+                return None
+    x = 0
+    for pv in sorted(pivots, reverse=True):
+        mask, bit = eqs[pivots[pv]]
+        if bit ^ ((mask & x).bit_count() & 1):
+            x |= 1 << pv
+    return x
+
+
+def coboundary_rows(space: mod2.CochainSpace, q: int) -> list:
+    """The coboundary from q- to (q+1)-cochains: rows indexed by
+    (q+1)-simplices over q-simplex columns."""
+    idx = space.index(q)
+    rows = []
+    for s in space.simplices(q + 1):
+        bits = 0
+        for f in combinations(s, q + 1):
+            bits |= 1 << idx[f]
+        rows.append(bits)
+    return rows
+
+
+def coboundary_potential(space: mod2.CochainSpace, bits: int, q: int) -> Optional[int]:
+    """A (q-1)-cochain x with ``δx`` the q-cochain ``bits``, or ``None``."""
+    rhs = [(bits >> i) & 1 for i in range(len(space.simplices(q)))]
+    return solve_gf2(coboundary_rows(space, q - 1), rhs, len(space.simplices(q - 1)))
+
+
+def rref(m) -> tuple:
+    """Reduced row echelon form over ``Fraction``: ``(matrix, pivot_columns,
+    rank)``, pivots chosen left to right."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots, r
+
+
+def rref_solve(a, b) -> Optional[list]:
+    """The solution of ``a x = b`` read off ``rref([a | b])`` with free
+    variables zero, or ``None`` when inconsistent."""
+    if not a:
+        return []
+    cols = len(a[0])
+    red, pivots, _ = rref([list(row) + [bv] for row, bv in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][cols]
+    return x
+
+
 def walked_cells(model) -> list:
     """The cell of ``(s, t)`` for every pair ``{s, t}`` a pair model walks;
     the cell of ``(t, s)``, its swap image, is not listed."""
     return [tuple(zip(a, b)) for _, _, a, b in model.aligned_pairs()]
+
+
+def subcomplex(c: SimplicialComplex, simplices) -> SimplicialComplex:
+    """Subcomplex of ``c`` on the given simplices (assumed face-closed),
+    keeping the parent vertex order."""
+    simps = {c.canon(s) for s in simplices}
+    verts = sorted({v for s in simps for v in s}, key=c.rank.__getitem__)
+    return SimplicialComplex(verts, simps)
 
 
 def complex_from_facets(facets):

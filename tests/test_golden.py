@@ -59,7 +59,7 @@ from pathlib import Path
 
 import pytest
 
-from prem import double_points, formats, lp, mod2
+from prem import double_points, formats, gf2, lp, mod2
 from prem.cli import main
 from prem.lift import build_closure_model, closure_witness
 
@@ -321,6 +321,41 @@ def test_lift_solves_no_lp(inputs, manifest, monkeypatch):
     monkeypatch.setattr(lp, "lp_solve", refuse)
     cases = ["cover25-lift2-text", "cover25-lift2-json", "cover25-alpha2-text", "cover25-alpha2-json"]
     _assert_golden(cases, inputs, manifest)
+
+
+def _refuse_listed_rows(monkeypatch) -> list:
+    """Make ``gf2.row_basis`` raise when it is handed a ``list`` of rows;
+    the returned list gets one entry per call."""
+    calls = []
+    reduce = gf2.row_basis
+
+    def streamed_only(rows):
+        calls.append(1)
+        if isinstance(rows, list):
+            raise AssertionError("row_basis was handed a list")
+        return reduce(rows)
+
+    monkeypatch.setattr(gf2, "row_basis", streamed_only)
+    return calls
+
+
+def test_row_basis_guard_catches_a_listed_call(monkeypatch):
+    calls = _refuse_listed_rows(monkeypatch)
+    assert gf2.row_basis(iter([3, 1])) == {1: 3, 0: 1}
+    with pytest.raises(AssertionError, match="handed a list"):
+        gf2.row_basis([3, 1])
+    assert len(calls) == 2
+
+
+def test_yang_and_thm3_stream_their_rows(inputs, manifest, monkeypatch):
+    """``yang`` (Betti ranks and the coboundary tests of the cup powers) and
+    ``report-thm3`` (the coboundary tests) on ``join-lens 2 1`` hand
+    ``gf2.row_basis`` one row at a time, so it holds only the basis."""
+    calls = _refuse_listed_rows(monkeypatch)
+    for case in ["lens2-yang-text", "lens2-yang-json", "lens2-thm3-text", "lens2-thm3-json"]:
+        calls.clear()
+        _assert_golden([case], inputs, manifest)
+        assert calls
 
 
 def test_golden_digests_cover_every_gen_input():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from prem import linalg
 
+from conftest import rref, rref_solve
+
 F = Fraction
 
 
@@ -58,6 +60,35 @@ def rational_matrices(draw):
 @settings(deadline=None, max_examples=200)
 @given(rational_matrices())
 def test_rank_matches_rref(m):
-    expected = linalg.rref(m)[2] if m else 0
+    expected = rref(m)[2]
     assert linalg._rank(m) == expected
     assert linalg._rank([row[::-1] for row in m[::-1]]) == expected
+
+
+@st.composite
+def linear_systems(draw):
+    """A matrix from ``rational_matrices`` and a right-hand side: a
+    rational combination of its columns (consistent) or random entries
+    (often inconsistent when the matrix is rank-deficient)."""
+    a = draw(rational_matrices())
+    cols = len(a[0]) if a else 0
+    if draw(st.booleans()):
+        x = [draw(RATIONALS) for _ in range(cols)]
+        b = [sum((c * y for c, y in zip(row, x)), F(0)) for row in a]
+    else:
+        b = [draw(RATIONALS) for _ in a]
+    return a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_systems())
+def test_solve_matches_the_rref_solution(system):
+    """``solve`` back-substitutes on the fraction-free echelon form, and
+    gives exactly the solution ``rref`` reads off with free variables zero,
+    or ``None`` exactly when ``rref`` finds the system inconsistent."""
+    a, b = system
+    x = linalg.solve(a, b)
+    assert x == rref_solve(a, b)
+    if x is not None:
+        assert all(type(c) is Fraction for c in x)
+        assert [sum((c * y for c, y in zip(row, x)), F(0)) for row in a] == b

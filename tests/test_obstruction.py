@@ -71,7 +71,6 @@ def test_exists_by_trivial_cover():
     assert v.reason == "trivial-cover"
     assert v.yang == 0
     assert v.quotient_f_vector == (9, 9)
-    assert v.manifold_checked is None
     bowties = swapped_pair(BOWTIE, {x: x.upper() for x in "abcde"})
     for k in (1, 2):
         v = equivariant_map_exists(StoredModel(bowties), k)
@@ -85,7 +84,7 @@ def test_exists_by_manifold_route():
     assert v.reason == "manifold-complete-obstruction"
     assert v.yang == 1
     assert v.quotient_f_vector == (9, 27, 18)
-    assert v.manifold_checked is True
+    assert v.dim == v.k
 
 
 def test_not_exists_by_cup_power():
@@ -109,7 +108,8 @@ def test_inconclusive_nonmanifold_quotient():
     assert v.answer == INCONCLUSIVE
     assert v.reason == "mod2-only"
     assert v.yang == 1
-    assert v.manifold_checked is False
+    # dim == k: the manifold route ran and found no homology manifold.
+    assert v.dim == v.k
 
 
 def test_inconclusive_dimension_above_k():

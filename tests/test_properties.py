@@ -13,7 +13,8 @@ certifiers of the pair model and of the closure model, and
 the separate regularity checks and projections of the order-2 and order-p
 quotients, the labelled orbit quotient that canonicalised the nested
 barycentric ids in every round, the self-check of every maximal simplex
-of a non-degenerate map, and the rank of a single point.  The quotient of a
+of a non-degenerate map, the rank of a single point, and the lowest-bit
+GF(2) solver of the coboundary test.  The quotient of a
 stored free involution, with its ``w1`` read upstairs, is the oracle of the
 walked quotient; it lives in ``conftest``, where :class:`StoredModel` lets
 stored complexes reach the verdict.  So does the closure model, on which the
@@ -78,15 +79,21 @@ from conftest import (
     closure_model,
     closure_sheet_split,
     closure_moment_witness,
+    coboundary_potential,
+    coboundary_rows,
     euler_characteristic,
     fixed_simplices,
     fold_locus,
     moment_values,
     old_homotopy_certificate,
     orbit_quotient,
+    octahedron,
     pair_complex,
+    projective_plane_6,
     quotient_by_free_involution,
     regularity_failures,
+    subcomplex,
+    torus_7,
     w1_cocycle,
     walked_cells,
 )
@@ -285,8 +292,8 @@ def old_maximal_simplices(c: SimplicialComplex) -> list:
 
 
 def old_link(c: SimplicialComplex, v) -> SimplicialComplex:
-    return c.subcomplex({s[:i] + s[i + 1:] for s in c.star_simplices(v)
-                         if len(s) > 1 for i in (s.index(v),)})
+    return subcomplex(c, {s[:i] + s[i + 1:] for s in c.star_simplices(v)
+                          if len(s) > 1 for i in (s.index(v),)})
 
 
 def old_pair_cells(f: SimplicialMap, overlapping: bool) -> set:
@@ -967,6 +974,50 @@ def test_full_covers_keep_their_yang_index_under_subdivision():
 
 
 # -- antipodal witnesses ----------------------------------------------------------------
+
+
+def _swap_quotient(f: SimplicialMap):
+    """The walked swap quotient of a map's pair model with its ``w1``, or
+    ``None`` when the map has no pair model."""
+    try:
+        return double_point_model(f).swap_quotient
+    except PreconditionError:
+        return None
+
+
+COCHAIN_COMPLEXES = st.one_of(
+    st.sampled_from([octahedron(), torus_7(), projective_plane_6()]).map(lambda c: (c, {})),
+    st.one_of(covering_pieces(), small_non_degenerate_maps(), coloured_maps(),
+              st.sampled_from(_CLOSED_SOURCES))
+    .map(_swap_quotient).filter(lambda qw: qw is not None),
+)
+
+
+@PROPERTY
+@given(COCHAIN_COMPLEXES, st.data())
+def test_coboundary_test_matches_the_gf2_oracle(case, data):
+    """In every degree, ``is_coboundary`` answers what the lowest-bit GF(2)
+    solver answers on a random 0/1 cochain, on the coboundary of a random
+    cochain and on the cup power of ``w1``; a solution the solver finds has
+    the cochain as its coboundary."""
+    c, w = case
+    space = mod2.CochainSpace(c)
+    w_bits = space.pack(1, w) if c.dim >= 1 else 0
+    for q in range(1, c.dim + 1):
+        rows = coboundary_rows(space, q - 1)
+
+        def delta(x: int) -> int:
+            return sum(((row & x).bit_count() & 1) << i for i, row in enumerate(rows))
+
+        below = data.draw(st.integers(0, (1 << len(space.simplices(q - 1))) - 1))
+        cochain = data.draw(st.integers(0, (1 << len(space.simplices(q))) - 1))
+        exact = delta(below)
+        assert space.is_coboundary(exact, q)
+        for bits in (cochain, exact, space.one_cocycle_power(w_bits, q)):
+            x = coboundary_potential(space, bits, q)
+            assert space.is_coboundary(bits, q) == (x is not None)
+            if x is not None:
+                assert delta(x) == bits
 
 
 def old_certify_pair(model, k, values):

@@ -1,19 +1,21 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import List
+from typing import List, Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prem import lp, verify
+from prem import linalg, lp, verify
 from prem.complexes import SimplicialComplex
 from prem.errors import InternalError, MapError
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map
 from prem.lift import construct_lift_3ptfree
 from prem.maps import SemiLinearMap, SimplicialMap
-from prem.verify import PairEvidence, verify_embedding
+from prem.verify import PairEvidence, ViolationWitness, verify_embedding
+
+from conftest import rref
 
 F = Fraction
 
@@ -224,6 +226,57 @@ def test_one_lp_pair_check_matches_oracle(fg):
         assert sum(w.x.coords) == 1 and sum(w.y.coords) == 1
         assert _push(f, w.x) == _push(f, w.y)
         assert g(w.x) == g(w.y) == w.g_value
+
+
+def rref_self_check(f: SimplicialMap, g: SemiLinearMap, s) -> Optional[ViolationWitness]:
+    """The self-check's witness with the affine dependency read off the
+    reduced row echelon form: 1 in the first non-pivot column j0, minus
+    column j0 of the reduced matrix in the pivot columns."""
+    frame = sorted({f.vertex_map[v] for v in s}, key=f.target.rank.__getitem__)
+    cols = verify._combined_columns(f, g, s, frame)
+    if linalg.affinely_independent(cols):
+        return None
+    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
+    rows.append([F(1)] * len(cols))
+    reduced, piv_cols, _ = rref(rows)
+    j0 = next(j for j in range(len(cols)) if j not in piv_cols)
+    dep = [F(0)] * len(cols)
+    dep[j0] = F(1)
+    for r, pc in enumerate(piv_cols):
+        dep[pc] = -reduced[r][j0]
+    pos = sum(c for c in dep if c > 0)
+    x = verify._point_from_coeffs(s, [max(c, F(0)) / pos for c in dep])
+    y = verify._point_from_coeffs(s, [max(-c, F(0)) / pos for c in dep])
+    return ViolationWitness(simplex_x=s, simplex_y=s, x=x, y=y, g_value=g(x))
+
+
+@st.composite
+def collapsed_simplices(draw):
+    """One source simplex of two to five vertices sent onto a target simplex
+    with fewer vertices, so the map is degenerate, lifted by small values
+    in one or two coordinates, so that the self-check often finds a
+    dependency."""
+    n = draw(st.integers(2, 5))
+    source = [f"v{i}" for i in range(n)]
+    target = [f"t{j}" for j in range(draw(st.integers(1, n - 1)))]
+    images = draw(st.lists(st.sampled_from(target), min_size=n, max_size=n))
+    s = tuple(source)
+    f = SimplicialMap(SimplicialComplex.from_maximal(source, [s]),
+                      SimplicialComplex.from_maximal(target, [tuple(target)]),
+                      dict(zip(source, images)))
+    k = draw(st.integers(1, 2))
+    coord = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+    values = {v: tuple(draw(st.lists(coord, min_size=k, max_size=k))) for v in source}
+    return f, SemiLinearMap(f.source, values), s
+
+
+@PROPERTY
+@given(collapsed_simplices())
+def test_self_check_matches_the_rref_route(case):
+    """The self-check's dependency, one ``solve`` per column up to the
+    first dependent one, gives the witness that ``rref`` gives."""
+    f, g, s = case
+    assert verify._self_check(f, g, s) == rref_self_check(f, g, s)
 
 
 def _count_calls(monkeypatch, module, name) -> list:
