@@ -12,10 +12,15 @@ them ``lift`` on a map that the equivariant obstruction rules out; internal
 contract violations 70; an ``-o FILE`` that cannot be written 73.
 ``obstruct`` and ``report-thm3`` exit 0 for a positive verdict, 1 for a
 negative one and 2 when inconclusive; ``verify`` exits 1 when the
-certificate fails.  ``--json`` renders every report as a
-versioned JSON document, written to ``-o FILE`` when given, and turns an
-error into one JSON object on stderr, ``{"schema": 1, "error": {"type",
-"message", "exit_code"}}``, with the same exit code.
+certificate fails.
+
+Each subcommand returns its exit code and its document: the text of its
+report, or under ``--json`` (and always for ``stability``) a dict of its own
+fields.  :func:`main` writes every document, once, to stdout or to
+``-o FILE``; it writes a dict as sorted, indented JSON, with the schema
+version and the subcommand's name added.  Under ``--json`` an error becomes
+one JSON object on stderr, ``{"schema": 1, "error": {"type", "message",
+"exit_code"}}``, with the same exit code.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import formats, gf2, mod2
 from .complexes import SimplicialComplex
@@ -52,6 +57,8 @@ from .verify import VerificationResult, verify_embedding
 
 SCHEMA = 1
 
+Document = Union[str, Dict]  # a report's text, or its JSON fields
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors are parse errors (exit 64), not argparse's exit 2."""
@@ -68,27 +75,8 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {out}: {exc}") from exc
-
-
-def _print_json(payload: Dict, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
-
-
-def _frac(x) -> str:
-    return formats.format_fraction(x)
-
-
 def _vec(xs) -> List[str]:
-    return [_frac(x) for x in xs]
+    return [formats.format_fraction(x) for x in xs]
 
 
 def _verification_payload(res: VerificationResult) -> Dict:
@@ -129,7 +117,7 @@ def _verification_lines(res: VerificationResult) -> List[str]:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> Tuple[int, Document]:
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
     components = len(model.components)
@@ -137,27 +125,21 @@ def _cmd_delta(args) -> int:
     fvec = model.complex.f_vector()
     if args.json:
         tok = formats.token_table(model.complex)
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "delta",
-                "cells_by_dimension": list(fvec),
-                "components": components,
-                "invariant_components": invariant,
-                "subdivision_rounds": model.subdivision_rounds,
-                "vertices": [tok[v] for v in model.complex.vertices],
-                "maximal_simplices": [
-                    [tok[v] for v in s] for s in model.complex.maximal_simplices()
-                ],
-                "involution": sorted(
-                    [tok[a], tok[b]]
-                    for a, b in model.involution.items()
-                    if model.complex.rank[a] <= model.complex.rank[b]
-                ),
-            },
-            args.out,
-        )
-        return 0
+        return 0, {
+            "cells_by_dimension": list(fvec),
+            "components": components,
+            "invariant_components": invariant,
+            "subdivision_rounds": model.subdivision_rounds,
+            "vertices": [tok[v] for v in model.complex.vertices],
+            "maximal_simplices": [
+                [tok[v] for v in s] for s in model.complex.maximal_simplices()
+            ],
+            "involution": sorted(
+                [tok[a], tok[b]]
+                for a, b in model.involution.items()
+                if model.complex.rank[a] <= model.complex.rank[b]
+            ),
+        }
     head = [
         f"# pair cells by dimension: {' '.join(map(str, fvec))}",
         f"# components: {components}",
@@ -167,11 +149,10 @@ def _cmd_delta(args) -> int:
     body = formats.write_complex(
         formats.ComplexDocument(model.complex, involution=model.involution)
     )
-    _emit("\n".join(head) + "\n" + body, args.out)
-    return 0
+    return 0, "\n".join(head) + "\n" + body
 
 
-def _cmd_yang(args) -> int:
+def _cmd_yang(args) -> Tuple[int, Document]:
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
     quotient, w1 = model.swap_quotient
@@ -179,29 +160,17 @@ def _cmd_yang(args) -> int:
     fvec = quotient.f_vector()
     betti = gf2.betti_mod2(quotient)
     if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "yang",
-                "yang_index": y,
-                "quotient_cells_by_dimension": list(fvec),
-                "quotient_mod2_betti": list(betti),
-            },
-            args.out,
-        )
-        return 0
-    _emit(
-        "\n".join(
-            [
-                f"yang index: {y}",
-                f"quotient cells by dimension: {' '.join(map(str, fvec))}",
-                f"quotient mod-2 betti: {' '.join(map(str, betti))}",
-            ]
-        )
-        + "\n",
-        args.out,
-    )
-    return 0
+        return 0, {
+            "yang_index": y,
+            "quotient_cells_by_dimension": list(fvec),
+            "quotient_mod2_betti": list(betti),
+        }
+    lines = [
+        f"yang index: {y}",
+        f"quotient cells by dimension: {' '.join(map(str, fvec))}",
+        f"quotient mod-2 betti: {' '.join(map(str, betti))}",
+    ]
+    return 0, "\n".join(lines) + "\n"
 
 
 def _verdict_exit(answer: str) -> int:
@@ -212,35 +181,29 @@ def _verdict_exit(answer: str) -> int:
     return 2
 
 
-def _cmd_obstruct(args) -> int:
+def _cmd_obstruct(args) -> Tuple[int, Document]:
     require_positive_k(args.k)
     doc = formats.parse_map(_read(args.map_file))
     model = double_point_model(doc.map)
     verdict = equivariant_map_exists(model, args.k)
+    code = _verdict_exit(verdict.answer)
     if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "obstruct",
-                "k": args.k,
-                "verdict": verdict.answer,
-                "reason": verdict.reason,
-                "pair_complex_dim": verdict.dim,
-                "yang_index": verdict.yang,
-                "quotient_cells_by_dimension": (
-                    list(verdict.quotient_f_vector)
-                    if verdict.quotient_f_vector is not None
-                    else None
-                ),
-            },
-            args.out,
-        )
-    else:
-        lines = [f"verdict: {verdict.answer}", f"reason: {verdict.reason}"]
-        if verdict.yang is not None:
-            lines.append(f"yang index: {verdict.yang}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return _verdict_exit(verdict.answer)
+        return code, {
+            "k": args.k,
+            "verdict": verdict.answer,
+            "reason": verdict.reason,
+            "pair_complex_dim": verdict.dim,
+            "yang_index": verdict.yang,
+            "quotient_cells_by_dimension": (
+                list(verdict.quotient_f_vector)
+                if verdict.quotient_f_vector is not None
+                else None
+            ),
+        }
+    lines = [f"verdict: {verdict.answer}", f"reason: {verdict.reason}"]
+    if verdict.yang is not None:
+        lines.append(f"yang index: {verdict.yang}")
+    return code, "\n".join(lines) + "\n"
 
 
 def _conclusion_text(report) -> str:
@@ -251,36 +214,29 @@ def _conclusion_text(report) -> str:
     return "inconclusive"
 
 
-def _cmd_report_thm3(args) -> int:
+def _cmd_report_thm3(args) -> Tuple[int, Document]:
     doc = formats.parse_map(_read(args.map_file))
-    model = double_point_model(doc.map)
-    k = doc.map.source.dim
-    report = prem_report(doc.map, k, model=model)
+    report = prem_report(doc.map, doc.map.source.dim)
+    code = _verdict_exit(report.verdict.answer)
     if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "report-thm3",
-                "k": report.k,
-                "source_dim": report.source_dim,
-                "target_dim": report.target_dim,
-                "verdict": report.verdict.answer,
-                "reason": report.verdict.reason,
-                "yang_index": report.verdict.yang,
-                "components": report.components,
-                "invariant_components": report.invariant_components,
-                "invariant_projection_parities": report.invariant_parities,
-                "parity_reading": report.parity_reading,
-                "codimension_hypothesis": report.hyp_codim,
-                "dimension_inequality": report.hyp_metastable,
-                "conclusion": report.conclusion,
-                "conclusion_text": _conclusion_text(report),
-                "subdivision_rounds": report.subdivision_rounds,
-                "notes": report.notes,
-            },
-            args.out,
-        )
-        return _verdict_exit(report.verdict.answer)
+        return code, {
+            "k": report.k,
+            "source_dim": report.source_dim,
+            "target_dim": report.target_dim,
+            "verdict": report.verdict.answer,
+            "reason": report.verdict.reason,
+            "yang_index": report.verdict.yang,
+            "components": report.components,
+            "invariant_components": report.invariant_components,
+            "invariant_projection_parities": report.invariant_parities,
+            "parity_reading": report.parity_reading,
+            "codimension_hypothesis": report.hyp_codim,
+            "dimension_inequality": report.hyp_metastable,
+            "conclusion": report.conclusion,
+            "conclusion_text": _conclusion_text(report),
+            "subdivision_rounds": report.subdivision_rounds,
+            "notes": report.notes,
+        }
     parities = (
         " ".join(map(str, report.invariant_parities))
         if report.invariant_parities
@@ -303,11 +259,10 @@ def _cmd_report_thm3(args) -> int:
         f"conclusion: {_conclusion_text(report)}",
     ]
     lines += [f"note: {note}" for note in report.notes]
-    _emit("\n".join(lines) + "\n", args.out)
-    return _verdict_exit(report.verdict.answer)
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> Tuple[int, Document]:
     require_positive_k(args.k)
     doc = formats.parse_map(_read(args.map_file))
     alpha = None
@@ -336,24 +291,18 @@ def _cmd_lift(args) -> int:
         )
     result = construct_lift_3ptfree(doc.map, args.k, alpha=alpha, star=star)
     if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "lift",
-                "k": result.k,
-                "values": {
-                    formats.id_token(v): _vec(result.lift.values[v])
-                    for v in result.lift.source.vertices
-                },
-                "verification": _verification_payload(result.verification),
-                "homotopy_certified": (
-                    result.homotopy_certified if args.alpha else None
-                ),
-                "notes": result.notes,
+        return 0, {
+            "k": result.k,
+            "values": {
+                formats.id_token(v): _vec(result.lift.values[v])
+                for v in result.lift.source.vertices
             },
-            args.out,
-        )
-        return 0
+            "verification": _verification_payload(result.verification),
+            "homotopy_certified": (
+                result.homotopy_certified if args.alpha else None
+            ),
+            "notes": result.notes,
+        }
     head = [f"# k: {result.k}"]
     head += [f"# {line}" for line in _verification_lines(result.verification)]
     if args.alpha:
@@ -362,30 +311,21 @@ def _cmd_lift(args) -> int:
             + ("ok" if result.homotopy_certified else "FAILED")
         )
     head += [f"# note: {note}" for note in result.notes]
-    _emit("\n".join(head) + "\n" + formats.write_lift(result.lift), args.out)
-    return 0
+    return 0, "\n".join(head) + "\n" + formats.write_lift(result.lift)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[int, Document]:
     doc = formats.parse_map(_read(args.map_file))
     g = formats.parse_lift(_read(args.lift_file), doc.map.source)
     res = verify_embedding(doc.map, g)
+    code = 0 if res.ok else 1
     if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "verify",
-                **_verification_payload(res),
-            },
-            args.out,
-        )
-    else:
-        _emit("\n".join(_verification_lines(res)) + "\n", args.out)
-    return 0 if res.ok else 1
+        return code, _verification_payload(res)
+    return code, "\n".join(_verification_lines(res)) + "\n"
 
 
 def _stage_payload(t) -> Dict:
-    opt = lambda x: None if x is None else _frac(x)  # noqa: E731
+    opt = lambda x: None if x is None else formats.format_fraction(x)  # noqa: E731
     return {
         "stage": t.stage,
         "pairs": t.pair_count,
@@ -401,7 +341,7 @@ def _stage_payload(t) -> Dict:
 
 
 def _stage_line(t) -> str:
-    opt = lambda x: "-" if x is None else _frac(x)  # noqa: E731
+    opt = lambda x: "-" if x is None else formats.format_fraction(x)  # noqa: E731
     return (
         f"stage {t.stage}: pairs {t.pair_count}, d_max^2 {opt(t.d_max_sq)}, "
         f"separation^2 {opt(t.separation_sq)}, lambda^2 {opt(t.lambda_sq)}, "
@@ -410,7 +350,7 @@ def _stage_line(t) -> str:
     )
 
 
-def _cmd_plify(args) -> int:
+def _cmd_plify(args) -> Tuple[int, Document]:
     doc = formats.parse_map(_read(args.map_file))
     g = formats.parse_lift(_read(args.lift_file), doc.map.source)
     result = run_plify(doc.map, g)
@@ -418,8 +358,6 @@ def _cmd_plify(args) -> int:
         derived = result.derived_complex
         tok = formats.token_table(derived)
         payload = {
-            "schema": SCHEMA,
-            "command": "plify",
             "ok": result.ok,
             "vertex_agreement": result.vertex_agreement,
             "derived_star_hulls_disjoint": result.hulls_disjoint,
@@ -436,8 +374,7 @@ def _cmd_plify(args) -> int:
         }
         if args.trace:
             payload["stages"] = [_stage_payload(t) for t in result.stages]
-        _print_json(payload, args.out)
-        return 0
+        return 0, payload
     head = [
         f"# result: {'ok' if result.ok else 'FAILED'}",
         f"# vertex agreement: {'ok' if result.vertex_agreement else 'FAILED'}",
@@ -457,37 +394,30 @@ def _cmd_plify(args) -> int:
         head += [f"# {_stage_line(t)}" for t in result.stages]
     body = formats.write_complex(formats.ComplexDocument(result.derived_complex))
     lift_text = formats.write_lift(result.derived_lift)
-    _emit("\n".join(head) + "\n" + body + lift_text, args.out)
-    return 0
+    return 0, "\n".join(head) + "\n" + body + lift_text
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args) -> Tuple[int, Document]:
     doc = formats.parse_complex(_read(args.complex_file))
     g = formats.parse_lift(_read(args.values_file), doc.complex)
     report = stable_to_line_report(doc.complex, g.values)
-    _print_json(
-        {
-            "schema": SCHEMA,
-            "command": "stability",
-            "verdict": report.verdict,
-            "stable": report.stable,
-            "embeds_all_edges": report.embeds_all_edges,
-            "degenerate_edges": [
-                [formats.id_token(u), formats.id_token(v)]
-                for u, v in report.degenerate_edges
-            ],
-            "critical_vertices": [
-                formats.id_token(v) for v in report.critical_vertices
-            ],
-            "undecided_vertices": [
-                formats.id_token(v) for v in report.undecided_vertices
-            ],
-            "critical_values_injective": report.critical_values_injective,
-            "caveats": report.caveats,
-        },
-        args.out,
-    )
-    return 0
+    return 0, {
+        "verdict": report.verdict,
+        "stable": report.stable,
+        "embeds_all_edges": report.embeds_all_edges,
+        "degenerate_edges": [
+            [formats.id_token(u), formats.id_token(v)]
+            for u, v in report.degenerate_edges
+        ],
+        "critical_vertices": [
+            formats.id_token(v) for v in report.critical_vertices
+        ],
+        "undecided_vertices": [
+            formats.id_token(v) for v in report.undecided_vertices
+        ],
+        "critical_values_injective": report.critical_values_injective,
+        "caveats": report.caveats,
+    }
 
 
 _GEN_PARAMS = {
@@ -509,7 +439,7 @@ _FIGURE_EIGHT_PLANE = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Tuple[int, Document]:
     name = args.name
     if name not in _GEN_PARAMS:
         raise ParseError(
@@ -552,8 +482,7 @@ def _cmd_gen(args) -> int:
         )
     else:  # fold-path
         text = formats.write_map(fold_path_map())
-    _emit(text, args.out)
-    return 0
+    return 0, text
 
 
 # -- parser ----------------------------------------------------------------------
@@ -633,7 +562,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code, document = args.fn(args)
+        if isinstance(document, dict):
+            document = json.dumps(
+                {"schema": SCHEMA, "command": args.command, **document},
+                sort_keys=True, indent=2,
+            ) + "\n"
+        if args.out is None:
+            sys.stdout.write(document)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(document)
+            except OSError as exc:
+                raise OutputError(f"cannot write {args.out}: {exc}") from exc
+        return code
     except PremError as exc:
         # A parse error leaves no ``args``: then ``--json`` anywhere asks for JSON.
         as_json = "--json" in argv if args is None else getattr(args, "json", False)

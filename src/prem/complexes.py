@@ -200,10 +200,6 @@ class SimplicialComplex:
             self._neighbors = nbrs
         return self._neighbors[v]
 
-    def closed_star_vertices(self, v) -> set:
-        """Vertex set of the closed star of ``v`` (assumes a closed complex)."""
-        return {v} | self.neighbors(v)
-
     def star_simplices(self, v) -> list:
         """All simplices containing ``v`` (indexed once, then cached)."""
         if self._star_index is None:
@@ -263,20 +259,10 @@ class SimplicialComplex:
                 ridge_count.setdefault(r, []).append(s)
         if any(len(fs) != 2 for fs in ridge_count.values()):
             return False
-        # Strong connectivity per component of the facet adjacency graph
-        # must match vertex-level connectivity.
-        fparent = {s: s for s in facets}
-
-        def ffind(x):
-            while fparent[x] != x:
-                fparent[x] = fparent[fparent[x]]
-                x = fparent[x]
-            return x
-
-        for a, b in ridge_count.values():
-            fparent[ffind(a)] = ffind(b)
-        facet_groups = len({ffind(s) for s in facets})
-        return facet_groups == len(self.connected_components())
+        # Strong connectivity: each ridge now joins exactly two facets, and
+        # the facet components must be the vertex components.
+        return len(edge_components(facets, ridge_count.values())) == len(
+            self.connected_components())
 
     # -- dunder ------------------------------------------------------------
 

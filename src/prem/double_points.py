@@ -55,38 +55,60 @@ from .errors import DegenerateMap, InternalError, ModelInvalid
 from .maps import SimplicialMap
 
 
-def _vertex_fibres(f: SimplicialMap) -> List[list]:
-    """The groups of two or more source vertices with one image, each in
-    source order."""
+def vertex_fibres(f: SimplicialMap) -> Dict:
+    """The source vertices grouped by their image, each group in source
+    order."""
     by_image: Dict = {}
     for v in f.source.vertices:
         by_image.setdefault(f.vertex_map[v], []).append(v)
-    return [group for group in by_image.values() if len(group) > 1]
+    return by_image
 
 
 def identified_vertex_pairs(f: SimplicialMap) -> List[Tuple]:
     """Ordered pairs (u, v), u != v, f(u) = f(v), sorted by source ranks."""
-    pairs = [(u, v) for group in _vertex_fibres(f) for u in group for v in group if u != v]
+    pairs = [(u, v) for group in vertex_fibres(f).values() for u in group for v in group
+             if u != v]
     rank = f.source.rank
     pairs.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
     return pairs
 
 
+def _edge_folds(fibres) -> List[Tuple]:
+    """``(x, u, v)`` for every two edges ``xu`` and ``xv`` of one fibre: the
+    folds at ``x``.  Fibres of simplices that are no edges are passed over.
+
+    Two distinct same-image simplices ``s`` and ``t`` that share a vertex
+    ``x`` fold at ``x`` this way: for ``u`` in ``s - t`` and ``m`` the
+    matched bijection, ``xu`` and ``x m(u)`` are two edges of one image.  So
+    the vertices shared by same-image pairs are those of the edge folds."""
+    folds = []
+    for fibre in fibres:
+        if len(fibre[0]) == 2:
+            # Two distinct edges share at most one vertex; ``t[t[0] == a]``
+            # is the end of ``t`` other than ``a``.
+            for (a, b), t in combinations(fibre, 2):
+                if a in t:
+                    folds.append((a, b, t[t[0] == a]))
+                elif b in t:
+                    folds.append((b, a, t[t[0] == b]))
+    return folds
+
+
 def check_star_condition(f: SimplicialMap) -> List[Tuple]:
-    """Violating identified vertex pairs whose closed stars meet, in both
-    orders and sorted as :func:`identified_vertex_pairs` sorts them.  Each
-    closed star is built once and each unordered pair tested once."""
-    source = f.source
-    violations = []
-    for group in _vertex_fibres(f):
-        stars = [source.closed_star_vertices(v) for v in group]
-        for i, u in enumerate(group):
-            for j in range(i + 1, len(group)):
-                if not stars[i].isdisjoint(stars[j]):
-                    violations += [(u, group[j]), (group[j], u)]
-    rank = source.rank
-    violations.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
-    return violations
+    """Violating identified vertex pairs of a non-degenerate map, whose
+    closed stars meet, in both orders and sorted as
+    :func:`identified_vertex_pairs` sorts them.  Identified vertices are
+    never adjacent, so the stars of ``u`` and ``v`` meet exactly when they
+    are the free ends of an edge fold.  Only the edges are grouped by
+    image."""
+    groups = f.source.dimension_groups()
+    image = f.image_index()
+    fibres: Dict = {}
+    for e in groups[1] if len(groups) > 1 else ():
+        fibres.setdefault(image[e], []).append(e)
+    violations = {p for _, u, v in _edge_folds(fibres.values()) for p in ((u, v), (v, u))}
+    rank = f.source.rank
+    return sorted(violations, key=lambda p: (rank[p[0]], rank[p[1]]))
 
 
 def _simplex_fibres(f: SimplicialMap) -> List[list]:
@@ -99,19 +121,11 @@ def _simplex_fibres(f: SimplicialMap) -> List[list]:
     return [fibre for fibre in fibres.values() if len(fibre) > 1]
 
 
-def _disjoint_pairs(fibres: List[list]) -> Tuple[List[list], set]:
+def _disjoint_pairs(fibres: List[list]) -> List[list]:
     """Every disjoint pair of the fibres as a fibre of its own, in walk
-    order, and the vertices that the other pairs share."""
-    pairs: List[list] = []
-    shared: set = set()
-    for fibre in fibres:
-        for s, t in combinations(fibre, 2):
-            common = set(s).intersection(t)
-            if common:
-                shared |= common
-            else:
-                pairs.append([s, t])
-    return pairs, shared
+    order."""
+    return [[s, t] for fibre in fibres for s, t in combinations(fibre, 2)
+            if set(s).isdisjoint(t)]
 
 
 class DoublePointModel:
@@ -125,13 +139,12 @@ class DoublePointModel:
     vertices of the fold locus.  ``swap_quotient`` and ``complex`` are built
     on first access and then kept; the cells are not.
 
-    Under the star condition two distinct simplices with one image are
-    disjoint: a shared vertex ``u`` would make the two lifts ``v != w`` of
-    some image vertex neighbours of ``u``, so the stars of ``v`` and ``w``
-    would meet.  So every same-image pair of a fibre is a cell pair, and the
-    walk runs over whole fibres.  Otherwise each disjoint pair becomes a
-    fibre of its own, and the walk meets the same cells in the same order,
-    less the skipped pairs."""
+    The fold vertices are read off the edge fibres (:func:`_edge_folds`).
+    When there are none, which is the star condition, two distinct
+    simplices with one image are disjoint, every same-image pair of a fibre
+    is a cell pair, and the walk runs over whole fibres.  Otherwise each
+    disjoint pair becomes a fibre of its own, and the walk meets the same
+    cells in the same order, less the skipped pairs."""
 
     # The walk reads the input map itself and subdivides nothing.  The
     # constant keeps the ``subdivision rounds`` field of ``delta`` and
@@ -143,9 +156,9 @@ class DoublePointModel:
         self.vertices = identified_vertex_pairs(f)
         t = self.involution = {(u, v): (v, u) for (u, v) in self.vertices}
         self._fibres = _simplex_fibres(f)
-        self.fold_vertices: set = set()
-        if check_star_condition(f):
-            self._fibres, self.fold_vertices = _disjoint_pairs(self._fibres)
+        self.fold_vertices = {x for x, _, _ in _edge_folds(self._fibres)}
+        if self.fold_vertices:
+            self._fibres = _disjoint_pairs(self._fibres)
         counts: List[int] = []
         for fibre in self._fibres:
             n = len(fibre[0])

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .complexes import SimplicialComplex, Simplex
-from .double_points import DoublePointModel
+from .double_points import DoublePointModel, vertex_fibres
 from .errors import (
     CertificationError,
     DegenerateMap,
@@ -72,13 +71,15 @@ from .verify import VerificationResult, verify_embedding
 
 
 def has_triple_points(f: SimplicialMap) -> Optional[Tuple[Simplex, Simplex, Simplex]]:
-    """A witness triple of pairwise disjoint same-image simplices, or None."""
-    for img, fiber in sorted(f.fibers().items(), key=lambda kv: f.target.sort_key(kv[0])):
-        if len(fiber) < 3:
-            continue
-        for s, t, u in combinations(fiber, 3):
-            if not (set(s) & set(t)) and not (set(s) & set(u)) and not (set(t) & set(u)):
-                return (s, t, u)
+    """A witness triple of pairwise disjoint same-image simplices, or None.
+    Three such simplices are matched vertex by vertex, so they hold three
+    distinct vertices of one image, which are such a triple themselves: the
+    witness is the first three preimages, by source rank, of the first
+    target vertex, by rank, that has three."""
+    fibres = vertex_fibres(f)
+    for x in f.target.vertices:
+        if len(fibres.get(x, ())) > 2:
+            return tuple((v,) for v in fibres[x][:3])
     return None
 
 

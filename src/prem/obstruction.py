@@ -335,16 +335,11 @@ class PremReport:
     subdivision_rounds: int = 0
 
 
-def prem_report(
-    f: SimplicialMap,
-    k: int,
-    model: Optional[DoublePointModel] = None,
-) -> PremReport:
+def prem_report(f: SimplicialMap, k: int) -> PremReport:
     """Weigh the equivariant verdict against the dimension hypotheses under
     which a positive verdict upgrades to an actual embedding lift.  A map
     without double points is an embedding already, whatever the dimensions."""
-    if model is None:
-        model = double_point_model(f)
+    model = double_point_model(f)
     n = f.source.dim
     m = f.target.dim
     verdict = equivariant_map_exists(model, k)

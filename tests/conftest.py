@@ -430,6 +430,46 @@ def rref_solve(a, b) -> Optional[list]:
     return x
 
 
+# -- the gates the library replaced ------------------------------------------------
+#
+# The library reads the star condition off the folds of same-image edges and
+# finds triple points among the vertex fibres.  The closed-star test and the
+# search of every fibre of simplices are the oracles here.
+
+
+def closed_star_vertices(c: SimplicialComplex, v) -> set:
+    """Vertex set of the closed star of ``v`` (assumes a closed complex)."""
+    return {v} | c.neighbors(v)
+
+
+def old_check_star_condition(f: SimplicialMap) -> list:
+    """Violating identified vertex pairs whose closed stars meet, in both
+    orders and sorted as ``identified_vertex_pairs`` sorts them."""
+    by_image: Dict = {}
+    for v in f.source.vertices:
+        by_image.setdefault(f.vertex_map[v], []).append(v)
+    violations = []
+    for group in by_image.values():
+        stars = [closed_star_vertices(f.source, v) for v in group]
+        for i, u in enumerate(group):
+            for j in range(i + 1, len(group)):
+                if not stars[i].isdisjoint(stars[j]):
+                    violations += [(u, group[j]), (group[j], u)]
+    rank = f.source.rank
+    violations.sort(key=lambda p: (rank[p[0]], rank[p[1]]))
+    return violations
+
+
+def old_has_triple_points(f: SimplicialMap) -> Optional[tuple]:
+    """The first triple of pairwise disjoint same-image simplices, searching
+    the fibres in the target's simplex order, or None."""
+    for img, fiber in sorted(f.fibers().items(), key=lambda kv: f.target.sort_key(kv[0])):
+        for s, t, u in combinations(fiber, 3):
+            if not (set(s) & set(t)) and not (set(s) & set(u)) and not (set(t) & set(u)):
+                return (s, t, u)
+    return None
+
+
 def walked_cells(model) -> list:
     """The cell of ``(s, t)`` for every pair ``{s, t}`` a pair model walks;
     the cell of ``(t, s)``, its swap image, is not listed."""

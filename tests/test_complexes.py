@@ -7,7 +7,13 @@ from prem.complexes import SimplicialComplex
 from prem.errors import ComplexError
 from prem.subdivision import barycentric_subdivide
 
-from conftest import InvolutionComplex, euler_characteristic, torus_7, triangle_complex
+from conftest import (
+    InvolutionComplex,
+    closed_star_vertices,
+    euler_characteristic,
+    torus_7,
+    triangle_complex,
+)
 
 F = Fraction
 
@@ -64,7 +70,7 @@ def test_link_of_octahedron_vertex_is_square(oct_complex):
 
 def test_star_subcomplex(oct_complex):
     # The closed star: the simplices containing ``n`` with all their faces.
-    near = oct_complex.closed_star_vertices("n")
+    near = closed_star_vertices(oct_complex, "n")
     star = SimplicialComplex.from_maximal(
         [v for v in oct_complex.vertices if v in near], oct_complex.star_simplices("n"))
     assert star.f_vector() == (5, 8, 4)

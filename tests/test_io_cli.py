@@ -654,6 +654,43 @@ def test_stability_honours_out_file(capsys, tmp_path):
     assert json.loads(printed)["command"] == "stability"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "{cover9}", "--json"],
+        ["yang", "{cover9}", "--json"],
+        ["obstruct", "-k", "1", "{cover8}", "--json"],
+        ["report-thm3", "{cover8}", "--json"],
+        ["lift", "-k", "1", "{fig8}", "--json"],
+        ["verify", "{fig8}", "{fig8_lift}", "--json"],
+        ["plify", "{fig8}", "{fig8_lift}", "--json"],
+        ["stability", "{complex}", "{values}"],  # JSON without the flag
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_json_document_takes_the_one_output_path(
+        capsys, tmp_path, cover9, cover8, fig8, fig8_lift, argv):
+    """``-o FILE`` receives exactly what stdout would, the exit code does not
+    depend on where the document goes, and every document carries the
+    envelope with its own command name."""
+    complex_ = tmp_path / "w.complex"
+    complex_.write_text("v p\nv q\nv r\ns p q\ns q r\n", encoding="utf-8")
+    values = tmp_path / "w.values"
+    values.write_text("g p 0\ng q 2\ng r 1\n", encoding="utf-8")
+    files = dict(cover9=cover9, cover8=cover8, fig8=fig8, fig8_lift=fig8_lift,
+                 complex=str(complex_), values=str(values))
+    argv = [a.format(**files) for a in argv]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "document.json"
+    assert main(argv + ["-o", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+    doc = json.loads(printed)
+    assert doc["schema"] == 1
+    assert doc["command"] == argv[0]
+
+
 def test_output_into_missing_directory_exits_73(capsys, tmp_path):
     missing = tmp_path / "missing" / "x.map"
     assert main(["gen", "cycle-cover", "2", "3", "-o", str(missing)]) == 73

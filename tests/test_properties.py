@@ -6,7 +6,8 @@ Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex and every
 flag of a barycentric subdivision, slicing out codimension-one faces to find
 the maximal simplices, sorting every matched pair cell, a private scan of
-the fibres for pair cells, rebuilding
+the fibres for pair cells, the closed-star test of the star condition,
+the search of every fibre of simplices for triple points, rebuilding
 each link through ``subcomplex``, union-find over every simplex, the
 stored pair complex in place of the walked pair model, the separate witness
 certifiers of the pair model and of the closure model, and
@@ -85,6 +86,8 @@ from conftest import (
     fixed_simplices,
     fold_locus,
     moment_values,
+    old_check_star_condition,
+    old_has_triple_points,
     old_homotopy_certificate,
     orbit_quotient,
     octahedron,
@@ -738,6 +741,21 @@ def test_one_pass_swap_models_match_rescan_oracle(f):
     assert len(set(cells)) == len(cells)
     for st, ts in zip(cells[::2], cells[1::2]):
         assert pairs.canon((v, u) for u, v in st) == ts
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    small_non_degenerate_maps(),
+    coloured_maps(),
+    covering_pieces(),
+    coloured_maps().filter(old_check_star_condition),  # folds more often
+))
+def test_gates_match_their_closed_star_and_fibre_search_oracles(f):
+    """The star condition read off the folds of same-image edges is the
+    closed-star test, and the triple found among the vertex fibres is the
+    first triple of the search over every fibre of simplices."""
+    assert check_star_condition(f) == old_check_star_condition(f)
+    assert has_triple_points(f) == old_has_triple_points(f)
 
 
 @PROPERTY
