@@ -15,12 +15,13 @@ negative one and 2 when inconclusive; ``verify`` exits 1 when the
 certificate fails.
 
 Each subcommand returns its exit code and its document: the text of its
-report, or under ``--json`` (and always for ``stability``) a dict of its own
-fields.  :func:`main` writes every document, once, to stdout or to
-``-o FILE``; it writes a dict as sorted, indented JSON, with the schema
-version and the subcommand's name added.  Under ``--json`` an error becomes
-one JSON object on stderr, ``{"schema": 1, "error": {"type", "message",
-"exit_code"}}``, with the same exit code.
+report, or under ``--json`` (and always for ``stability``, where ``--json``
+changes only how errors print) a dict of its own fields.  :func:`main`
+writes every document, once, to stdout or to ``-o FILE``; it writes a dict
+as sorted, indented JSON, with the schema version and the subcommand's name
+added.  Under ``--json`` an error becomes one JSON object on stderr,
+``{"schema": 1, "error": {"type", "message", "exit_code"}}``, with the same
+exit code.
 """
 
 from __future__ import annotations
@@ -544,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="stable-to-line JSON report")
     p.add_argument("complex_file")
     p.add_argument("values_file")
-    p.add_argument("-o", "--out", help="write the report to a file")
+    common(p)
     p.set_defaults(fn=_cmd_stability)
 
     p = sub.add_parser("gen", help="generate example files")

@@ -16,20 +16,31 @@ One cascade runs a stage per source dimension, and at least stages 0 and 1.
 Stage 0 measures the identified original vertices; stage ``i`` measures the
 identified vertices and the disjoint identified simplices of dimension at
 most ``i`` that avoid every original vertex, so that the derived stars of
-original vertices stay as stage 0 left them.  Each stage refines to the
-radius ``separation / (4 * Lambda)``, quartered once more so that every
-comparison stays strict, where ``Lambda`` bounds the lift's variation per
-unit of simplex geometry in the standard-basis metric of the source (an edge
-piece of parameter length ``dt`` has squared length ``2 dt^2``).  Each stage
-records the pairs it measured, these radii, the refinement it added
-(``cuts``) and the cells of the complexes it measured (``cells``: the input
-map at stage 0, what stage ``i - 1`` left at stage ``i``).
+original vertices stay as stage 0 left them.
+
+Every measured pair ``p = (s, t)`` gets its own radius ``r_p = sep_p / (16
+Lambda_p)``: the radius ``sep_p / (4 Lambda_p)`` quartered once more so that
+every comparison stays strict.  ``sep_p`` is the pair's squared separation
+and ``Lambda_p`` bounds the lift's variation per unit of simplex geometry,
+in the standard-basis metric of the source (an edge piece of parameter
+length ``dt`` has squared length ``2 dt^2``), over the refined simplices
+that meet ``s`` or ``t``: these hold every derived star of the pair's
+vertices.  A base simplex takes the smallest radius of the pairs above it,
+and the refinement cuts only where a pair needs it (Rourke-Sanderson,
+*Introduction to PL Topology*, ch. 3, derived neighbourhoods).  Each stage
+records the pairs it measured, the extremes of their separations, bounds and
+radii, the refinement it added (``cuts``) and the cells of the complexes it
+measured (``cells``: the input map at stage 0, what stage ``i - 1`` left at
+stage ``i``).
 
 The input's dimension selects only the refinement.  Graphs are cut edge by
-edge: stage 0 cuts every base edge uniformly, later stages cut only interior
-pieces.  Otherwise stage 0 subdivides source and base barycentrically, within
-a budget of top simplices, and a later stage that would need refining raises
-``BlockedRefinement``, since local refinement is only implemented for graphs.
+edge: stage 0 cuts a base edge once near each end that carries an identified
+pair, at that end's radius, and later stages cut only interior pieces, each
+to the smallest radius of its own pairs and of the pairs at its two ends.
+Otherwise stage 0 subdivides source and base barycentrically until every
+edge is within the smallest radius, within a budget of top simplices, and a
+later stage that would need refining raises ``BlockedRefinement``, since
+local refinement is only implemented for graphs.
 """
 
 from __future__ import annotations
@@ -123,11 +134,38 @@ def _has_edge_longer(c: SimplicialComplex, positions: Dict, r_sq: Fraction) -> b
     )
 
 
+def _lambda_sq(s: Simplex, gvals: Dict, positions: Dict) -> Fraction:
+    """``d^2 * spread / h_min`` of one simplex of the refined source:
+    ``spread`` is the squared diameter of the lift values and ``h_min`` the
+    smallest squared height in the standard-basis metric, restricted to the
+    base vertices that the simplex's positions involve."""
+    if len(s) < 2:
+        return Fraction(0)
+    spread = max(linalg.dist_sq(gvals[a], gvals[b]) for a, b in combinations(s, 2))
+    if spread == 0:
+        return Fraction(0)
+    maps = [positions[v].coord_map() for v in s]
+    keys = list(dict.fromkeys(k for m in maps for k in m))
+    pts = [tuple(m.get(k, linalg.Q0) for k in keys) for m in maps]
+    if len(pts) == 2:
+        h_min = linalg.dist_sq(*pts)  # both heights of an edge are its length
+    else:
+        h_min = min(
+            linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
+            for i, p in enumerate(pts)
+        )
+    if not h_min:
+        raise InternalError(f"degenerate metric simplex {s}")
+    return (len(s) - 1) ** 2 * spread / h_min
+
+
 def _stage_pairs(
     stage: int, fn: SimplicialMap, gvals: Dict, positions: Dict
-) -> Tuple[int, Optional[Fraction], Optional[Fraction], Optional[tuple]]:
-    """(pair count, max d^2, min separation^2, first pair at separation 0)
-    over the identified simplex pairs that ``stage`` separates."""
+) -> Tuple[StageTrace, Dict[Simplex, Fraction]]:
+    """The trace of ``stage`` before it refines, and the radius each base
+    simplex needs: the smallest ``r_p`` of the identified simplex pairs
+    above it that ``stage`` separates.  A pair whose lift is constant on
+    every simplex meeting it needs no radius."""
     # Stage 0 separates the identified original vertices; later stages
     # leave the derived stars of original vertices as stage 0 left them.
     protected = set()
@@ -138,48 +176,45 @@ def _stage_pairs(
         for s in fn.source.simplices_of_dim(d):
             if protected.isdisjoint(s):
                 fibers.setdefault(fn.image_simplex(s), []).append(s)
-    ds: List[Fraction] = []
-    offender = None
-    for fiber in fibers.values():
+    star = fn.source.star_simplices
+    lam_of: Dict[Simplex, Fraction] = {}
+    seps: List[Fraction] = []
+    lams: List[Fraction] = []
+    r_noms: List[Fraction] = []
+    radii: Dict[Simplex, Fraction] = {}
+    for img, fiber in fibers.items():
         for s, t in combinations(fiber, 2):
             if not set(s).isdisjoint(t):
                 continue
             match = fn.matched_bijection(s, t)
-            d, _ = lp.min_sq_norm_in_hull([linalg.vec_sub(gvals[match[u]], gvals[u]) for u in s])
-            if d == 0 and offender is None:
-                offender = (s, t)
-            ds.append(d)
-    if not ds:
-        return 0, None, None, None
-    return len(ds), max(ds), min(ds), offender
-
-
-def _lambda_sq(fn: SimplicialMap, gvals: Dict, positions: Dict) -> Fraction:
-    """Largest ``d^2 * spread / h_min`` over the simplices of the refined
-    source: ``spread`` is the squared diameter of the lift values and
-    ``h_min`` the smallest squared height in the standard-basis metric,
-    restricted to the base vertices that the simplex's positions involve."""
-    worst = Fraction(0)
-    for s in fn.source.simplices:
-        if len(s) < 2:
-            continue
-        spread = max(linalg.dist_sq(gvals[a], gvals[b]) for a, b in combinations(s, 2))
-        if spread == 0:
-            continue
-        maps = [positions[v].coord_map() for v in s]
-        keys = list(dict.fromkeys(k for m in maps for k in m))
-        pts = [tuple(m.get(k, linalg.Q0) for k in keys) for m in maps]
-        if len(pts) == 2:
-            h_min = linalg.dist_sq(*pts)  # both heights of an edge are its length
-        else:
-            h_min = min(
-                linalg.point_to_affine_hull_dist_sq(p, pts[:i] + pts[i + 1:])
-                for i, p in enumerate(pts)
-            )
-        if not h_min:
-            raise InternalError(f"degenerate metric simplex {s}")
-        worst = max(worst, (len(s) - 1) ** 2 * spread / h_min)
-    return worst
+            sep, _ = lp.min_sq_norm_in_hull([linalg.vec_sub(gvals[match[u]], gvals[u]) for u in s])
+            if sep == 0:
+                raise InputNotInjective(f"identified simplices {(s, t)} carry equal lift values")
+            lam = Fraction(0)
+            for v in s + t:
+                for c in star(v):
+                    if c not in lam_of:
+                        lam_of[c] = _lambda_sq(c, gvals, positions)
+                    lam = max(lam, lam_of[c])
+            seps.append(sep)
+            lams.append(lam)
+            if lam:
+                r_nom = sep / (4 * lam)
+                r_noms.append(r_nom)
+                radii[img] = min(radii.get(img, r_nom), r_nom / 4)
+    trace = StageTrace(
+        stage=stage,
+        pair_count=len(seps),
+        d_max_sq=max(seps, default=None),
+        separation_sq=min(seps, default=None),
+        lambda_sq=max(lams, default=None),
+        r_nominal_sq=min(r_noms, default=None),
+        r_applied_sq=min(radii.values(), default=None),
+        cuts_added=0,
+        w_simplices=len(fn.source.simplices),
+        b_simplices=len(fn.target.simplices),
+    )
+    return trace, radii
 
 
 class _EdgeCuts:
@@ -192,35 +227,53 @@ class _EdgeCuts:
         self.k_edges = f.source.simplices_of_dim(1)
         self.cuts: Dict[Simplex, List[Fraction]] = {e: [] for e in self.l_edges}
 
-    def _add_cut(self, l_edge: Simplex, t: Fraction) -> bool:
-        ts = self.cuts[l_edge]
-        if t <= 0 or t >= 1 or t in ts:
-            return False
-        ts.append(t)
-        ts.sort()
-        return True
+    def _chain(self, li: int, e: Simplex) -> list:
+        """The base vertices along ``e``: its ends and, between them, its cut
+        vertices in order.  A cut vertex ranks after ``e``'s ends and after
+        the cut vertices before it."""
+        return [e[0]] + [("b", li, j) for j in range(len(self.cuts[e]))] + [e[1]]
+
+    def _merge(self, new: Dict[Simplex, set]) -> int:
+        """Merge each edge's new cut parameters into its sorted list once;
+        the number that were not cuts already."""
+        added = 0
+        for e, ts in new.items():
+            merged = sorted(ts.union(self.cuts[e]))
+            added += len(merged) - len(self.cuts[e])
+            self.cuts[e] = merged
+        return added
 
     def _end_pieces(self) -> Dict:
         return {e: (ts[0], ts[-1]) if ts else None for e, ts in self.cuts.items()}
 
-    def refine(self, stage: int, r_app: Fraction) -> int:
-        """Stage 0 cuts every base edge into pieces of squared length at most
-        ``r_app``; later stages cut only the interior pieces, never the first
-        or last piece of a base edge."""
+    def refine(self, stage: int, radii: Dict[Simplex, Fraction]) -> int:
+        """Stage 0 cuts a base edge once near each end that has a radius, so
+        that the end piece is within it; later stages cut an interior piece,
+        never the first or last piece of a base edge, into equal parts within
+        the smallest radius of the piece and its two ends."""
+        new: Dict[Simplex, set] = {}
         if stage == 0:
-            n = _ceil_sqrt_ratio(Fraction(2) / r_app)
-            return sum(
-                self._add_cut(e, Fraction(j, n)) for e in self.l_edges for j in range(1, n)
-            )
+            for e in self.l_edges:
+                for end in e:
+                    if (end,) in radii:
+                        n = _ceil_sqrt_ratio(Fraction(2) / radii[(end,)])
+                        if n > 1:
+                            t = Fraction(1, n)
+                            new.setdefault(e, set()).add(t if end == e[0] else 1 - t)
+            return self._merge(new)
         ends = self._end_pieces()
-        added = 0
-        for e in self.l_edges:
+        for li, e in enumerate(self.l_edges):
             ts = [Fraction(0)] + self.cuts[e] + [Fraction(1)]
-            for lo, hi in list(zip(ts, ts[1:]))[1:-1]:
-                dt = hi - lo
-                if 2 * dt * dt > r_app:
-                    m = _ceil_sqrt_ratio(2 * dt * dt / r_app)
-                    added += sum(self._add_cut(e, lo + dt * Fraction(j, m)) for j in range(1, m))
+            chain = self._chain(li, e)
+            for i in range(1, len(ts) - 2):
+                # Both ends are cut vertices, so ``(x, y)`` is canonical.
+                x, y = chain[i], chain[i + 1]
+                rs = [radii[k] for k in ((x,), (y,), (x, y)) if k in radii]
+                dt = ts[i + 1] - ts[i]
+                if rs and 2 * dt * dt > min(rs):
+                    m = _ceil_sqrt_ratio(2 * dt * dt / min(rs))
+                    new.setdefault(e, set()).update(ts[i] + dt * Fraction(j, m) for j in range(1, m))
+        added = self._merge(new)
         after = self._end_pieces()
         for e, before in ends.items():
             if after[e] != before:
@@ -234,10 +287,9 @@ class _EdgeCuts:
         b_simplices = set((v,) for v in L.vertices)
         b_cut_ids: Dict[Simplex, list] = {}
         for li, e in enumerate(self.l_edges):
-            ids = [("b", li, j) for j in range(len(self.cuts[e]))]
-            b_cut_ids[e] = ids
-            b_vertices.extend(ids)
-            chain = [e[0]] + ids + [e[1]]
+            chain = self._chain(li, e)
+            b_cut_ids[e] = chain[1:-1]
+            b_vertices.extend(chain[1:-1])
             for x, y in zip(chain, chain[1:]):
                 b_simplices.add((x, y))
         for p in b_vertices:
@@ -303,9 +355,10 @@ class _BarycentricRounds:
         self.record = SubdivisionRecord.identity(f.source)
         self.gvals = dict(g.values)
 
-    def refine(self, stage: int, r_app: Fraction) -> int:
-        """Stage 0 subdivides until no edge is longer than ``r_app``; a
-        later stage that would need refining is blocked."""
+    def refine(self, stage: int, radii: Dict[Simplex, Fraction]) -> int:
+        """Stage 0 subdivides until no edge is longer than the smallest
+        radius; a later stage that would need refining is blocked."""
+        r_app = min(radii.values())
         rounds = 0
         while _has_edge_longer(self.fn.source, self.record.positions, r_app):
             if stage:
@@ -355,32 +408,10 @@ def plify(f: SimplicialMap, g: SemiLinearMap) -> PlifyResult:
 
     stages: List[StageTrace] = []
     for stage in range(max(f.source.dim, 1) + 1):
-        fn, gvals, positions = strategy.current()
-        count, d_max, sep, offender = _stage_pairs(stage, fn, gvals, positions)
-        if sep == 0:
-            raise InputNotInjective(f"identified simplices {offender} carry equal lift values")
-        lam_sq = r_nom = r_app = None
-        cuts_added = 0
-        if count:
-            lam_sq = _lambda_sq(fn, gvals, positions)
-            if lam_sq > 0:
-                r_nom = sep / (4 * lam_sq)
-                r_app = r_nom / 4
-                cuts_added = strategy.refine(stage, r_app)
-        stages.append(
-            StageTrace(
-                stage=stage,
-                pair_count=count,
-                d_max_sq=d_max,
-                separation_sq=sep,
-                lambda_sq=lam_sq,
-                r_nominal_sq=r_nom,
-                r_applied_sq=r_app,
-                cuts_added=cuts_added,
-                w_simplices=len(fn.source.simplices),
-                b_simplices=len(fn.target.simplices),
-            )
-        )
+        trace, radii = _stage_pairs(stage, *strategy.current())
+        if radii:
+            trace.cuts_added = strategy.refine(stage, radii)
+        stages.append(trace)
 
     fn, gvals, positions = strategy.current()
     lift_n = SemiLinearMap(fn.source, gvals, out_dim=g.out_dim)

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from typing import Dict, Optional
 
 import pytest
+from hypothesis import settings
 
 from prem import linalg, lp, mod2
 from prem.complexes import SimplicialComplex, Simplex
@@ -14,6 +15,13 @@ from prem.double_points import identified_vertex_pairs
 from prem.errors import ComplexError, InternalError, PreconditionError
 from prem.maps import SimplicialMap
 from prem.obstruction import WITNESS_SHIFTS, _moment_vector
+
+
+# Every run draws fresh examples.  A failing property prints the
+# ``@reproduce_failure`` blob that replays it on another machine; each test
+# keeps its own ``max_examples`` and ``deadline``.
+settings.register_profile("prem", print_blob=True)
+settings.load_profile("prem")
 
 
 def F(x) -> Fraction:

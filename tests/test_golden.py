@@ -23,6 +23,13 @@ cascades merged: a stage's ``cells`` count the complexes it measured, so the
 its barycentric round), and a zero vertex pair is named with the graph
 wording, ``identified simplices (('b',), ('e',))`` in ``equal``'s stderr.
 
+One documented ``plify`` change since every measured pair takes its own
+radius and the graph cascade cuts only where a pair needs it: the two
+``cover23-plify2`` files refine to 68 source edges (136 derived) where they
+refined to 264 (528), ``pairs checked`` went from 34 716 to 2 278, and their
+stage lines read ``cuts 6`` and ``pairs 9, ..., cuts 25, cells 36/18``.  The
+surface files did not change.
+
 One documented ``verify`` output change since ``verify`` tests only pairs of
 distinct source faces with the same image (same-image pairs), fibre by fibre
 of the map.  Evidence kinds are now counted per same-image face pair: on a

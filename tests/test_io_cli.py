@@ -647,6 +647,8 @@ def test_stability_honours_out_file(capsys, tmp_path):
     vals.write_text("g p 0\ng q 2\ng r 1\n", encoding="utf-8")
     assert main(["stability", str(cx), str(vals)]) == 0
     printed = capsys.readouterr().out
+    assert main(["stability", str(cx), str(vals), "--json"]) == 0
+    assert capsys.readouterr().out == printed
     out = tmp_path / "stability.json"
     assert main(["stability", str(cx), str(vals), "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
@@ -742,7 +744,7 @@ def test_plify_text_reparses(capsys, fig8, fig8_lift):
         (lift_lines if body.startswith("g ") else complex_lines).append(raw)
     doc = formats.parse_complex("\n".join(complex_lines))
     lift = formats.parse_lift("\n".join(lift_lines), doc.complex)
-    assert doc.complex.f_vector() == (32, 32)
+    assert doc.complex.f_vector() == (24, 24)
     assert lift.values["n0"] == (F(-1),)
     assert lift.values["n4"] == (F(1),)
 
@@ -753,16 +755,16 @@ def test_plify_json_payload(capsys, fig8, fig8_lift):
     assert payload["ok"] is True
     assert payload["vertex_agreement"] is True
     assert payload["derived_star_hulls_disjoint"] is True
-    assert payload["refined_cells_by_dimension"] == [16, 16]
-    assert payload["derived_cells_by_dimension"] == [32, 32]
+    assert payload["refined_cells_by_dimension"] == [12, 12]
+    assert payload["derived_cells_by_dimension"] == [24, 24]
     ver = payload["verification"]
     assert ver["ok"] is True
-    assert ver["simplices_checked"] == 16
-    assert ver["pairs_checked"] == 120
+    assert ver["simplices_checked"] == 12
+    assert ver["pairs_checked"] == 66
     stage0 = payload["stages"][0]
     assert stage0 == {
         "base_cells": 15,
-        "cuts_added": 8,
+        "cuts_added": 4,
         "lambda_sq": "1/2",
         "max_diameter_sq": "4/1",
         "pairs": 1,
@@ -827,6 +829,15 @@ def test_stability_rejects_vector_values(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error (PreconditionError): line report requires")
+    # Under --json the same failure is one JSON error object.
+    assert main(["stability", str(cx), str(vals), "--json"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    doc = json.loads(captured.err)
+    assert doc["schema"] == 1
+    assert (doc["error"]["type"], doc["error"]["exit_code"]) == ("PreconditionError", 65)
+    assert doc["error"]["message"].startswith("line report requires")
 
 
 def test_cli_failure_modes(capsys, tmp_path, cover9):
@@ -890,7 +901,7 @@ def test_k_is_checked_before_the_map_is_read(capsys, monkeypatch, cover9, comman
         (["obstruct", "-k", "0", "{cover9}", "--json"], 65, "PreconditionError"),
         (["delta", "{missing}", "--json"], 64, "ParseError"),
         (["obstruct", "{cover9}", "--json"], 64, "ParseError"),  # -k is required
-        (["stability", "{cover9}", "{cover9}", "--json"], 64, "ParseError"),  # no --json
+        (["gen", "cycle-cover", "2", "--json"], 64, "ParseError"),  # gen has no --json
     ],
     ids=["precondition", "unreadable", "parse", "unknown-flag"],
 )

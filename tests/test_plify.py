@@ -7,6 +7,7 @@ import pytest
 from prem.complexes import SimplicialComplex
 from prem.errors import BlockedRefinement, DegenerateMap, InputNotInjective, PreconditionError
 from prem.generators import cycle_cover, figure_eight_map, fold_path_map, wiggly_figure_eight
+from prem.lift import construct_lift_3ptfree
 from prem.maps import SemiLinearMap, SimplicialMap
 from prem.plify import plify
 
@@ -59,18 +60,23 @@ def wedge_input(h=F(9)):
 
 
 def test_figure_eight_cascade_trace():
+    # The pair (n0, n4) over w has sep 4; its four edges rise by 1, so
+    # Lambda_p = 1 / 2 and r_p = 4 / (16 / 2) = 1 / 2.  n = ceil(sqrt(2 / r_p))
+    # = 2 cuts the four base edges at w in half, and no other edge: the
+    # eight-cycle gains four vertices, and every refined edge keeps an
+    # original vertex, so stage 1 measures nothing.
     f, g = figure_eight_input()
     res = plify(f, g)
     s0, s1 = res.stages
-    assert (s0.stage, s0.pair_count, s0.cuts_added) == (0, 1, 8)
+    assert (s0.stage, s0.pair_count, s0.cuts_added) == (0, 1, 4)
     assert s0.d_max_sq == F(4) and s0.separation_sq == F(4)
     assert s0.lambda_sq == F(1, 2)
     assert s0.r_nominal_sq == F(2) and s0.r_applied_sq == F(1, 2)
     assert (s0.w_simplices, s0.b_simplices) == (16, 15)
     assert (s1.stage, s1.pair_count, s1.cuts_added) == (1, 0, 0)
-    assert (s1.w_simplices, s1.b_simplices) == (32, 31)
-    assert res.refined_map.source.f_vector() == (16, 16)
-    assert res.derived_complex.f_vector() == (32, 32)
+    assert (s1.w_simplices, s1.b_simplices) == (24, 23)
+    assert res.refined_map.source.f_vector() == (12, 12)
+    assert res.derived_complex.f_vector() == (24, 24)
     assert res.ok
     assert res.vertex_agreement and res.hulls_disjoint and res.verification.ok
     assert [(h.pair, h.disjoint) for h in res.hull_evidence] == [(("n0", "n4"), True)]
@@ -80,6 +86,10 @@ def test_figure_eight_cascade_trace():
 
 
 def test_fold_path_cascade_trace():
+    # Stage 0: (a, c) over x has sep 4 and Lambda_p = 1 / 2, so r_p = 1 / 2
+    # and the one base edge is cut at 1 / 2 from x; y carries no pair.
+    # Stage 1: the two cut vertices have sep 1 and Lambda_p = 1 / 2, so
+    # r_p = 1 / 8, but both pieces are end pieces and stay whole.
     res = plify(*fold_path_input())
     s0, s1 = res.stages
     assert (s0.pair_count, s0.cuts_added, s0.w_simplices, s0.b_simplices) == (1, 1, 5, 3)
@@ -97,15 +107,52 @@ def test_fold_path_cascade_trace():
 
 
 def test_wiggly_figure_eight_no_cuts_needed():
+    # The edges at n4 rise by 3 / 8, the steepest of the four edges at n0
+    # and n4, so Lambda_p = (9 / 64) / 2 = 9 / 128 and r_p = 4 / (16 * 9 /
+    # 128) = 32 / 9.  Then n = ceil(sqrt(2 / r_p)) = 1: each edge at w is
+    # already within the radius.
     f, g = wiggly_figure_eight()
     res = plify(f, g)
     s0, s1 = res.stages
-    assert s0.lambda_sq == F(1, 8)
-    assert s0.r_applied_sq == F(2)
+    assert s0.lambda_sq == F(9, 128)
+    assert s0.r_nominal_sq == F(128, 9) and s0.r_applied_sq == F(32, 9)
     assert (s0.cuts_added, s1.cuts_added) == (0, 0)
     assert (s0.w_simplices, s0.b_simplices) == (64, 63)
     assert res.refined_map.source.f_vector() == (32, 32)
     assert res.derived_complex.f_vector() == (64, 64)
+    assert res.ok
+
+
+def test_cycle_cover_2_3_cascade_trace():
+    # The lift -k 2 values: n0..n2 at (-1, -1), (-2, -4), (-3, -9) and
+    # n3..n5 at the negatives.  An edge's Lambda is |dg|^2 / 2: 5 on n0n1 and
+    # n3n4, 13 on n1n2 and n4n5, 58 on n2n3 and n5n0.
+    f = cycle_cover(2, 3)
+    res = plify(f, construct_lift_3ptfree(f, 2).lift)
+    s0, s1 = res.stages
+    # Stage 0: (n0, n3) has sep 8 and Lambda_p 58, r_p = 1 / 116; (n1, n4)
+    # 80 and 13, r_p = 5 / 13; (n2, n5) 360 and 58, r_p = 45 / 116.  So
+    # n = 16 at b0 and 3 at b1 and b2: each base edge gets two cuts, at
+    # 1 / 16 and 2 / 3 on b0b1 and b0b2, at 1 / 3 and 2 / 3 on b1b2.
+    assert (s0.pair_count, s0.cuts_added, s0.w_simplices, s0.b_simplices) == (3, 6, 12, 6)
+    assert (s0.d_max_sq, s0.separation_sq, s0.lambda_sq) == (F(360), F(8), F(58))
+    assert (s0.r_nominal_sq, s0.r_applied_sq) == (F(1, 29), F(1, 116))
+    # Stage 1: six cut-vertex pairs and three interior-piece pairs.  Over
+    # b0b2 the difference (2 - 8t, 2 - 20t) comes closest to 0 at t = 7 / 58
+    # inside the piece [1 / 16, 2 / 3]: sep 36 / 29, Lambda_p 58, r_p =
+    # 9 / 6728, so the piece of length 29 / 48 is cut into 24 parts.  Over
+    # b0b1 the piece's smallest radius is 65 / 512 (sep 325 / 32 at t = 1 /
+    # 16, Lambda_p 5), so 3 parts; over b1b2 the piece [1 / 3, 2 / 3] is
+    # within 13 / 18 and stays whole.  The largest sep is 2192 / 9, at t =
+    # 2 / 3 on b1b2.
+    assert (s1.pair_count, s1.cuts_added, s1.w_simplices, s1.b_simplices) == (9, 25, 36, 18)
+    assert (s1.d_max_sq, s1.separation_sq, s1.lambda_sq) == (F(2192, 9), F(36, 29), F(58))
+    assert (s1.r_nominal_sq, s1.r_applied_sq) == (F(9, 1682), F(9, 6728))
+    # 3 + 31 base edges, each covered twice.
+    assert res.refined_map.target.f_vector() == (34, 34)
+    assert res.refined_map.source.f_vector() == (68, 68)
+    assert res.derived_complex.f_vector() == (136, 136)
+    assert len(res.hull_evidence) == 34
     assert res.ok
 
 

@@ -1,6 +1,6 @@
 """Property tests of the rank-keyed combinatorial core, the antipodal witness
-certifier, the verdicts and the constructed lifts, on random small
-complexes, involutions, maps and witnesses.
+certifier, the verdicts, the constructed lifts and their PL refinement, on
+random small complexes, involutions, maps and witnesses.
 
 Each rewritten routine is compared with the straightforward construction it
 replaced, kept here as the oracle: canonicalising every simplex and every
@@ -69,6 +69,7 @@ from prem.obstruction import (
     separation,
     sheet_split_witness,
 )
+from prem.plify import plify
 from prem.subdivision import _flags, barycentric_subdivide, barycentric_subdivide_map
 from prem.verify import verify_embedding
 
@@ -1310,3 +1311,36 @@ def old_separation(points) -> tuple:
 def test_single_point_separation_matches_the_rank_route(vector):
     point = tuple(vector)
     assert separation([point]) == old_separation([point])
+
+
+# -- PL refinement of graph lifts -------------------------------------------------------
+
+
+@st.composite
+def cycle_cover_lifts(draw):
+    """``cycle_cover(2, n)`` for small ``n`` with the lift that ``lift -k 2``
+    constructs, or with random integer values in the plane that ``verify``
+    accepts."""
+    f = cycle_cover(2, draw(st.integers(3, 6)))
+    if draw(st.booleans()):
+        return f, construct_lift_3ptfree(f, 2).lift
+    coords = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    values = {v: tuple(map(Fraction, draw(coords))) for v in f.source.vertices}
+    g = SemiLinearMap(f.source, values, out_dim=2)
+    assume(verify_embedding(f, g).ok)
+    return f, g
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(cycle_cover_lifts())
+def test_plify_certifies_every_verified_lift_of_a_cycle_cover(case):
+    """Local radii cut less than one global radius, and the certificate
+    still holds: the refined lift agrees at the original vertices, every
+    identified vertex pair has disjoint derived-star hulls, and the refined
+    map verifies."""
+    f, g = case
+    res = plify(f, g)
+    assert res.ok
+    assert res.vertex_agreement
+    assert res.hull_evidence and all(h.disjoint for h in res.hull_evidence)
+    assert verify_embedding(res.refined_map, res.lift).ok
