@@ -474,7 +474,11 @@ def _cmd_gen(args) -> Tuple[int, Document]:
             projection, _rounds = antipodal_sphere_covering(3)
         else:
             projection, _rounds = lens_covering(p, q)
-        text = formats.write_map(projection)
+        # Both complexes of a covering of a pure complex are pure, so their
+        # maximal simplices are their top-dimensional ones.
+        text = formats.write_map(projection, *(
+            formats.ComplexDocument(c, maximal=c.simplices_of_dim(c.dim))
+            for c in (projection.source, projection.target)))
     elif name == "figure-eight":
         f = figure_eight_map()
         text = formats.write_map(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import SimplicialComplex
 from .errors import ParseError
@@ -66,22 +66,38 @@ def parse_fraction(tok: str, where: str) -> Fraction:
         raise ParseError(f"{where}: bad rational {tok!r}") from exc
 
 
-def _parse_vector(tokens: Sequence[str], dim: Optional[int], where: str) -> Tuple[tuple, int]:
+def _error(lineno: int, section: str, message: str) -> ParseError:
+    """The error for one line; parsers build it only on the path that raises."""
+    return ParseError(f"line {lineno} ({section}): {message}")
+
+
+def _parse_vector(tokens: Sequence[str], dim: Optional[int], lineno: int,
+                  section: str) -> Tuple[tuple, int]:
     """The rationals of one vector line, checked against the dimension ``dim``
-    of the lines before it (``None`` for the first), and its dimension."""
-    vec = tuple(parse_fraction(t, where) for t in tokens)
+    of the lines before it (``None`` when there is none), and its dimension.
+    The first bad token is named."""
+    try:
+        vec = tuple(map(Fraction, tokens))
+    except (ValueError, ZeroDivisionError):
+        where = f"line {lineno} ({section})"
+        for tok in tokens:
+            parse_fraction(tok, where)
+        raise
     if dim is not None and len(vec) != dim:
-        raise ParseError(f"{where}: expected {dim} coordinates, got {len(vec)}")
+        raise _error(lineno, section, f"expected {dim} coordinates, got {len(vec)}")
     return vec, len(vec)
 
 
 @dataclass
 class ComplexDocument:
-    """A parsed complex with optional coordinates and involution table."""
+    """A parsed complex with optional coordinates and involution table.  A
+    writer's caller that knows the maximal simplices, in ``sort_key`` order,
+    passes them as ``maximal``; otherwise the writer finds them."""
 
     complex: SimplicialComplex
     coordinates: Optional[Dict] = None
     involution: Optional[Dict] = None
+    maximal: Optional[List[tuple]] = None
 
 
 @dataclass
@@ -91,68 +107,74 @@ class MapDocument:
     map: SimplicialMap
 
 
-def _logical_lines(text: str) -> List[Tuple[int, List[str]]]:
-    out = []
+def _logical_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """Each non-blank line's number and tokens, comments removed, one line at
+    a time."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
-    return out
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
 
 
 class _ComplexAccumulator:
+    """One complex section, line by line.  ``seen`` maps each declared token
+    to the string of its ``v`` line, in declaration order: the other lines
+    resolve their ids through it, so every simplex shares the declared
+    strings, and an id missing from it was used before its ``v`` line."""
+
     def __init__(self, section: str):
         self.section = section
-        self.vertices: List[str] = []
-        self.seen: set = set()
+        self.seen: Dict[str, str] = {}
         self.simplices: List[Tuple[str, ...]] = []
         self.coords: Dict[str, tuple] = {}
         self.involution: Dict[str, str] = {}
 
     def feed(self, lineno: int, parts: List[str]) -> None:
         kind, args = parts[0], parts[1:]
-        where = f"line {lineno} ({self.section})"
-        if kind == "v":
-            if len(args) != 1:
-                raise ParseError(f"{where}: v takes exactly one id")
-            if args[0] in self.seen:
-                raise ParseError(f"{where}: vertex {args[0]!r} declared twice")
-            self.seen.add(args[0])
-            self.vertices.append(args[0])
-        elif kind == "s":
+        if kind == "s":
             if not args:
-                raise ParseError(f"{where}: s needs at least one id")
-            self._known(args, where)
-            self.simplices.append(tuple(args))
+                raise _error(lineno, self.section, "s needs at least one id")
+            self.simplices.append(self._resolve(args, lineno))
+        elif kind == "v":
+            if len(args) != 1:
+                raise _error(lineno, self.section, "v takes exactly one id")
+            v = args[0]
+            if v in self.seen:
+                raise _error(lineno, self.section, f"vertex {v!r} declared twice")
+            self.seen[v] = v
         elif kind == "c":
             if len(args) < 2:
-                raise ParseError(f"{where}: c needs an id and coordinates")
-            self._known(args[:1], where)
-            self.coords[args[0]] = tuple(parse_fraction(t, where) for t in args[1:])
+                raise _error(lineno, self.section, "c needs an id and coordinates")
+            (v,) = self._resolve(args[:1], lineno)
+            self.coords[v] = _parse_vector(args[1:], None, lineno, self.section)[0]
         elif kind == "t":
             if len(args) != 2:
-                raise ParseError(f"{where}: t takes exactly two ids")
-            self._known(args, where)
-            for v, w in (args, args[::-1]):
+                raise _error(lineno, self.section, "t takes exactly two ids")
+            pair = self._resolve(args, lineno)
+            for v, w in (pair, pair[::-1]):
                 if self.involution.setdefault(v, w) != w:
-                    raise ParseError(
-                        f"{where}: t pairs {v!r} with {w!r}, but an earlier t line"
+                    raise _error(
+                        lineno, self.section,
+                        f"t pairs {v!r} with {w!r}, but an earlier t line"
                         f" pairs it with {self.involution[v]!r}")
         else:
-            raise ParseError(f"{where}: unknown line kind {kind!r}")
+            raise _error(lineno, self.section, f"unknown line kind {kind!r}")
 
-    def _known(self, ids: Sequence[str], where: str) -> None:
-        for v in ids:
-            if v not in self.seen:
-                raise ParseError(f"{where}: vertex {v!r} used before its v line")
+    def _resolve(self, ids: Sequence[str], lineno: int) -> tuple:
+        try:
+            return tuple(map(self.seen.__getitem__, ids))
+        except KeyError as exc:
+            raise _error(lineno, self.section,
+                         f"vertex {exc.args[0]!r} used before its v line") from None
 
     def document(self) -> ComplexDocument:
-        if not self.vertices:
+        if not self.seen:
             raise ParseError(f"{self.section}: no vertices declared")
-        c = SimplicialComplex.from_maximal(self.vertices, self.simplices)
+        vertices = list(self.seen)
+        c = SimplicialComplex.from_maximal(vertices, self.simplices)
         coords = None
         if self.coords:
-            missing = [v for v in self.vertices if v not in self.coords]
+            missing = [v for v in vertices if v not in self.coords]
             if missing:
                 raise ParseError(
                     f"{self.section}: coordinates missing for {missing[:3]}"
@@ -160,7 +182,7 @@ class _ComplexAccumulator:
             coords = self.coords
         invol = None
         if self.involution:
-            invol = {v: self.involution.get(v, v) for v in self.vertices}
+            invol = {v: self.involution.get(v, v) for v in vertices}
         return ComplexDocument(complex=c, coordinates=coords, involution=invol)
 
 
@@ -206,6 +228,9 @@ def parse_map(text: str) -> MapDocument:
     extra = [v for v in vertex_map if v not in src.complex.rank]
     if extra:
         raise ParseError(f"map lines for unknown source vertices {extra[:3]}")
+    src_ids, tgt_ids = sections["source"].seen, sections["target"].seen
+    del sections  # its simplex lists would stay alive through the map check
+    vertex_map = {src_ids[v]: tgt_ids.get(w, w) for v, w in vertex_map.items()}
     try:
         f = SimplicialMap(src.complex, tgt.complex, vertex_map)
     except Exception as exc:
@@ -217,15 +242,14 @@ def parse_lift(text: str, source: SimplicialComplex) -> SemiLinearMap:
     values: Dict[str, tuple] = {}
     dim = None
     for lineno, parts in _logical_lines(text):
-        where = f"line {lineno} (lift)"
         if parts[0] != "g" or len(parts) < 3:
-            raise ParseError(f"{where}: expected `g <vertex> <num/den> ...`")
+            raise _error(lineno, "lift", "expected `g <vertex> <num/den> ...`")
         v = parts[1]
         if v not in source.rank:
-            raise ParseError(f"{where}: unknown source vertex {v!r}")
+            raise _error(lineno, "lift", f"unknown source vertex {v!r}")
         if v in values:
-            raise ParseError(f"{where}: vertex {v!r} assigned twice")
-        vec, dim = _parse_vector(parts[2:], dim, where)
+            raise _error(lineno, "lift", f"vertex {v!r} assigned twice")
+        vec, dim = _parse_vector(parts[2:], dim, lineno, "lift")
         values[v] = vec
     missing = [v for v in source.vertices if v not in values]
     if missing:
@@ -238,17 +262,16 @@ def parse_witness(text: str) -> Dict[Tuple[str, str], tuple]:
     values: Dict[Tuple[str, str], tuple] = {}
     dim = None
     for lineno, parts in _logical_lines(text):
-        where = f"line {lineno} (witness)"
         if parts[0] != "w" or len(parts) < 3:
-            raise ParseError(f"{where}: expected `w <pair-id> <num/den> ...`")
+            raise _error(lineno, "witness", "expected `w <pair-id> <num/den> ...`")
         if parts[1].count(",") != 1:
-            raise ParseError(f"{where}: pair id must be `<u>,<v>`")
+            raise _error(lineno, "witness", "pair id must be `<u>,<v>`")
         u, v = parts[1].split(",")
         if not u or not v:
-            raise ParseError(f"{where}: pair id must be `<u>,<v>`")
+            raise _error(lineno, "witness", "pair id must be `<u>,<v>`")
         if (u, v) in values:
-            raise ParseError(f"{where}: pair {parts[1]!r} assigned twice")
-        vec, dim = _parse_vector(parts[2:], dim, where)
+            raise _error(lineno, "witness", f"pair {parts[1]!r} assigned twice")
+        vec, dim = _parse_vector(parts[2:], dim, lineno, "witness")
         values[(u, v)] = vec
     return values
 
@@ -263,28 +286,28 @@ def parse_star_boundary(text: str, source: SimplicialComplex) -> StarBoundaryDoc
     simplices: List[tuple] = []
     values: Dict[str, tuple] = {}
     dim = None
+    section = "star boundary"
     for lineno, parts in _logical_lines(text):
-        where = f"line {lineno} (star boundary)"
         if parts[0] == "s":
             ids = parts[1:]
             if not ids:
-                raise ParseError(f"{where}: s needs at least one id")
+                raise _error(lineno, section, "s needs at least one id")
             for v in ids:
                 if v not in source.rank:
-                    raise ParseError(f"{where}: unknown source vertex {v!r}")
+                    raise _error(lineno, section, f"unknown source vertex {v!r}")
             simplices.append(tuple(ids))
         elif parts[0] == "g":
             if len(parts) < 3:
-                raise ParseError(f"{where}: expected `g <vertex> <num/den> ...`")
+                raise _error(lineno, section, "expected `g <vertex> <num/den> ...`")
             v = parts[1]
             if v not in source.rank:
-                raise ParseError(f"{where}: unknown source vertex {v!r}")
+                raise _error(lineno, section, f"unknown source vertex {v!r}")
             if v in values:
-                raise ParseError(f"{where}: vertex {v!r} assigned twice")
-            vec, dim = _parse_vector(parts[2:], dim, where)
+                raise _error(lineno, section, f"vertex {v!r} assigned twice")
+            vec, dim = _parse_vector(parts[2:], dim, lineno, section)
             values[v] = vec
         else:
-            raise ParseError(f"{where}: unknown line kind {parts[0]!r}")
+            raise _error(lineno, section, f"unknown line kind {parts[0]!r}")
     return StarBoundaryDocument(simplices=simplices, values=values)
 
 
@@ -308,7 +331,8 @@ def token_table(c: SimplicialComplex) -> Dict:
 def _complex_text(doc: ComplexDocument, tok: Dict) -> str:
     c = doc.complex
     lines = [f"v {tok[v]}" for v in c.vertices]
-    lines.extend("s " + " ".join(map(tok.__getitem__, s)) for s in c.maximal_simplices())
+    maximal = c.maximal_simplices() if doc.maximal is None else doc.maximal
+    lines.extend("s " + " ".join(map(tok.__getitem__, s)) for s in maximal)
     if doc.coordinates is not None:
         for v in c.vertices:
             nums = " ".join(format_fraction(x) for x in doc.coordinates[v])

@@ -21,9 +21,11 @@ class SimplicialMap:
 
     The image of every source simplex is computed once, when the map is
     checked (or on first use when it is not), and indexed as the target's
-    own stored tuple, so the index holds no new tuples.  An image that is
-    not a target simplex is an error either way.  The fibres are grouped
-    once, on first use."""
+    own stored tuple, so the index holds no new tuples.  The stored tuples
+    are found by the target ranks of their vertices, which the target's
+    vertex order already sorts.  An image that is not a target simplex is an
+    error either way: ``MapError``, or ``ComplexError`` for an image vertex
+    outside the target.  The fibres are grouped once, on first use."""
 
     __slots__ = ("source", "target", "vertex_map", "_images", "_fibers")
 
@@ -56,20 +58,32 @@ class SimplicialMap:
 
     def image_index(self) -> Dict:
         """Every source simplex mapped to the stored target simplex that is
-        its image, found by vertex set (computed once, then cached; treat
-        the dict as read-only)."""
+        its image, found by the sorted target ranks of its vertices' images
+        (computed once, then cached; treat the dict as read-only)."""
         if self._images is None:
-            stored = {frozenset(s): s for s in self.target.simplices}
+            rank = self.target.rank
             vm = self.vertex_map
+            stored = {tuple(map(rank.__getitem__, s)): s for s in self.target.simplices}
+            # An unchecked map may miss a vertex or send it outside the
+            # target; simplices on such a vertex miss the lookup below.
+            image_rank = {v: rank[vm[v]] for v in self.source.vertices
+                          if v in vm and vm[v] in rank}
             images: Dict = {}
             for s in self.source.simplices:
-                img = stored.get(frozenset(map(vm.__getitem__, s)))
-                if img is None:
-                    img = self.target.canon(map(vm.__getitem__, s))
-                    raise MapError(f"image {img} of simplex {s} is not a simplex")
+                try:
+                    img = stored[tuple(sorted(set(map(image_rank.__getitem__, s))))]
+                except KeyError:
+                    self._raise_bad_image(s)
                 images[s] = img
             self._images = images
         return self._images
+
+    def _raise_bad_image(self, s: Simplex) -> None:
+        missing = [v for v in s if v not in self.vertex_map]
+        if missing:
+            raise MapError(f"map not defined on vertices {missing}")
+        img = self.target.canon(map(self.vertex_map.__getitem__, s))
+        raise MapError(f"image {img} of simplex {s} is not a simplex")
 
     def image_simplex(self, s: Simplex) -> Simplex:
         """Image of a simplex of the source."""

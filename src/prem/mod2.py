@@ -199,13 +199,17 @@ class CochainSpace:
     def ones(self, q: int) -> int:
         return (1 << len(self.simplices(q))) - 1
 
+    def _digits(self, bits: int, q: int) -> bytes:
+        """The bits of a q-cochain read in one pass, lowest first, as ASCII
+        digits: ``digit & 1`` is the bit."""
+        return format(bits, f"0{len(self.simplices(q))}b").encode()[::-1]
+
     def is_cocycle(self, bits: int, q: int) -> bool:
         idx = self.index(q)
+        digit = self._digits(bits, q).__getitem__
+        # The digits are 48 or 49, so the low bit of a sum counts the ones.
         for s in self.simplices(q + 1):
-            parity = 0
-            for f in combinations(s, q + 1):
-                parity ^= (bits >> idx[f]) & 1
-            if parity:
+            if sum(map(digit, map(idx.__getitem__, combinations(s, q + 1)))) & 1:
                 return False
         return True
 
@@ -220,10 +224,11 @@ class CochainSpace:
         # bit i + 1, so the system is solvable iff no combination of the
         # rows is the bare value bit.
         idx = self.index(q - 1)
+        digits = self._digits(bits, q)
 
         def rows():
-            for i, s in enumerate(self.simplices(q)):
-                row = (bits >> i) & 1
+            for digit, s in zip(digits, self.simplices(q)):
+                row = digit & 1
                 for f in combinations(s, q):
                     row |= 2 << idx[f]
                 yield row
@@ -235,6 +240,7 @@ class CochainSpace:
         c = self.complex
         rank = c.rank
         idx = self.index(1)
+        digits = self._digits(bits, 1)
         phi: Dict = {}
         for root in c.vertices:
             if root in phi:
@@ -244,7 +250,7 @@ class CochainSpace:
             while stack:
                 u = stack.pop()
                 for v in c.neighbors(u):
-                    val = (bits >> idx[(u, v) if rank[u] < rank[v] else (v, u)]) & 1
+                    val = digits[idx[(u, v) if rank[u] < rank[v] else (v, u)]] & 1
                     if v in phi:
                         if phi[v] != phi[u] ^ val:
                             return False

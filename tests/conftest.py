@@ -191,6 +191,14 @@ class StoredModel:
 # certification, and of the model's reading of ``D``.
 
 
+def frozenset_image_index(f: SimplicialMap) -> Dict:
+    """The image index as it was found before it was keyed by target ranks:
+    the target's stored simplices by vertex set."""
+    stored = {frozenset(s): s for s in f.target.simplices}
+    vm = f.vertex_map
+    return {s: stored[frozenset(map(vm.__getitem__, s))] for s in f.source.simplices}
+
+
 def fold_locus(f: SimplicialMap) -> SimplicialComplex:
     """Subcomplex of the source spanned by all faces of intersections of
     distinct same-image simplices."""

@@ -1,6 +1,7 @@
 """Tests for the text formats and the command-line interface."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from prem import formats, lp
 from prem.cli import main
 from prem.complexes import SimplicialComplex
-from prem.errors import ParseError
+from prem.errors import ComplexError, MapError, ParseError
 from prem.generators import antipodal_sphere_covering, lens_covering
 from prem.lift import build_closure_model, closure_witness
+from prem.maps import SimplicialMap
 
 # ---------------------------------------------------------------------------
 # tokens and fractions
@@ -156,31 +158,68 @@ def test_star_boundary_document():
         formats.parse_star_boundary("x p1 1\n", doc.complex)
 
 
+PARSE_ERRORS = [
+    # (parser, text, message); undeclared ids name the first bad token.
+    ("complex", "v a\nv a\ns a\n", "line 2 (complex): vertex 'a' declared twice"),
+    ("complex", "v a\ns a b\n", "line 2 (complex): vertex 'b' used before its v line"),
+    ("complex", "v a\ns a zz b\n", "line 2 (complex): vertex 'zz' used before its v line"),
+    ("complex", "v a\nv b\ns a b\nc b 0\nc z 1\n",
+     "line 5 (complex): vertex 'z' used before its v line"),
+    ("complex", "v a\nv b\nt a q\n", "line 3 (complex): vertex 'q' used before its v line"),
+    ("complex", "v a\nv b\ns a b\nc a 0\n", "complex: coordinates missing for ['b']"),
+    ("complex", "v a\nq a\n", "line 2 (complex): unknown line kind 'q'"),
+    ("complex", "", "complex: no vertices declared"),
+    ("complex", "v a\nc a x/1\n", "line 2 (complex): bad rational 'x/1'"),
+    ("complex", "v a\ns\n", "line 2 (complex): s needs at least one id"),
+    ("map", "source\nv a\ns a\nmap\nm a a\n", "missing section 'target'"),
+    ("map", "source\nv a\nv b\ns a b\ntarget\nv x\nv y\ns x\ns y\nmap\nm a x\nm b y\n",
+     "map is not simplicial: image ('x', 'y') of simplex ('a', 'b') is not a simplex"),
+    ("map", "source\nv a\nv b\ns a b\ntarget\nv x\nv y\ns x y\nmap\nm a x\nm b z\n",
+     "map is not simplicial: image 'z' of 'b' is not a target vertex"),
+    ("map", "source\nv a\ns a\ntarget\nv x\nmap\nm a x\nm q x\n",
+     "map lines for unknown source vertices ['q']"),
+    ("map", "source\nv a\nv b\ns a b\ntarget\nv x\nmap\nm a x\n",
+     "map does not cover source vertices ['b']"),
+    ("map", "source\nv a\ns a\ntarget\nv x\ns x\nt x y\nmap\nm a x\n",
+     "line 7 (target): vertex 'y' used before its v line"),
+    ("lift", "g a 1\n", "lift values missing for vertices ['b']"),
+    ("lift", "g a 1\ng b 1/0\n", "line 2 (lift): bad rational '1/0'"),
+    ("witness", "w noseparator 1\n", "line 1 (witness): pair id must be `<u>,<v>`"),
+    ("star", "s a\ng a 1\ng b y\n", "line 3 (star boundary): bad rational 'y'"),
+    ("star", "x a\n", "line 1 (star boundary): unknown line kind 'x'"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        formats.parse_complex("v a\nv a\ns a\n")  # duplicate vertex
-    with pytest.raises(ParseError):
-        formats.parse_complex("v a\ns a b\n")  # undeclared vertex in simplex
-    with pytest.raises(ParseError):
-        formats.parse_complex("v a\nv b\ns a b\nc a 0\n")  # coords missing for b
-    with pytest.raises(ParseError):
-        formats.parse_complex("v a\nq a\n")  # unknown line kind
-    with pytest.raises(ParseError):
-        formats.parse_complex("")  # no vertices at all
-    with pytest.raises(ParseError):
-        formats.parse_map("source\nv a\ns a\nmap\nm a a\n")  # no target section
-    bad_map = (
-        "source\nv a\nv b\ns a b\n"
-        "target\nv x\nv y\ns x\ns y\n"
-        "map\nm a x\nm b y\n"
-    )
-    with pytest.raises(ParseError, match="not simplicial"):
-        formats.parse_map(bad_map)
     square = SimplicialComplex.from_maximal(("a", "b"), [("a", "b")])
-    with pytest.raises(ParseError):
-        formats.parse_lift("g a 1\n", square)  # value for b missing
-    with pytest.raises(ParseError):
-        formats.parse_witness("w noseparator 1\n")
+    parsers = {
+        "complex": formats.parse_complex,
+        "map": formats.parse_map,
+        "lift": lambda text: formats.parse_lift(text, square),
+        "witness": formats.parse_witness,
+        "star": lambda text: formats.parse_star_boundary(text, square),
+    }
+    for parser, text, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parsers[parser](text)
+        assert str(exc.value) == message, text
+
+
+def test_unchecked_map_names_a_bad_image():
+    """An unchecked map finds a bad image when it first indexes its images,
+    and raises the library's errors, never ``KeyError``."""
+    src = SimplicialComplex.from_maximal(["a", "b"], [("a", "b")])
+    tgt = SimplicialComplex.from_maximal(["x", "y"], [("x", "y")])
+    f = SimplicialMap(src, tgt, {"a": "x", "b": "z"}, check=False)
+    with pytest.raises(ComplexError, match="^unknown vertex 'z'$"):
+        f.image_index()
+    points = SimplicialComplex(["x", "y"], [("x",), ("y",)])
+    f = SimplicialMap(src, points, {"a": "x", "b": "y"}, check=False)
+    with pytest.raises(MapError, match=re.escape("image ('x', 'y') of simplex ('a', 'b') is not a simplex")):
+        f.image_index()
+    f = SimplicialMap(src, tgt, {"a": "x"}, check=False)
+    with pytest.raises(MapError, match=re.escape("map not defined on vertices ['b']")):
+        f.image_index()
 
 
 def test_contradicting_t_lines_rejected(capsys, tmp_path):

@@ -86,6 +86,7 @@ from conftest import (
     euler_characteristic,
     fixed_simplices,
     fold_locus,
+    frozenset_image_index,
     moment_values,
     old_check_star_condition,
     old_has_triple_points,
@@ -742,6 +743,32 @@ def test_one_pass_swap_models_match_rescan_oracle(f):
     assert len(set(cells)) == len(cells)
     for st, ts in zip(cells[::2], cells[1::2]):
         assert pairs.canon((v, u) for u, v in st) == ts
+
+
+def _holds_declared_tokens(c: SimplicialComplex) -> bool:
+    return all(c.vertices[c.rank[v]] is v for s in c.simplices for v in s)
+
+
+@PROPERTY
+@given(st.one_of(small_non_degenerate_maps(), coloured_maps(), covering_pieces()))
+def test_written_maps_parse_back_to_the_same_map(f):
+    """``parse_map(write_map(f))`` is ``f`` with its vertices renamed to
+    their tokens; every simplex and map entry holds the string of its
+    ``v`` line, and the rank-keyed image index is the vertex-set index."""
+    src_tok, tgt_tok = formats.token_table(f.source), formats.token_table(f.target)
+    doc = formats.parse_map(formats.write_map(f))
+    g = doc.map
+    assert g.source == f.source.renamed(src_tok)
+    assert g.target == f.target.renamed(tgt_tok)
+    assert g.vertex_map == {src_tok[v]: tgt_tok[w] for v, w in f.vertex_map.items()}
+    assert _holds_declared_tokens(g.source) and _holds_declared_tokens(g.target)
+    assert all(g.source.vertices[g.source.rank[v]] is v
+               and g.target.vertices[g.target.rank[w]] is w for v, w in g.vertex_map.items())
+    for h in (f, g):
+        oracle = frozenset_image_index(h)
+        images = h.image_index()
+        assert images == oracle
+        assert all(images[s] is oracle[s] for s in oracle)
 
 
 @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
